@@ -33,6 +33,9 @@ from .torus import ComplexTorus, TorusPoint, product_torus
 
 HERMITIAN_TOL = 1e-12
 INTEGRAL_TOL = 1e-8
+#: |exp(2 pi i E) - 1| is about 2 pi |E - round(E)|, so every E within
+#: INTEGRAL_TOL of an integer also passes the semicharacter test
+SEMICHARACTER_TOL = 2 * np.pi * INTEGRAL_TOL
 UNIT_TOL = 1e-12
 
 
@@ -78,7 +81,7 @@ class AHDatum:
         for j in range(n):
             for k in range(j + 1, n):
                 mismatch = abs(np.exp(2j * np.pi * e[j, k]) - 1.0)
-                if mismatch > 1e-8:
+                if mismatch > SEMICHARACTER_TOL:
                     raise SemicharacterInconsistent(
                         f"generators ({j}, {k}) give inconsistent extensions"
                     )

@@ -41,8 +41,6 @@ class GridFunction:
     torus: ComplexTorus
     values: np.ndarray
     seam_jumps: np.ndarray | None = None
-    periodic: bool = True
-    label: str = ""
 
     def __post_init__(self):
         self.values = np.asarray(self.values)
@@ -68,8 +66,8 @@ class GridFunction:
         return self.values.shape[2 * self.torus.genus :]
 
     @classmethod
-    def sample(cls, torus: ComplexTorus, resolution: int, fn, measure_jumps: bool = False,
-               label: str = "") -> "GridFunction":
+    def sample(cls, torus: ComplexTorus, resolution: int, fn,
+               measure_jumps: bool = False) -> "GridFunction":
         """Sample ``fn`` (vectorized over lifts, (..., g) -> (...,) + value_shape).
 
         With ``measure_jumps`` the constant period increments are measured from
@@ -80,7 +78,7 @@ class GridFunction:
         coords = lattice_grid(resolution, 2 * torus.genus)
         values = np.asarray(fn(torus.lift_of_coords(coords)))
         jumps = measure_seam_jumps(torus, fn) if measure_jumps else None
-        return cls(torus, values, seam_jumps=jumps, label=label)
+        return cls(torus, values, seam_jumps=jumps)
 
     def mean(self) -> np.ndarray:
         """Average over the grid axes (pairwise summation, evaluation-order free)."""
@@ -116,29 +114,60 @@ def measure_seam_jumps(torus: ComplexTorus, fn, check_tol: float = 1e-9) -> np.n
     return jumps
 
 
-def _axis_slice(ndim: int, axis: int, index: int) -> tuple:
-    sl = [slice(None)] * ndim
-    sl[axis] = index
-    return tuple(sl)
+def _central_difference(slab: np.ndarray, axis: int, jump, out: np.ndarray) -> None:
+    """Unscaled periodic central difference of ``slab`` along ``axis``, into ``out``.
+
+    Across the seam the jump is applied to the wrapped neighbour before
+    differencing, v[1] - (v[-1] - J) and (v[0] + J) - v[-2], which keeps the
+    rounding of value(c + e_d) = value(c) + J_d.
+    """
+    def at(start, stop):
+        index = [slice(None)] * slab.ndim
+        index[axis] = slice(start, stop)
+        return tuple(index)
+
+    first, second, before_last, last = at(0, 1), at(1, 2), at(-2, -1), at(-1, None)
+    np.subtract(slab[at(2, None)], slab[at(None, -2)], out=out[at(1, -1)])
+    if jump is None:
+        np.subtract(slab[second], slab[last], out=out[first])
+        np.subtract(slab[first], slab[before_last], out=out[last])
+    else:
+        np.subtract(slab[second], slab[last] - jump, out=out[first])
+        np.subtract(slab[first] + jump, slab[before_last], out=out[last])
 
 
-def _directional_differences(gf: GridFunction) -> np.ndarray:
-    """Central differences along each grid direction, shape (2g,) + values.shape."""
+def _wirtinger_fd(gf: GridFunction, rows: np.ndarray) -> GridFunction:
+    """sum_d rows[k, d] * (central difference along grid direction d), as axis k.
+
+    The output is filled one first-axis slab at a time: each direction's
+    difference for the slab goes into one reused slab buffer and is
+    accumulated straight into the output, so no temporary exceeds a slab.
+    """
     n = gf.resolution
     if n < MIN_RESOLUTION:
         raise ResolutionTooCoarse(f"resolution {n} < {MIN_RESOLUTION}")
-    dims = 2 * gf.torus.genus
     vals = np.asarray(gf.values, dtype=complex)
-    out = np.empty((dims,) + vals.shape, dtype=complex)
+    jumps = gf.seam_jumps
+    out = np.zeros(vals.shape + (rows.shape[0],), dtype=complex)
+    diff = np.empty_like(vals[0])
+    term = np.empty_like(diff)
     scale = n / 2.0  # 1 / (2h) with h = 1/N
-    for d in range(dims):
-        fwd = np.roll(vals, -1, axis=d)
-        bwd = np.roll(vals, 1, axis=d)
-        if gf.seam_jumps is not None:
-            fwd[_axis_slice(vals.ndim, d, n - 1)] += gf.seam_jumps[d]
-            bwd[_axis_slice(vals.ndim, d, 0)] -= gf.seam_jumps[d]
-        out[d] = (fwd - bwd) * scale
-    return out
+    for i in range(n):
+        ahead, behind = vals[(i + 1) % n], vals[i - 1]
+        if jumps is not None and i == n - 1:
+            ahead = ahead + jumps[0]
+        if jumps is not None and i == 0:
+            behind = behind - jumps[0]
+        for d in range(2 * gf.torus.genus):
+            if d == 0:
+                np.subtract(ahead, behind, out=diff)
+            else:
+                _central_difference(vals[i], d - 1, None if jumps is None else jumps[d], diff)
+            diff *= scale
+            for k in range(rows.shape[0]):
+                np.multiply(rows[k, d], diff, out=term)
+                out[i, ..., k] += term
+    return GridFunction(gf.torus, out)
 
 
 def _check_step(gf: GridFunction, h) -> None:
@@ -152,17 +181,13 @@ def dbar_fd(gf: GridFunction, h: float | None = None) -> GridFunction:
     Output value_shape is value_shape + (g,), entry [..., k] = d(value)/dzbar_k.
     """
     _check_step(gf, h)
-    diffs = _directional_differences(gf)
-    out = np.einsum("kd,d...->...k", gf.torus.dzbar_rows, diffs)
-    return GridFunction(gf.torus, out, periodic=gf.periodic, label=gf.label)
+    return _wirtinger_fd(gf, gf.torus.dzbar_rows)
 
 
 def dz_fd(gf: GridFunction, h: float | None = None) -> GridFunction:
     """Per-node dz-derivative coefficients; appends one axis of length g."""
     _check_step(gf, h)
-    diffs = _directional_differences(gf)
-    out = np.einsum("kd,d...->...k", gf.torus.dz_rows, diffs)
-    return GridFunction(gf.torus, out, periodic=gf.periodic, label=gf.label)
+    return _wirtinger_fd(gf, gf.torus.dz_rows)
 
 
 def wirtinger_at(torus: ComplexTorus, fn, coords, h: float) -> tuple[np.ndarray, np.ndarray]:

@@ -164,8 +164,7 @@ def obstruction(section: TorsorSection, h: float | None = None) -> GridFunction:
         coords = lattice_grid(n, 2 * torus.genus)
         step = h if h is not None else 1.0 / n
         dbar_u = dbar_at(torus, section.offset_fn, coords, step)
-        return GridFunction(torus, pres.theta_ref + dbar_u,
-                            periodic=not section.chart_local)
+        return GridFunction(torus, pres.theta_ref + dbar_u)
     u = section.offset
     if u.ndim == 1:  # constant offsets are killed by dbar
         return GridFunction(torus, pres.theta_ref.copy())

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import time
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -98,6 +99,17 @@ def _parse_complex_array(nested, shape, where: str) -> np.ndarray:
     return arr[..., 0] + 1j * arr[..., 1]
 
 
+def _tolerance(numeric: dict, name: str) -> float:
+    """numeric[name] as a float; zero, negative or non-finite tolerances pass nothing."""
+    try:
+        value = float(numeric[name])
+    except (TypeError, ValueError):
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise ConfigInvalid(f"numeric.{name}: finite number > 0 required")
+    return value
+
+
 @dataclass
 class VerificationConfig:
     """Validated run configuration; construction fails with the invariant name."""
@@ -163,6 +175,12 @@ class VerificationConfig:
             raise ConfigInvalid("numeric.grid: integer >= 4 required")
         if numeric["fd_step"] != "grid":
             raise ConfigInvalid('numeric.fd_step: only "grid" is supported')
+        seed = int(numeric["seed"])
+        if seed < 0:
+            raise ConfigInvalid("numeric.seed: integer >= 0 required")
+        samples = numeric["samples"]
+        if not isinstance(samples, int) or samples < 1:
+            raise ConfigInvalid("numeric.samples: integer >= 1 required")
         checks = data.get("checks")
         if checks is not None:
             unknown = [c for c in checks if c not in CHECK_ORDER]
@@ -187,11 +205,11 @@ class VerificationConfig:
             datum=datum,
             grid=grid,
             fd_step=numeric["fd_step"],
-            tolerance_analytic=float(numeric["tolerance_analytic"]),
-            tolerance_fd=float(numeric["tolerance_fd"]),
-            tolerance_exact=float(numeric["tolerance_exact"]),
-            seed=int(numeric["seed"]),
-            samples=int(numeric["samples"]),
+            tolerance_analytic=_tolerance(numeric, "tolerance_analytic"),
+            tolerance_fd=_tolerance(numeric, "tolerance_fd"),
+            tolerance_exact=_tolerance(numeric, "tolerance_exact"),
+            seed=seed,
+            samples=samples,
             checks=checks,
             output=data.get("output"),
             canonical=canonical,
@@ -289,26 +307,88 @@ class _SuiteContext:
         # one stream per check, so subsets of checks reproduce full runs
         return np.random.default_rng([self.cfg.seed, check_index])
 
-    def smooth_offset(self, rng: np.random.Generator, amplitude: float) -> tuple:
-        """Seeded trigonometric offset grid and its closed-form dzbar derivative."""
-        torus, n = self.torus, self.cfg.grid
-        return _trig_offset(torus, n, rng, amplitude)
 
+def _probe_modes(torus: ComplexTorus, rng, amplitude: float) -> list:
+    """(mode, coefficient) pairs of the seeded trigonometric probe.
 
-def _trig_offset(torus: ComplexTorus, resolution: int, rng, amplitude: float):
+    The modes are the unit vectors e_0 .. e_{2g-1} and then (1, ..., 1); each
+    coefficient draws g real parts, then g imaginary parts, mode by mode.
+    """
     g = torus.genus
     dims = 2 * g
-    coords = lattice_grid(resolution, dims)
     modes = [np.eye(dims, dtype=int)[d] for d in range(dims)] + [np.ones(dims, dtype=int)]
-    values = np.zeros(coords.shape[:-1] + (g,), dtype=complex)
-    deriv = np.zeros(coords.shape[:-1] + (g, g), dtype=complex)
-    for m in modes:
-        coeff = amplitude * (rng.standard_normal(g) + 1j * rng.standard_normal(g))
-        phase = np.exp(2j * np.pi * (coords @ m))
-        values += coeff * phase[..., None]
-        chain = 2j * np.pi * (torus.dzbar_rows @ m)  # d/dzbar_k of (m . c)
-        deriv += phase[..., None, None] * np.einsum("j,k->jk", coeff, chain)
-    return values, deriv
+    return [(m, amplitude * (rng.standard_normal(g) + 1j * rng.standard_normal(g)))
+            for m in modes]
+
+
+def _mode_phases(resolution: int, dims: int) -> list:
+    """exp(2 pi i m . c) over the grid for each probe mode, in ``_probe_modes`` order.
+
+    A unit mode's phase is a 1-D exponential broadcast (without copying) along
+    its own axis; only the diagonal mode is stored as a full grid.  Its
+    argument goes through the same ``@ ones`` matmul as
+    ``lattice_grid(N, dims) @ ones``, one first-axis slab at a time, which
+    reproduces those floats exactly (a broadcast sum of the axes rounds
+    differently).
+    """
+    n = resolution
+    shape = (n,) * dims
+    axis = np.exp(2j * np.pi * (np.arange(n) / n))
+    phases = [np.broadcast_to(axis.reshape((1,) * d + (n,) + (1,) * (dims - 1 - d)), shape)
+              for d in range(dims)]
+    slab = np.empty(shape[1:] + (dims,))
+    slab[..., 1:] = lattice_grid(n, dims - 1)
+    ones = np.ones(dims, dtype=int)
+    diagonal = np.empty(shape, dtype=complex)
+    for i in range(n):
+        slab[..., 0] = i / n
+        diagonal[i] = np.exp(2j * np.pi * (slab @ ones))
+    return phases + [diagonal]
+
+
+# The probe sums below run from 0 in mode order, with each product's operands
+# in the order of a dense ``+=`` loop over the modes: coefficient * phase for
+# the values and phase * coefficient for the derivative.  numpy's complex
+# multiply is not bitwise commutative where it uses fused multiply-adds.
+
+def _probe_component(phases: list, coeffs: list, j: int) -> np.ndarray:
+    """Component j of sum_m coeff_m exp(2 pi i m . c), one first-axis slab at a time."""
+    out = np.empty(phases[-1].shape, dtype=complex)
+    for i in range(len(out)):
+        out[i] = sum(c[j] * phase[i] for phase, c in zip(phases, coeffs))
+    return out
+
+
+def _smooth_offset(torus: ComplexTorus, resolution: int, rng, amplitude: float) -> np.ndarray:
+    """Seeded trigonometric offset grid, shape (N,)*2g + (g,)."""
+    coeffs = [c for _, c in _probe_modes(torus, rng, amplitude)]
+    phases = _mode_phases(resolution, 2 * torus.genus)
+    return np.stack([_probe_component(phases, coeffs, j) for j in range(torus.genus)],
+                    axis=-1)
+
+
+def _probe_error(torus: ComplexTorus, resolution: int, rng, amplitude: float) -> float:
+    """max |dbar_fd(probe) - closed-form dbar(probe)| over the grid.
+
+    The probe is sampled and differentiated one value component at a time,
+    and the closed form is assembled slab by slab and compared as soon as it
+    is formed, so only g + 2 full grids are alive at once.
+    """
+    g = torus.genus
+    modes = _probe_modes(torus, rng, amplitude)
+    coeffs = [c for _, c in modes]
+    phases = _mode_phases(resolution, 2 * g)
+    # d/dzbar_k of coeff_j exp(2 pi i m . c) is exp(2 pi i m . c) coeff_j chain_k
+    outer = [np.einsum("j,k->jk", c, 2j * np.pi * (torus.dzbar_rows @ m)) for m, c in modes]
+    err = 0.0
+    for j in range(g):
+        fd = dbar_fd(GridFunction(torus, _probe_component(phases, coeffs, j))).values
+        for i in range(resolution):
+            for k in range(g):
+                analytic = sum(phase[i] * mat[j, k] for phase, mat in zip(phases, outer))
+                err = max(err, float(np.max(np.abs(fd[i, ..., k] - analytic))))
+        del fd  # release before the next component's stencil runs
+    return err
 
 
 # -- individual checks ---------------------------------------------------------
@@ -382,7 +462,7 @@ def _check_sigma_tau_match(ctx, rng):
 
 
 def _check_perturbed_reference(ctx, rng):
-    w, _ = ctx.smooth_offset(rng, amplitude=0.05)
+    w = _smooth_offset(ctx.torus, ctx.cfg.grid, rng, amplitude=0.05)
     moved = act(ctx.tau.zero_section(), w)
     perturbed = TorsorPresentation(
         ctx.torus, "custom", obstruction(moved).values, datum=ctx.datum
@@ -451,12 +531,8 @@ def _check_trivial_bundle(ctx, rng):
 
 def _check_convergence_order(ctx, rng):
     """Doubling the grid must cut the error of a genuinely curved probe by >= 3.5."""
-    errors = []
-    for n in (ctx.cfg.grid, 2 * ctx.cfg.grid):
-        probe_rng = np.random.default_rng([ctx.cfg.seed, 997])
-        values, analytic = _trig_offset(ctx.torus, n, probe_rng, amplitude=0.1)
-        fd = dbar_fd(GridFunction(ctx.torus, values)).values
-        errors.append(float(np.max(np.abs(fd - analytic))))
+    errors = [_probe_error(ctx.torus, n, np.random.default_rng([ctx.cfg.seed, 997]), 0.1)
+              for n in (ctx.cfg.grid, 2 * ctx.cfg.grid)]
     return errors[1], errors[0] / 3.5, 2
 
 

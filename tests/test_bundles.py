@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from torsorcheck import (
+    AHDatum,
     LatticeNotPreserved,
     NonIntegralE,
     NotHermitian,
@@ -48,6 +49,15 @@ class TestValidation:
     def test_phases_must_be_unit(self, square_torus):
         with pytest.raises(SemicharacterInconsistent):
             validate_datum(square_torus, [[1.0]], [0.5, 1.0])
+
+    def test_pairing_within_integral_tolerance_accepted(self, square_torus):
+        # E(1, i) = -(1 + 5e-9): inside INTEGRAL_TOL, so neither test may reject it
+        d = AHDatum(square_torus, [[1 + 5e-9]], [1.0, 1.0])
+        assert d.pairing_imag_int[0, 1] == -1
+
+    def test_pairing_outside_integral_tolerance_is_nonintegral(self, square_torus):
+        with pytest.raises(NonIntegralE):
+            AHDatum(square_torus, [[1 + 2e-8]], [1.0, 1.0])
 
     def test_g2_diag_datum(self, g2_datum):
         e = g2_datum.pairing_imag_int

@@ -10,6 +10,34 @@ from torsorcheck import (
     wirtinger_at,
 )
 from torsorcheck.grids import measure_seam_jumps
+from torsorcheck.torus import ComplexTorus
+
+
+def roll_stencil(gf, rows):
+    """Reference stencil: 2g np.roll central differences stacked, then one einsum.
+
+    The slice kernel behind dbar_fd/dz_fd must reproduce it bit for bit.
+    """
+    n = gf.resolution
+    vals = np.asarray(gf.values, dtype=complex)
+    diffs = np.empty((2 * gf.torus.genus,) + vals.shape, dtype=complex)
+    for d in range(diffs.shape[0]):
+        fwd = np.roll(vals, -1, axis=d)
+        bwd = np.roll(vals, 1, axis=d)
+        if gf.seam_jumps is not None:
+            fwd[(slice(None),) * d + (n - 1,)] += gf.seam_jumps[d]
+            bwd[(slice(None),) * d + (0,)] -= gf.seam_jumps[d]
+        diffs[d] = (fwd - bwd) * (n / 2.0)
+    return np.einsum("kd,d...->...k", rows, diffs)
+
+
+STENCIL_CASES = {
+    "g1-square": ([[1.0, 1.0j]], 16),
+    "g1-skew-odd": ([[1.0, 0.3 + 1.1j]], 9),
+    "g2-diag": (np.hstack([np.eye(2), 1j * np.diag([1.0, 2.0])]), 6),
+    "g2-full": (np.hstack([np.eye(2), [[0.2 + 1j, 0.1 + 0.3j], [0.1 + 0.3j, -0.4 + 2j]]]), 5),
+    "g3-diag": (np.hstack([np.eye(3), 1j * np.diag([1.0, 1.5, 2.0])]), 4),
+}
 
 
 def _interior(values, torus):
@@ -90,6 +118,25 @@ class TestSeams:
     def test_nonconstant_jump_rejected(self, square_torus):
         with pytest.raises(ValueError):
             measure_seam_jumps(square_torus, lambda z: np.conj(z[..., 0]) ** 2)
+
+
+class TestStencilMatchesRollReference:
+    @pytest.mark.parametrize("case", sorted(STENCIL_CASES))
+    @pytest.mark.parametrize("with_jumps", [False, True])
+    def test_bitwise_equal(self, case, with_jumps, rng):
+        periods, n = STENCIL_CASES[case]
+        torus = ComplexTorus(periods)
+        g = torus.genus
+        for value_shape in [(), (g,)]:
+            shape = (n,) * (2 * g) + value_shape
+            values = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            jumps = None
+            if with_jumps:
+                jump_shape = (2 * g,) + value_shape
+                jumps = rng.standard_normal(jump_shape) + 1j * rng.standard_normal(jump_shape)
+            gf = GridFunction(torus, values, seam_jumps=jumps)
+            assert np.array_equal(dbar_fd(gf).values, roll_stencil(gf, torus.dzbar_rows))
+            assert np.array_equal(dz_fd(gf).values, roll_stencil(gf, torus.dz_rows))
 
 
 class TestPointStencils:

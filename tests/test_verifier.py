@@ -1,11 +1,30 @@
 import json
+import math
 import re
+import tracemalloc
 
+import numpy as np
 import pytest
 
-from torsorcheck import ConfigInvalid, VerificationConfig, run_suite
+from torsorcheck import (
+    ComplexTorus,
+    ConfigInvalid,
+    GridFunction,
+    VerificationConfig,
+    dbar_fd,
+    lattice_grid,
+    run_suite,
+)
 from torsorcheck.cli import main
-from torsorcheck.verifier import CHECK_ORDER, _CHECK_FUNCTIONS, emit_report, report_json
+from torsorcheck.verifier import (
+    CHECK_ORDER,
+    _CHECK_FUNCTIONS,
+    _SuiteContext,
+    _probe_error,
+    _smooth_offset,
+    emit_report,
+    report_json,
+)
 
 SCHEMA_KEYS = ["version", "config_digest", "seed", "overall", "checks"]
 CHECK_KEYS = ["name", "status", "max_error", "tolerance", "samples", "wall_time_ms"]
@@ -13,6 +32,41 @@ CHECK_KEYS = ["name", "status", "max_error", "tolerance", "samples", "wall_time_
 
 def strip_wall_times(text: str) -> str:
     return re.sub(r'"wall_time_ms": [-+0-9.eE]+', '"wall_time_ms": 0', text)
+
+
+def with_numeric(**numeric) -> dict:
+    data = json.loads(json.dumps(VerificationConfig.demo("principal-g1").canonical))
+    data["numeric"].update(numeric)
+    return data
+
+
+def dense_trig_offset(torus, resolution, rng, amplitude):
+    """Reference probe: dense values and closed-form dzbar derivative on the full grid.
+
+    The streamed probe in the verifier must reproduce its values and errors bit
+    for bit.
+    """
+    g = torus.genus
+    dims = 2 * g
+    coords = lattice_grid(resolution, dims)
+    modes = [np.eye(dims, dtype=int)[d] for d in range(dims)] + [np.ones(dims, dtype=int)]
+    values = np.zeros(coords.shape[:-1] + (g,), dtype=complex)
+    deriv = np.zeros(coords.shape[:-1] + (g, g), dtype=complex)
+    for m in modes:
+        coeff = amplitude * (rng.standard_normal(g) + 1j * rng.standard_normal(g))
+        phase = np.exp(2j * np.pi * (coords @ m))
+        values += coeff * phase[..., None]
+        chain = 2j * np.pi * (torus.dzbar_rows @ m)
+        deriv += phase[..., None, None] * np.einsum("j,k->jk", coeff, chain)
+    return values, deriv
+
+
+PROBE_TORI = {
+    "g1-square": ([[1.0, 1.0j]], 32),
+    "g2-diag": (np.hstack([np.eye(2), 1j * np.diag([1.0, 2.0])]), 6),
+    "g2-full": (np.hstack([np.eye(2), [[0.2 + 1j, 0.1 + 0.3j], [0.1 + 0.3j, -0.4 + 2j]]]), 5),
+    "g3-diag": (np.hstack([np.eye(3), 1j * np.diag([1.0, 1.5, 2.0])]), 4),
+}
 
 
 class TestConfig:
@@ -43,6 +97,22 @@ class TestConfig:
         data["checks"] = ["sigma_obstruction", "bogus"]
         with pytest.raises(ConfigInvalid, match="bogus"):
             VerificationConfig.from_dict(data)
+
+    @pytest.mark.parametrize("samples", [0, -1, 2.5])
+    def test_samples_below_one_rejected(self, samples):
+        with pytest.raises(ConfigInvalid, match="numeric.samples"):
+            VerificationConfig.from_dict(with_numeric(samples=samples))
+
+    def test_negative_seed_rejected(self):
+        # numpy's seed sequences take non-negative entries only, so every check would crash
+        with pytest.raises(ConfigInvalid, match="numeric.seed"):
+            VerificationConfig.from_dict(with_numeric(seed=-1))
+
+    @pytest.mark.parametrize("field", ["tolerance_analytic", "tolerance_fd", "tolerance_exact"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -1.0, 0.0, "loose"])
+    def test_unusable_tolerance_rejected(self, field, value):
+        with pytest.raises(ConfigInvalid, match=f"numeric.{field}"):
+            VerificationConfig.from_dict(with_numeric(**{field: value}))
 
     def test_digest_stable(self):
         a = VerificationConfig.demo("principal-g1").digest()
@@ -97,6 +167,48 @@ class TestSuite:
         assert conv.status == "pass"
         # the probe error must be real signal, far above rounding noise
         assert conv.max_error > 1e-10
+
+
+class TestConvergenceProbe:
+    @pytest.mark.parametrize("case", sorted(PROBE_TORI))
+    def test_errors_match_dense_reference(self, case):
+        periods, n = PROBE_TORI[case]
+        torus = ComplexTorus(periods)
+        for resolution in (n, 2 * n):
+            values, deriv = dense_trig_offset(torus, resolution, np.random.default_rng(3), 0.1)
+            dense = float(np.max(np.abs(dbar_fd(GridFunction(torus, values)).values - deriv)))
+            streamed = _probe_error(torus, resolution, np.random.default_rng(3), 0.1)
+            assert np.array_equal(streamed, dense)
+
+    @pytest.mark.parametrize("case", sorted(PROBE_TORI))
+    def test_smooth_offset_matches_dense_reference(self, case):
+        periods, n = PROBE_TORI[case]
+        torus = ComplexTorus(periods)
+        rng = np.random.default_rng(4)
+        values, _ = dense_trig_offset(torus, n, rng, 0.05)
+        after_dense = rng.random()
+        rng = np.random.default_rng(4)
+        assert np.array_equal(_smooth_offset(torus, n, rng, 0.05), values)
+        assert rng.random() == after_dense  # same draws, so later draws are unchanged
+
+    def test_peak_memory_is_a_few_grids(self):
+        # a dense probe holds the grid, its g x g derivative and their
+        # temporaries, about 20 complex grids at 2N; the streamed probe holds
+        # g + 2 = 4 of them plus slab-sized temporaries
+        data = json.loads(json.dumps(VerificationConfig.demo("principal-g2").canonical))
+        data["numeric"]["grid"] = 12
+        ctx = _SuiteContext(VerificationConfig.from_dict(data))
+        grid_bytes = np.dtype(complex).itemsize * (2 * 12) ** 4
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            rng = ctx.rng(CHECK_ORDER.index("convergence_order"))
+            error, tolerance, _ = _CHECK_FUNCTIONS["convergence_order"](ctx, rng)
+            peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        assert error <= tolerance
+        assert peak <= 6 * grid_bytes, f"peak {peak / grid_bytes:.1f} grids"
 
 
 class TestReport:
