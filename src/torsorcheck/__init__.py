@@ -17,16 +17,13 @@ from .bundles import (
     pullback,
     pullback_frame_log,
     restrict_slice,
-    second_projection,
     slice_embedding,
     translation_map,
     trivial_datum,
-    validate_datum,
 )
 from .connections import (
     CHERN_NORMALIZATION,
     ConnectionForm,
-    CurvatureForm,
     canonical_connection,
     check_eq_i,
     chern_form,
@@ -51,7 +48,7 @@ from .errors import (
     TorsorcheckError,
     TorusMismatch,
 )
-from .grids import GridFunction, dbar_at, dbar_fd, dz_fd, lattice_grid, wirtinger_at
+from .grids import GridFunction, dbar_fd, dz_fd, lattice_grid, wirtinger_at
 from .torsors import (
     TorsorMorphism,
     TorsorPresentation,
@@ -73,10 +70,8 @@ from .torus import (
     ComplexTorus,
     InvariantForm,
     TorusPoint,
-    add,
     cycle_integral,
     product_torus,
-    validate_torus,
 )
 from .verifier import (
     DEMO_CONFIGS,

@@ -135,11 +135,6 @@ class AHDatum:
         return f"AHDatum(genus={self.torus.genus}, |H|={np.max(np.abs(self.hermitian)):.3g})"
 
 
-def validate_datum(torus: ComplexTorus, hermitian, chi) -> AHDatum:
-    """Build a datum, rejecting non-hermitian H, non-integral E, or bad phases."""
-    return AHDatum(torus, hermitian, chi)
-
-
 def trivial_datum(torus: ComplexTorus) -> AHDatum:
     g = torus.genus
     return AHDatum(torus, np.zeros((g, g)), np.ones(2 * g))
@@ -193,12 +188,6 @@ def first_projection(prod: ComplexTorus) -> TorusHomomorphism:
     left, right = _split_factors(prod)
     g = left.genus
     return TorusHomomorphism(prod, left, np.hstack([np.eye(g), np.zeros((g, g))]))
-
-
-def second_projection(prod: ComplexTorus) -> TorusHomomorphism:
-    left, right = _split_factors(prod)
-    g = left.genus
-    return TorusHomomorphism(prod, right, np.hstack([np.zeros((g, g)), np.eye(g)]))
 
 
 def slice_embedding(x: TorusPoint, prod: ComplexTorus) -> TorusHomomorphism:

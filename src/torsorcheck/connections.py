@@ -15,8 +15,6 @@ E on lattice pairs, which pins every sign convention in the package.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .bundles import (
@@ -41,14 +39,12 @@ class ConnectionForm:
     """A (1,0)-form-valued map on the cover, attached to a bundle datum.
 
     ``theta`` is vectorized: lifts of shape (..., g) map to covectors of the
-    same shape.  ``kind`` records whether the map is a closed formula or
-    grid-backed data.
+    same shape.
     """
 
-    def __init__(self, datum: AHDatum, theta, kind: str = "analytic"):
+    def __init__(self, datum: AHDatum, theta):
         self.datum = datum
         self.theta = theta
-        self.kind = kind
 
     def __call__(self, z) -> np.ndarray:
         return np.asarray(self.theta(np.asarray(z, dtype=complex)), dtype=complex)
@@ -87,7 +83,7 @@ def pullback_connection(f: TorusHomomorphism, conn: ConnectionForm,
     def theta(z):
         return conn.theta(f.apply(z)) @ f.matrix + correction
 
-    return ConnectionForm(datum_pull, theta, kind=conn.kind)
+    return ConnectionForm(datum_pull, theta)
 
 
 def family_connection(datum: AHDatum) -> ConnectionForm:
@@ -121,22 +117,8 @@ def slice_connection(family_conn: ConnectionForm, x: TorusPoint,
     return pullback_connection(f, family_conn, frame=frame)
 
 
-@dataclass
-class CurvatureForm:
-    """Grid of curvature coefficient matrices K[..., j, k] = d theta_j / dzbar_k."""
-
-    connection: ConnectionForm
-    grid: GridFunction
-
-    def constant_matrix(self) -> np.ndarray:
-        return self.grid.mean()
-
-    def max_variation(self) -> float:
-        return self.grid.max_variation()
-
-
-def curvature(conn: ConnectionForm, resolution: int) -> CurvatureForm:
-    """Curvature by central differences of the sampled covector field.
+def curvature(conn: ConnectionForm, resolution: int) -> GridFunction:
+    """Grid of curvature matrices K[..., j, k] = d theta_j / dzbar_k by central differences.
 
     The covector is not periodic on the torus; its constant period increments
     (the automorphy shifts) are measured from evaluations and fed to the
@@ -145,7 +127,7 @@ def curvature(conn: ConnectionForm, resolution: int) -> CurvatureForm:
     """
     torus = conn.datum.torus
     gf = GridFunction.sample(torus, resolution, conn.theta, measure_jumps=True)
-    return CurvatureForm(conn, dbar_fd(gf))
+    return dbar_fd(gf)
 
 
 def curvature_at(conn: ConnectionForm, coords, h: float) -> np.ndarray:

@@ -21,6 +21,8 @@ from .errors import ResolutionTooCoarse, ShapeMismatch
 from .torus import ComplexTorus
 
 MIN_RESOLUTION = 4
+#: relative agreement required of a period increment measured at two base points
+SEAM_TOL = 1e-9
 
 
 def lattice_grid(resolution: int, dims: int) -> np.ndarray:
@@ -92,11 +94,11 @@ class GridFunction:
         return float(np.max(np.abs(self.values - self.mean())))
 
 
-def measure_seam_jumps(torus: ComplexTorus, fn, check_tol: float = 1e-9) -> np.ndarray:
+def measure_seam_jumps(torus: ComplexTorus, fn) -> np.ndarray:
     """Measure constant period increments of ``fn``: f(z + lambda_d) - f(z).
 
     The increment is measured at two base points and must agree within
-    ``check_tol``; non-constant seams are a misuse of the grid machinery.
+    ``SEAM_TOL``; non-constant seams are a misuse of the grid machinery.
     """
     dims = 2 * torus.genus
     base = np.vstack([np.zeros(dims), np.full(dims, 0.37)])
@@ -108,7 +110,7 @@ def measure_seam_jumps(torus: ComplexTorus, fn, check_tol: float = 1e-9) -> np.n
         fd = np.asarray(fn(torus.lift_of_coords(shifted))) - f0
         if jumps is None:
             jumps = np.zeros((dims,) + fd.shape[1:], dtype=fd.dtype)
-        if np.max(np.abs(fd[0] - fd[1])) > check_tol * max(1.0, float(np.max(np.abs(fd)))):
+        if np.max(np.abs(fd[0] - fd[1])) > SEAM_TOL * max(1.0, float(np.max(np.abs(fd)))):
             raise ValueError(f"period increment along direction {d} is not constant")
         jumps[d] = fd[0]
     return jumps
@@ -170,23 +172,16 @@ def _wirtinger_fd(gf: GridFunction, rows: np.ndarray) -> GridFunction:
     return GridFunction(gf.torus, out)
 
 
-def _check_step(gf: GridFunction, h) -> None:
-    if h is not None and not np.isclose(h, 1.0 / gf.resolution):
-        raise ValueError("grid stencils run at the grid spacing; pass h=None or 1/N")
-
-
-def dbar_fd(gf: GridFunction, h: float | None = None) -> GridFunction:
+def dbar_fd(gf: GridFunction) -> GridFunction:
     """Per-node dzbar-derivative coefficients; appends one axis of length g.
 
     Output value_shape is value_shape + (g,), entry [..., k] = d(value)/dzbar_k.
     """
-    _check_step(gf, h)
     return _wirtinger_fd(gf, gf.torus.dzbar_rows)
 
 
-def dz_fd(gf: GridFunction, h: float | None = None) -> GridFunction:
+def dz_fd(gf: GridFunction) -> GridFunction:
     """Per-node dz-derivative coefficients; appends one axis of length g."""
-    _check_step(gf, h)
     return _wirtinger_fd(gf, gf.torus.dz_rows)
 
 
@@ -214,8 +209,3 @@ def wirtinger_at(torus: ComplexTorus, fn, coords, h: float) -> tuple[np.ndarray,
     dz = np.einsum("kd,d...->...k", torus.dz_rows, diffs)
     dzbar = np.einsum("kd,d...->...k", torus.dzbar_rows, diffs)
     return dz, dzbar
-
-
-def dbar_at(torus: ComplexTorus, fn, coords, h: float) -> np.ndarray:
-    """dzbar part of :func:`wirtinger_at`."""
-    return wirtinger_at(torus, fn, coords, h)[1]

@@ -34,11 +34,13 @@ from .connections import (
     family_connection,
 )
 from .errors import BaseMismatch, ShapeMismatch
-from .grids import GridFunction, dbar_at, dbar_fd, lattice_grid
+from .grids import GridFunction, dbar_fd, lattice_grid, wirtinger_at
 from .torus import ComplexTorus
 
 #: labeled reference obstructions must be constant over the grid to this extent
 REFERENCE_VARIATION_TOL = 1e-8
+#: relative agreement required of an offset and its translate by a period
+PERIODIC_TOL = 1e-9
 
 
 @dataclass
@@ -47,7 +49,7 @@ class TorsorPresentation:
 
     torus: ComplexTorus
     label: str  # "sigma" | "tau" | "custom"
-    theta_ref: np.ndarray  # shape (N,)*2g + (g, g)
+    theta_ref: np.ndarray  # shape (N,)*2g + (g, g); sigma's is a read-only broadcast view
     datum: AHDatum | None = None
 
     def __post_init__(self):
@@ -119,13 +121,13 @@ class TorsorSection:
         return bool(np.array_equal(left, right))
 
 
-def _check_offset_periodic(torus: ComplexTorus, fn, tol: float = 1e-9):
+def _check_offset_periodic(torus: ComplexTorus, fn):
     probe = torus.lift_of_coords(np.full(2 * torus.genus, 0.31))
     base = np.asarray(fn(probe))
     for d in range(2 * torus.genus):
         shifted = probe + torus.lattice_vector(d)
         gap = np.max(np.abs(np.asarray(fn(shifted)) - base))
-        if gap > tol * max(1.0, float(np.max(np.abs(base)))):
+        if gap > PERIODIC_TOL * max(1.0, float(np.max(np.abs(base)))):
             raise ShapeMismatch(
                 "offset is not single-valued on the torus; flag the section chart_local"
             )
@@ -155,20 +157,19 @@ def transition(s: TorsorSection, t: TorsorSection) -> np.ndarray:
     return t.offset - s.offset
 
 
-def obstruction(section: TorsorSection, h: float | None = None) -> GridFunction:
+def obstruction(section: TorsorSection) -> GridFunction:
     """Obstruction of the section: reference obstruction plus dbar of the offset."""
     pres = section.presentation
     torus = pres.torus
     n = pres.resolution
     if section.offset_fn is not None:
         coords = lattice_grid(n, 2 * torus.genus)
-        step = h if h is not None else 1.0 / n
-        dbar_u = dbar_at(torus, section.offset_fn, coords, step)
+        dbar_u = wirtinger_at(torus, section.offset_fn, coords, 1.0 / n)[1]
         return GridFunction(torus, pres.theta_ref + dbar_u)
     u = section.offset
     if u.ndim == 1:  # constant offsets are killed by dbar
         return GridFunction(torus, pres.theta_ref.copy())
-    dbar_u = dbar_fd(GridFunction(torus, u), h).values
+    dbar_u = dbar_fd(GridFunction(torus, u)).values
     return GridFunction(torus, pres.theta_ref + dbar_u)
 
 
@@ -276,11 +277,12 @@ def sigma_presentation(datum: AHDatum, resolution: int) -> TorsorPresentation:
 
     The reference is the canonical unitary connection; its obstruction is the
     invariant curvature class, stored here analytically (the verifier
-    recomputes it independently by finite differences).
+    recomputes it independently by finite differences) as a read-only
+    zero-stride view of one (g, g) matrix over the grid.
     """
     g = datum.torus.genus
     coeff = chern_form(datum).coefficients
-    grid = np.broadcast_to(coeff, (resolution,) * (2 * g) + (g, g)).copy()
+    grid = np.broadcast_to(coeff, (resolution,) * (2 * g) + (g, g))
     return TorsorPresentation(datum.torus, "sigma", grid, datum=datum)
 
 

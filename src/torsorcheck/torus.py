@@ -46,7 +46,6 @@ class ComplexTorus:
         self.periods = periods
         self.kappa_max = float(kappa_max)
         self.factors = factors  # (left, right) for product tori, else None
-        self._stack = stack
         self._stack_inv = np.linalg.inv(stack)
         # Wirtinger chart matrix: directional derivatives along the lattice
         # basis are W @ [d/dz; d/dzbar], so the inverse rows convert
@@ -146,16 +145,6 @@ class TorusPoint:
 
     def __repr__(self):
         return f"TorusPoint({self.lift})"
-
-
-def validate_torus(periods, kappa_max: float = 1e8) -> ComplexTorus:
-    """Construct a torus, rejecting degenerate or ill-conditioned lattices."""
-    return ComplexTorus(periods, kappa_max=kappa_max)
-
-
-def add(p: TorusPoint, q: TorusPoint) -> TorusPoint:
-    """Group law of the torus on canonical representatives."""
-    return p + q
 
 
 @dataclass(frozen=True)

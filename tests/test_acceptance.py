@@ -90,7 +90,7 @@ def test_criterion_2_sigma_obstruction_recomputation():
     with Timer() as t:
         errors = {}
         for n in (64, 128):
-            recomputed = CHERN_NORMALIZATION * curvature(canonical_connection(datum), n).grid.values
+            recomputed = CHERN_NORMALIZATION * curvature(canonical_connection(datum), n).values
             errors[n] = float(np.max(np.abs(recomputed - omega)))
         # the covector is affine, so both errors sit at the rounding floor;
         # demand the improvement whenever there is signal to improve
@@ -118,7 +118,7 @@ def test_criterion_3_slice_flatness():
             rng = np.random.default_rng(SEED)
             fam = family_connection(datum)
             for x in datum.torus.random_points(rng, 5):
-                worst = max(worst, curvature(slice_connection(fam, x), n).grid.max_abs())
+                worst = max(worst, curvature(slice_connection(fam, x), n).max_abs())
     ok = worst <= 1e-8 and t.elapsed < 10.0
     _report(3, "slice restrictions of the family connection are flat",
             ok, f"max curvature {worst:.2e}, {t.elapsed:.2f}s")

@@ -20,7 +20,6 @@ from torsorcheck import (
     slice_embedding,
     translation_map,
     trivial_datum,
-    validate_datum,
 )
 from torsorcheck.torus import product_torus
 
@@ -32,7 +31,7 @@ class TestValidation:
         assert d.is_topologically_trivial()
 
     def test_principal_pairing(self, square_torus):
-        d = validate_datum(square_torus, [[1.0]], [1.0, 1.0])
+        d = AHDatum(square_torus, [[1.0]], [1.0, 1.0])
         # oracle: E(1, i) = Im(1 * conj(i)) = -1
         assert d.pairing_imag_int[0, 1] == -1
         assert not d.is_topologically_trivial()
@@ -40,15 +39,15 @@ class TestValidation:
     def test_half_pairing_not_integral(self, square_torus):
         # oracle: E(1, i) = Im(0.5 * conj(i)) = -0.5
         with pytest.raises(NonIntegralE):
-            validate_datum(square_torus, [[0.5]], [1.0, 1.0])
+            AHDatum(square_torus, [[0.5]], [1.0, 1.0])
 
     def test_not_hermitian(self, g2_torus):
         with pytest.raises(NotHermitian):
-            validate_datum(g2_torus, [[1.0, 1.0j], [1.0j, 1.0]], np.ones(4))
+            AHDatum(g2_torus, [[1.0, 1.0j], [1.0j, 1.0]], np.ones(4))
 
     def test_phases_must_be_unit(self, square_torus):
         with pytest.raises(SemicharacterInconsistent):
-            validate_datum(square_torus, [[1.0]], [0.5, 1.0])
+            AHDatum(square_torus, [[1.0]], [0.5, 1.0])
 
     def test_pairing_within_integral_tolerance_accepted(self, square_torus):
         # E(1, i) = -(1 + 5e-9): inside INTEGRAL_TOL, so neither test may reject it

@@ -70,17 +70,17 @@ class TestCanonicalConnection:
 class TestCurvature:
     def test_zero_for_trivial(self, flat_datum):
         k = curvature(canonical_connection(flat_datum), 16)
-        assert k.grid.max_abs() <= 1e-12
+        assert k.max_abs() <= 1e-12
 
     def test_principal_constant(self, principal_datum):
         n = 64
         k = curvature(canonical_connection(principal_datum), n)
-        assert abs(k.constant_matrix()[0, 0] + np.pi) <= 1e-8 * n**2
+        assert abs(k.mean()[0, 0] + np.pi) <= 1e-8 * n**2
         assert k.max_variation() <= 1e-9
 
     def test_matches_pairing_matrix(self, g2_datum):
         k = curvature(canonical_connection(g2_datum), 8)
-        assert np.max(np.abs(k.constant_matrix() + np.pi * g2_datum.hermitian)) <= 1e-9
+        assert np.max(np.abs(k.mean() + np.pi * g2_datum.hermitian)) <= 1e-9
 
 
 class TestChernForm:
@@ -166,7 +166,7 @@ class TestSliceConnection:
         fam = family_connection(datum)
         for x in datum.torus.random_points(rng, 5):
             sliced = slice_connection(fam, x)
-            assert curvature(sliced, n).grid.max_abs() <= 1e-8
+            assert curvature(sliced, n).max_abs() <= 1e-8
 
 
 class TestRestrictionIdentity:

@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from torsorcheck import (
+    AHDatum,
     BaseMismatch,
     GridFunction,
     ShapeMismatch,
@@ -21,7 +24,6 @@ from torsorcheck import (
     tau_presentation,
     transition,
     trivialization_class,
-    validate_datum,
 )
 
 N_G1 = 64
@@ -155,7 +157,7 @@ class TestCanonicalMorphism:
         assert ok, f"max obstruction {err:.3e}"
 
     def test_distinct_classes_not_holomorphic(self, square_torus, principal_datum):
-        doubled = validate_datum(square_torus, [[2.0]], [1.0, 1.0])
+        doubled = AHDatum(square_torus, [[2.0]], [1.0, 1.0])
         gamma = canonical_morphism(
             sigma_presentation(principal_datum, 16), sigma_presentation(doubled, 16)
         )
@@ -266,3 +268,21 @@ class TestTauPresentation:
         bumpy = rng.standard_normal((16, 16, 1, 1)) + 0j
         with pytest.raises(ValueError):
             TorsorPresentation(square_torus, "tau", bumpy)
+
+
+class TestSigmaPresentation:
+    def test_reference_is_a_read_only_broadcast(self, g2_datum):
+        # the invariant class is one (g, g) matrix; no N^{2g} copy of it is kept
+        n = 24
+        grid_bytes = np.dtype(complex).itemsize * n**4 * 2 * 2
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            sigma = sigma_presentation(g2_datum, n)
+            kept = tracemalloc.get_traced_memory()[0] - held
+        finally:
+            tracemalloc.stop()
+        assert kept < 0.01 * grid_bytes, f"{kept / grid_bytes:.3f} grids kept"
+        assert sigma.theta_ref.shape == (n,) * 4 + (2, 2)
+        assert sigma.theta_ref.strides[:4] == (0,) * 4
+        assert not sigma.theta_ref.flags.writeable

@@ -8,35 +8,34 @@ from torsorcheck import (
     InvariantForm,
     TorusMismatch,
     cycle_integral,
-    validate_torus,
 )
 
 
 class TestValidation:
     def test_square_lattice_valid(self):
-        torus = validate_torus([[1.0, 1.0j]], kappa_max=1e6)
+        torus = ComplexTorus([[1.0, 1.0j]], kappa_max=1e6)
         assert torus.genus == 1
 
     def test_collinear_periods_rejected(self):
         # 1 and 2 span a line in C = R^2: real rank 1
         with pytest.raises(DegenerateLattice):
-            validate_torus([[1.0, 2.0]], kappa_max=1e6)
+            ComplexTorus([[1.0, 2.0]], kappa_max=1e6)
 
     def test_g2_block_periods_valid(self):
         periods = np.hstack([np.eye(2), 1j * np.diag([1.0, 2.0])])
         # oracle: rank of the stacked 4x4 real matrix
         stack = np.vstack([periods.real, periods.imag])
         assert np.linalg.matrix_rank(stack) == 4
-        torus = validate_torus(periods)
+        torus = ComplexTorus(periods)
         assert torus.genus == 2
 
     def test_condition_cap_enforced(self):
         with pytest.raises(DegenerateLattice):
-            validate_torus([[1.0, 1e-9j]], kappa_max=1e6)
+            ComplexTorus([[1.0, 1e-9j]], kappa_max=1e6)
 
     def test_bad_shape_rejected(self):
         with pytest.raises(DegenerateLattice):
-            validate_torus(np.ones((1, 3)))
+            ComplexTorus(np.ones((1, 3)))
 
 
 class TestPoints:

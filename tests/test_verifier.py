@@ -2,6 +2,7 @@ import json
 import math
 import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -114,6 +115,13 @@ class TestConfig:
         with pytest.raises(ConfigInvalid, match=f"numeric.{field}"):
             VerificationConfig.from_dict(with_numeric(**{field: value}))
 
+    def test_readme_config_example_loads(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("### Config format", 1)[1]
+        example = section.split("```json", 1)[1].split("```", 1)[0]
+        cfg = VerificationConfig.from_dict(json.loads(example))
+        assert cfg.grid == 64 and cfg.output == "report.json"
+
     def test_digest_stable(self):
         a = VerificationConfig.demo("principal-g1").digest()
         b = VerificationConfig.demo("principal-g1").digest()
@@ -160,6 +168,15 @@ class TestSuite:
         # the later checks still ran
         assert by_name["sigma_tau_match"].status == "pass"
         assert report.overall == "fail"
+
+    def test_datum_valid_passes_what_the_loader_accepts(self):
+        # E(1, i) = -1.000000005 lies within INTEGRAL_TOL of an integer, so
+        # AHDatum accepts the datum and neither check may fail it
+        data = with_numeric()
+        data["bundle"]["hermitian"] = [[[1.000000005, 0]]]
+        data["checks"] = ["datum_valid", "chern_integrality"]
+        report = run_suite(VerificationConfig.from_dict(data))
+        assert [c.status for c in report.checks] == ["pass", "pass"]
 
     def test_convergence_probe_genuinely_second_order(self):
         report = run_suite(VerificationConfig.demo("principal-g1"))
@@ -258,6 +275,30 @@ class TestCli:
         }))
         assert main(["--config", str(cfg_path)]) == 2
         assert "NonIntegralE" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("numeric", "seed", "abc"),
+        ("numeric", "seed", math.nan),
+        ("numeric", "seed", 1.7),
+        ("torus", "kappa_max", "x"),
+        ("torus", "kappa_max", math.nan),
+        ("torus", "kappa_max", math.inf),
+        ("torus", "kappa_max", 0.5),
+        ("numeric", "tolerence_fd", 1e-3),
+        ("numeric", "fd_step", "grid"),
+        ("bundle", "chi_turns", "x"),
+        ("bundle", "chi_turns", [math.nan, 0]),
+        ("bundle", "hermitian", [[[math.nan, 0]]]),
+        (None, "checks", 5),
+        (None, "output", 5),
+    ], ids=str)
+    def test_malformed_field_exit_two(self, tmp_path, capsys, section, key, value):
+        data = with_numeric()
+        (data if section is None else data[section])[key] = value
+        cfg_path = tmp_path / "malformed.json"
+        cfg_path.write_text(json.dumps(data))
+        assert main(["--config", str(cfg_path), "--checks", "datum_valid"]) == 2
+        assert key in capsys.readouterr().err
 
     def test_failing_tolerance_exit_one(self, capsys):
         code = main(["--demo", "principal-g1", "--grid", "16",
