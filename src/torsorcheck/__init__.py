@@ -28,7 +28,6 @@ from .connections import (
     check_eq_i,
     chern_form,
     curvature,
-    curvature_at,
     family_connection,
     pullback_connection,
     slice_connection,
@@ -48,7 +47,7 @@ from .errors import (
     TorsorcheckError,
     TorusMismatch,
 )
-from .grids import GridFunction, dbar_fd, dz_fd, lattice_grid, wirtinger_at
+from .grids import GridFunction, dbar_fd, dz_fd, lattice_grid
 from .torsors import (
     TorsorMorphism,
     TorsorPresentation,

@@ -54,25 +54,15 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.demo:
-            data = dict(DEMO_CONFIGS[args.demo])
-            cfg = VerificationConfig.from_dict(data)
+            cfg = VerificationConfig.demo(args.demo)
         else:
             cfg = VerificationConfig.from_file(args.config)
-        overrides = {}
-        if args.grid is not None:
-            overrides["grid"] = args.grid
-        if args.seed is not None:
-            overrides["seed"] = args.seed
-        if args.tol is not None:
-            overrides["tolerance_fd"] = args.tol
-        if args.checks is not None:
-            requested = [c.strip() for c in args.checks.split(",") if c.strip()]
+        given = {"grid": args.grid, "seed": args.seed, "tolerance_fd": args.tol}
+        overrides = {k: v for k, v in given.items() if v is not None}
+        if args.checks is not None or overrides:
             base = dict(cfg.canonical)
-            base["checks"] = requested
-            base["numeric"] = {**base["numeric"], **overrides}
-            cfg = VerificationConfig.from_dict(base)
-        elif overrides:
-            base = dict(cfg.canonical)
+            if args.checks is not None:
+                base["checks"] = [c.strip() for c in args.checks.split(",") if c.strip()]
             base["numeric"] = {**base["numeric"], **overrides}
             cfg = VerificationConfig.from_dict(base)
     except ConfigInvalid as exc:

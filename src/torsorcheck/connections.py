@@ -28,7 +28,7 @@ from .bundles import (
     slice_embedding,
     TorusHomomorphism,
 )
-from .grids import GridFunction, dbar_fd, wirtinger_at
+from .grids import GridFunction, dbar_fd
 from .torus import InvariantForm, TorusPoint
 
 #: scale making cycle integrals of the curvature class integral
@@ -128,17 +128,6 @@ def curvature(conn: ConnectionForm, resolution: int) -> GridFunction:
     torus = conn.datum.torus
     gf = GridFunction.sample(torus, resolution, conn.theta, measure_jumps=True)
     return dbar_fd(gf)
-
-
-def curvature_at(conn: ConnectionForm, coords, h: float) -> np.ndarray:
-    """Pointwise curvature matrices from direct stencil evaluation.
-
-    ``coords`` are lattice coordinates (..., 2g); the result has shape
-    (..., g, g).  Suited to product tori where a full grid is out of reach.
-    """
-    torus = conn.datum.torus
-    _, dzbar = wirtinger_at(torus, conn.theta, coords, h)
-    return dzbar
 
 
 def chern_form(datum: AHDatum) -> InvariantForm:

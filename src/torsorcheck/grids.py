@@ -7,8 +7,10 @@ via the inverse chart matrix of the torus.  Central differences at the grid
 spacing are exact (to rounding) on functions affine in (z, zbar).
 
 Functions that are not honest functions on the torus but shift by a constant
-across each period (connection forms in an automorphy frame) are handled by
-``seam_jumps``: value(c + e_d) = value(c) + jumps[d].
+across each period (connection forms in an automorphy frame, chart-local
+torsor offsets) are handled by ``seam_jumps``: value(c + e_d) = value(c) +
+jumps[d].  ``_wirtinger_fd`` is the one derivative kernel; ``dbar_fd`` and
+``dz_fd`` select its rows.
 """
 
 from __future__ import annotations
@@ -184,28 +186,3 @@ def dz_fd(gf: GridFunction) -> GridFunction:
     """Per-node dz-derivative coefficients; appends one axis of length g."""
     return _wirtinger_fd(gf, gf.torus.dz_rows)
 
-
-def wirtinger_at(torus: ComplexTorus, fn, coords, h: float) -> tuple[np.ndarray, np.ndarray]:
-    """Stencil-evaluated (dz, dzbar) derivatives of ``fn`` at lattice coordinates.
-
-    No periodicity is assumed: the stencil points are evaluated directly, so
-    this is the right tool for chart-local data and for probing functions on
-    product tori that are too large to grid.
-    Returns two arrays of shape coords.shape[:-1] + value_shape + (g,).
-    """
-    coords = np.asarray(coords, dtype=float)
-    dims = 2 * torus.genus
-    if coords.shape[-1] != dims:
-        raise ShapeMismatch(f"coordinate vectors must have length {dims}")
-    diffs = None
-    for d in range(dims):
-        step = np.zeros(dims)
-        step[d] = h
-        fp = np.asarray(fn(torus.lift_of_coords(coords + step)), dtype=complex)
-        fm = np.asarray(fn(torus.lift_of_coords(coords - step)), dtype=complex)
-        if diffs is None:
-            diffs = np.empty((dims,) + fp.shape, dtype=complex)
-        diffs[d] = (fp - fm) / (2.0 * h)
-    dz = np.einsum("kd,d...->...k", torus.dz_rows, diffs)
-    dzbar = np.einsum("kd,d...->...k", torus.dzbar_rows, diffs)
-    return dz, dzbar

@@ -34,13 +34,11 @@ from .connections import (
     family_connection,
 )
 from .errors import BaseMismatch, ShapeMismatch
-from .grids import GridFunction, dbar_fd, lattice_grid, wirtinger_at
+from .grids import GridFunction, dbar_fd
 from .torus import ComplexTorus
 
 #: labeled reference obstructions must be constant over the grid to this extent
 REFERENCE_VARIATION_TOL = 1e-8
-#: relative agreement required of an offset and its translate by a period
-PERIODIC_TOL = 1e-9
 
 
 @dataclass
@@ -79,14 +77,16 @@ class TorsorPresentation:
 class TorsorSection:
     """reference + offset; the offset is a V-valued map on the base.
 
-    Array offsets are kept as a tuple of addends folded from the right, so the
-    torsor-action axioms hold bitwise: acting by v then w produces the same
-    floats as acting by v + w.  A callable offset supports chart-local data
-    (not periodic); those are differentiated by direct stencil evaluation.
+    The offset is kept as a tuple of array addends folded from the right, so
+    the torsor-action axioms hold bitwise: acting by v then w produces the same
+    floats as acting by v + w.  ``seam_jumps``, when present, has shape (2g, g)
+    and gives the offset's constant increment across one period in each grid
+    direction, as in ``GridFunction``: such a section is chart-local, and
+    single-valued on the torus only when the jumps vanish.
     """
 
     def __init__(self, presentation: TorsorPresentation, addends: tuple = (),
-                 offset_fn=None, chart_local: bool = False):
+                 seam_jumps=None):
         g = presentation.torus.genus
         grid_shape = (presentation.resolution,) * (2 * g)
         for a in addends:
@@ -94,18 +94,19 @@ class TorsorSection:
                 raise ShapeMismatch(
                     f"offset addends must have shape {(g,)} or {grid_shape + (g,)}"
                 )
-        if offset_fn is not None and not chart_local:
-            _check_offset_periodic(presentation.torus, offset_fn)
+        if seam_jumps is not None:
+            seam_jumps = np.asarray(seam_jumps, dtype=complex)
+            if seam_jumps.shape != (2 * g, g):
+                raise ShapeMismatch(f"seam jumps must have shape {(2 * g, g)}")
+            if all(a.shape == (g,) for a in addends):
+                raise ShapeMismatch("seam jumps need a grid-sampled offset")
         self.presentation = presentation
         self.addends = tuple(addends)
-        self.offset_fn = offset_fn
-        self.chart_local = chart_local
+        self.seam_jumps = seam_jumps
 
     @property
     def offset(self) -> np.ndarray:
         """Materialized offset  a_0 + (a_1 + (a_2 + ...)), right to left."""
-        if self.offset_fn is not None:
-            raise ShapeMismatch("section offset is a callable; evaluate offset_fn instead")
         if not self.addends:
             return np.zeros(self.presentation.torus.genus, dtype=complex)
         acc = np.asarray(self.addends[-1], dtype=complex)
@@ -114,23 +115,17 @@ class TorsorSection:
         return acc
 
     def same_section(self, other: "TorsorSection") -> bool:
-        """Exact equality of sections: same presentation, identical offset values."""
-        if self.presentation is not other.presentation:
+        """Exact equality of sections: same presentation, seam jumps and offset values."""
+        if self.presentation is not other.presentation or not _same_jumps(self, other):
             return False
         left, right = np.broadcast_arrays(self.offset, other.offset)
         return bool(np.array_equal(left, right))
 
 
-def _check_offset_periodic(torus: ComplexTorus, fn):
-    probe = torus.lift_of_coords(np.full(2 * torus.genus, 0.31))
-    base = np.asarray(fn(probe))
-    for d in range(2 * torus.genus):
-        shifted = probe + torus.lattice_vector(d)
-        gap = np.max(np.abs(np.asarray(fn(shifted)) - base))
-        if gap > PERIODIC_TOL * max(1.0, float(np.max(np.abs(base)))):
-            raise ShapeMismatch(
-                "offset is not single-valued on the torus; flag the section chart_local"
-            )
+def _same_jumps(s: TorsorSection, t: TorsorSection) -> bool:
+    if s.seam_jumps is None or t.seam_jumps is None:
+        return s.seam_jumps is t.seam_jumps
+    return bool(np.array_equal(s.seam_jumps, t.seam_jumps))
 
 
 def act(section: TorsorSection, v) -> TorsorSection:
@@ -141,19 +136,15 @@ def act(section: TorsorSection, v) -> TorsorSection:
     grid_shape = (pres.resolution,) * (2 * g)
     if v.shape != (g,) and v.shape != grid_shape + (g,):
         raise ShapeMismatch(f"action offsets must have shape {(g,)} or {grid_shape + (g,)}")
-    if section.offset_fn is not None:
-        if v.shape != (g,):
-            raise ShapeMismatch("chart-local sections only accept constant offsets")
-        fn = section.offset_fn
-        return TorsorSection(pres, offset_fn=lambda z: fn(z) + v,
-                             chart_local=section.chart_local)
-    return TorsorSection(pres, section.addends + (v,))
+    return TorsorSection(pres, section.addends + (v,), section.seam_jumps)
 
 
 def transition(s: TorsorSection, t: TorsorSection) -> np.ndarray:
     """The unique offset v with act(s, v) equal to t (simple transitivity)."""
     if s.presentation is not t.presentation:
         raise BaseMismatch("sections live on different presentations")
+    if not _same_jumps(s, t):
+        raise ShapeMismatch("sections with different seam jumps differ by no periodic offset")
     return t.offset - s.offset
 
 
@@ -161,15 +152,10 @@ def obstruction(section: TorsorSection) -> GridFunction:
     """Obstruction of the section: reference obstruction plus dbar of the offset."""
     pres = section.presentation
     torus = pres.torus
-    n = pres.resolution
-    if section.offset_fn is not None:
-        coords = lattice_grid(n, 2 * torus.genus)
-        dbar_u = wirtinger_at(torus, section.offset_fn, coords, 1.0 / n)[1]
-        return GridFunction(torus, pres.theta_ref + dbar_u)
     u = section.offset
     if u.ndim == 1:  # constant offsets are killed by dbar
         return GridFunction(torus, pres.theta_ref.copy())
-    dbar_u = dbar_fd(GridFunction(torus, u)).values
+    dbar_u = dbar_fd(GridFunction(torus, u, seam_jumps=section.seam_jumps)).values
     return GridFunction(torus, pres.theta_ref + dbar_u)
 
 
@@ -181,39 +167,29 @@ def is_holomorphic(section: TorsorSection, tol: float) -> tuple[bool, float]:
 
 @dataclass
 class TorsorMorphism:
-    """Affine map of presentations: reference + v  ->  reference + sign * v + shift."""
+    """Affine map of presentations: reference + v  ->  reference + sign * v."""
 
     source: TorsorPresentation
     target: TorsorPresentation
     sign: int = 1
-    shift: np.ndarray | None = None
 
     def apply(self, section: TorsorSection) -> TorsorSection:
         if section.presentation is not self.source:
             raise BaseMismatch("section does not live on the morphism source")
-        if section.offset_fn is not None:
-            fn = section.offset_fn
-            sgn = self.sign
-            out = TorsorSection(self.target, offset_fn=lambda z: sgn * fn(z),
-                                chart_local=section.chart_local)
-        else:
-            addends = tuple(a if self.sign == 1 else -a for a in section.addends)
-            out = TorsorSection(self.target, addends)
-        if self.shift is not None:
-            out = act(out, self.shift)
-        return out
+        if self.sign == 1:
+            return TorsorSection(self.target, section.addends, section.seam_jumps)
+        jumps = None if section.seam_jumps is None else -section.seam_jumps
+        return TorsorSection(self.target, tuple(-a for a in section.addends), jumps)
 
     def obstruction(self) -> np.ndarray:
         """Obstruction of the morphism as a section of the comparison torsor.
 
-        For equivariant maps this is Theta_target - Theta_source; the sign
-        accounts for anti-equivariant (duality) maps, and a non-constant shift
-        contributes its own dbar.
+        For equivariant maps this is Theta_target - Theta_source; for
+        anti-equivariant (duality) maps it is Theta_target + Theta_source.
         """
-        out = self.target.theta_ref - self.sign * self.source.theta_ref
-        if self.shift is not None and self.shift.ndim > 1:
-            out = out + dbar_fd(GridFunction(self.target.torus, self.shift)).values
-        return out
+        if self.sign == 1:
+            return self.target.theta_ref - self.source.theta_ref
+        return self.target.theta_ref + self.source.theta_ref
 
 
 def canonical_morphism(p1: TorsorPresentation, p2: TorsorPresentation) -> TorsorMorphism:
@@ -233,7 +209,8 @@ def duality_map(p: TorsorPresentation, p_dual: TorsorPresentation) -> TorsorMorp
 
 
 def is_holomorphic_morphism(m: TorsorMorphism, tol: float) -> tuple[bool, float]:
-    err = float(np.max(np.abs(m.obstruction())))
+    # the maximum is taken slab by slab, so no |obstruction| grid sits beside it
+    err = max(float(np.max(np.abs(slab))) for slab in m.obstruction())
     return err <= tol, err
 
 
@@ -260,14 +237,16 @@ def local_holomorphic_section(p: TorsorPresentation) -> TorsorSection:
 
     The antilinear offset u_j(z) = - sum_k Theta_jk zbar_k solves
     Theta + dbar(u) = 0 on any polydisc chart; it is not single-valued on the
-    torus unless the class vanishes, so the section is flagged chart-local.
+    torus unless the class vanishes, so it is sampled on the grid with its
+    constant period increments as seam jumps.
     """
     t = trivialization_class(p)
 
-    def offset_fn(z):
-        return -(np.conj(np.asarray(z, dtype=complex)) @ t.T)
+    def offset(z):
+        return -(np.conj(z) @ t.T)
 
-    return TorsorSection(p, offset_fn=offset_fn, chart_local=True)
+    gf = GridFunction.sample(p.torus, p.resolution, offset, measure_jumps=True)
+    return TorsorSection(p, (gf.values,), gf.seam_jumps)
 
 
 # -- the two canonical presentations ------------------------------------------

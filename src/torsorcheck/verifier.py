@@ -106,6 +106,11 @@ def _parse_complex_array(nested, shape, where: str) -> np.ndarray:
     return arr[..., 0] + 1j * arr[..., 1]
 
 
+def _is_int(value) -> bool:
+    """A JSON integer; ``true`` and ``false`` are ints to Python but not counts."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _tolerance(numeric: dict, name: str) -> float:
     """numeric[name] as a float; zero, negative or non-finite tolerances pass nothing."""
     try:
@@ -141,7 +146,7 @@ class VerificationConfig:
         if not isinstance(torus_spec, dict):
             raise ConfigInvalid("torus: section missing")
         genus = torus_spec.get("genus")
-        if not isinstance(genus, int) or genus < 1:
+        if not _is_int(genus) or genus < 1:
             raise ConfigInvalid("torus.genus: positive integer required")
         periods = _parse_complex_array(
             torus_spec.get("periods"), (genus, 2 * genus), "torus.periods"
@@ -180,13 +185,13 @@ class VerificationConfig:
             raise ConfigInvalid(f"numeric: unknown keys {unknown}")
         numeric.update(user_numeric)
         grid = numeric["grid"]
-        if not isinstance(grid, int) or grid < 4:
+        if not _is_int(grid) or grid < 4:
             raise ConfigInvalid("numeric.grid: integer >= 4 required")
         seed = numeric["seed"]
-        if not isinstance(seed, int) or seed < 0:
+        if not _is_int(seed) or seed < 0:
             raise ConfigInvalid("numeric.seed: integer >= 0 required")
         samples = numeric["samples"]
-        if not isinstance(samples, int) or samples < 1:
+        if not _is_int(samples) or samples < 1:
             raise ConfigInvalid("numeric.samples: integer >= 1 required")
         checks = data.get("checks")
         if checks is not None:

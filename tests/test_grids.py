@@ -7,7 +7,6 @@ from torsorcheck import (
     dbar_fd,
     dz_fd,
     lattice_grid,
-    wirtinger_at,
 )
 from torsorcheck.grids import measure_seam_jumps
 from torsorcheck.torus import ComplexTorus
@@ -137,20 +136,6 @@ class TestStencilMatchesRollReference:
             gf = GridFunction(torus, values, seam_jumps=jumps)
             assert np.array_equal(dbar_fd(gf).values, roll_stencil(gf, torus.dzbar_rows))
             assert np.array_equal(dz_fd(gf).values, roll_stencil(gf, torus.dz_rows))
-
-
-class TestPointStencils:
-    def test_wirtinger_exact_on_affine(self, g2_torus, rng):
-        a = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        b = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-
-        def fn(z):
-            return z @ a + np.conj(z) @ b
-
-        coords = rng.random((40, 4))
-        dz, dzbar = wirtinger_at(g2_torus, fn, coords, h=1.0 / 32)
-        assert np.max(np.abs(dz - a)) <= 1e-9
-        assert np.max(np.abs(dzbar - b)) <= 1e-9
 
 
 class TestGridFunction:

@@ -9,6 +9,7 @@ from torsorcheck import (
     GridFunction,
     ShapeMismatch,
     TorsorPresentation,
+    TorsorSection,
     act,
     canonical_morphism,
     chern_form,
@@ -120,14 +121,32 @@ class TestObstruction:
 class TestChartLocalSection:
     def test_antilinear_witness_is_holomorphic(self, sigma_g1):
         witness = local_holomorphic_section(sigma_g1)
-        assert witness.chart_local
+        assert np.max(np.abs(witness.seam_jumps)) > 0
         assert obstruction(witness).max_abs() <= 1e-9
 
-    def test_unflagged_nonperiodic_offset_rejected(self, sigma_g1):
-        from torsorcheck import TorsorSection
+    def test_g2_antilinear_witness_is_holomorphic(self, g2_datum):
+        witness = local_holomorphic_section(sigma_presentation(g2_datum, 16))
+        assert np.max(np.abs(witness.seam_jumps)) > 0
+        assert obstruction(witness).max_abs() <= 1e-9
 
+    def test_jumps_are_carried_and_compared(self, principal_datum, sigma_g1, rng):
+        witness = local_holomorphic_section(sigma_g1)
+        v = rng.standard_normal((N_G1, N_G1, 1)) + 0j
+        moved = act(witness, v)
+        assert np.array_equal(moved.seam_jumps, witness.seam_jumps)
+        assert np.allclose(transition(witness, moved), v)
+        # the same values without the period increments are another section
+        unwrapped = TorsorSection(sigma_g1, witness.addends)
+        assert not unwrapped.same_section(witness)
         with pytest.raises(ShapeMismatch):
-            TorsorSection(sigma_g1, offset_fn=lambda z: np.conj(z), chart_local=False)
+            transition(unwrapped, witness)
+        with pytest.raises(ShapeMismatch):  # increments of no sampled offset
+            TorsorSection(sigma_g1, (), witness.seam_jumps)
+        # duality negates offset and jumps alike, so the image stays holomorphic
+        sigma_dual = sigma_presentation(principal_datum.dual(), N_G1)
+        image = duality_map(sigma_g1, sigma_dual).apply(witness)
+        assert np.array_equal(image.seam_jumps, -witness.seam_jumps)
+        assert obstruction(image).max_abs() <= 1e-9
 
 
 class TestCanonicalMorphism:
@@ -155,6 +174,22 @@ class TestCanonicalMorphism:
         )
         ok, err = is_holomorphic_morphism(gamma, 1e-6)
         assert ok, f"max obstruction {err:.3e}"
+
+    def test_g2_morphism_check_holds_one_grid(self, g2_datum):
+        # Theta_tau - Theta_sigma is the only grid the check needs; sigma's is a view
+        n = 16
+        gamma = canonical_morphism(
+            sigma_presentation(g2_datum, n), tau_presentation(g2_datum, n)
+        )
+        grid_bytes = np.dtype(complex).itemsize * n**4 * 2 * 2
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            is_holomorphic_morphism(gamma, 1e-6)
+            peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * grid_bytes, f"{peak / grid_bytes:.2f} grids"
 
     def test_distinct_classes_not_holomorphic(self, square_torus, principal_datum):
         doubled = AHDatum(square_torus, [[2.0]], [1.0, 1.0])

@@ -280,6 +280,10 @@ class TestCli:
         ("numeric", "seed", "abc"),
         ("numeric", "seed", math.nan),
         ("numeric", "seed", 1.7),
+        ("numeric", "seed", True),
+        ("numeric", "samples", True),
+        ("numeric", "grid", True),
+        ("torus", "genus", True),
         ("torus", "kappa_max", "x"),
         ("torus", "kappa_max", math.nan),
         ("torus", "kappa_max", math.inf),
