@@ -16,7 +16,6 @@ from .bundles import (
     parameter_section,
     pullback,
     pullback_frame_log,
-    restrict_slice,
     slice_embedding,
     translation_map,
     trivial_datum,
@@ -67,7 +66,6 @@ from .torsors import (
 )
 from .torus import (
     ComplexTorus,
-    InvariantForm,
     TorusPoint,
     cycle_integral,
     product_torus,

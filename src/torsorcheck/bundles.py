@@ -248,10 +248,10 @@ def pullback(f: TorusHomomorphism, datum: AHDatum) -> AHDatum:
 def pullback_frame_log(f: TorusHomomorphism, datum: AHDatum):
     """log of the frame change relating pulled-back and normal-form factors.
 
-    Returns ``(flog, dlog_row)``: the scalar function flog(z) = pi H(Mz, t)
-    (vectorized over lifts) and the constant row of its dz-derivative, so the
-    comparison in :func:`pullback` reads
+    Returns the scalar function flog(z) = pi H(Mz, t), vectorized over lifts,
+    so the comparison in :func:`pullback` reads
     a(M lam, M z + t) = a_pull(lam, z) * exp(flog(z + lam) - flog(z)).
+    It is the independent oracle for the phases that :func:`pullback` derives.
     """
     h = datum.hermitian
     m, t = f.matrix, f.translation
@@ -259,11 +259,10 @@ def pullback_frame_log(f: TorusHomomorphism, datum: AHDatum):
     def flog(z):
         return np.pi * hermitian_pairing(h, np.asarray(z, dtype=complex) @ m.T, t)
 
-    dlog_row = np.pi * (m.T @ (h @ np.conj(t)))
-    return flog, dlog_row
+    return flog
 
 
-# -- the two-variable family and its slices -----------------------------------
+# -- the two-variable family --------------------------------------------------
 
 def build_family(datum: AHDatum) -> AHDatum:
     """Datum of (p1* dual L) tensor (addition* L) on the product torus A x A."""
@@ -273,7 +272,3 @@ def build_family(datum: AHDatum) -> AHDatum:
     along_add = pullback(addition_map(prod), datum)
     return along_p1.tensor(along_add)
 
-
-def restrict_slice(family: AHDatum, x: TorusPoint) -> AHDatum:
-    """Datum of the slice bundle on A x {x}; topologically trivial for every x."""
-    return pullback(slice_embedding(x, family.torus), family)

@@ -24,12 +24,11 @@ from .bundles import (
     first_projection,
     parameter_section,
     pullback,
-    pullback_frame_log,
     slice_embedding,
     TorusHomomorphism,
 )
 from .grids import GridFunction, dbar_fd
-from .torus import InvariantForm, TorusPoint
+from .torus import TorusPoint
 
 #: scale making cycle integrals of the curvature class integral
 CHERN_NORMALIZATION = 1j / (2.0 * np.pi)
@@ -66,22 +65,17 @@ def canonical_connection(datum: AHDatum) -> ConnectionForm:
     return ConnectionForm(datum, theta)
 
 
-def pullback_connection(f: TorusHomomorphism, conn: ConnectionForm,
-                        frame: str = "normal") -> ConnectionForm:
-    """Pullback along z -> M z + t, expressed on the pulled-back datum.
+def pullback_connection(f: TorusHomomorphism, conn: ConnectionForm) -> ConnectionForm:
+    """Pullback along z -> M z + t, attached to the pulled-back datum.
 
-    ``frame="normal"`` lands in the normal-form frame of the pulled-back
-    datum (adds the derivative of the frame-change log); ``frame="restricted"``
-    keeps the raw pullback of the covector.
+    The covector is the raw pullback theta(M z + t) M, read in the restriction
+    of the target's automorphy frame; the pulled-back datum's normal frame
+    differs from it by the holomorphic frame change of :func:`pullback`.
     """
-    if frame not in ("normal", "restricted"):
-        raise ValueError(f"unknown frame {frame!r}")
     datum_pull = pullback(f, conn.datum)
-    _, dlog_row = pullback_frame_log(f, conn.datum)
-    correction = dlog_row if frame == "normal" else np.zeros_like(dlog_row)
 
     def theta(z):
-        return conn.theta(f.apply(z)) @ f.matrix + correction
+        return conn.theta(f.apply(z)) @ f.matrix
 
     return ConnectionForm(datum_pull, theta)
 
@@ -104,17 +98,14 @@ def family_connection(datum: AHDatum) -> ConnectionForm:
     return ConnectionForm(fam_datum, theta)
 
 
-def slice_connection(family_conn: ConnectionForm, x: TorusPoint,
-                     frame: str = "restricted") -> ConnectionForm:
+def slice_connection(family_conn: ConnectionForm, x: TorusPoint) -> ConnectionForm:
     """Restriction of the family connection to the slice A x {x}.
 
-    The default frame is the restriction of the product automorphy frame; the
-    slice datum's normal frame differs by the nonvanishing factor
-    exp(pi H_family((z, 0), (0, x))) and is available with ``frame="normal"``.
-    Either way the restriction is flat: the covector is constant in z.
+    The covector is read in the restriction of the product automorphy frame;
+    it is constant in z, so the restriction is flat.
     """
     f = slice_embedding(x, family_conn.datum.torus)
-    return pullback_connection(f, family_conn, frame=frame)
+    return pullback_connection(f, family_conn)
 
 
 def curvature(conn: ConnectionForm, resolution: int) -> GridFunction:
@@ -130,35 +121,25 @@ def curvature(conn: ConnectionForm, resolution: int) -> GridFunction:
     return dbar_fd(gf)
 
 
-def chern_form(datum: AHDatum) -> InvariantForm:
-    """The invariant (1,1) representative of the bundle's integral class.
+def chern_form(datum: AHDatum) -> np.ndarray:
+    """The invariant (1,1) representative of the bundle's integral class, as a (g, g) matrix.
 
     Coefficients are i/(2 pi) times the analytic curvature -pi H; with the
     package's pairing conventions its cycle integrals equal Im H on lattice
     pairs, an integer matrix.
     """
-    coeff = CHERN_NORMALIZATION * (-np.pi) * datum.hermitian
-    return InvariantForm(datum.torus, (1, 1), coeff)
+    return CHERN_NORMALIZATION * (-np.pi) * datum.hermitian
 
 
 def check_eq_i(family_conn: ConnectionForm, y: TorusPoint, resolution: int) -> float:
     """Max deviation of the restricted family curvature from the invariant class.
 
-    Restricts the family curvature along x -> (y, x), recomputing it by
-    seam-aware differences over the x-grid, scales by the Chern normalization
-    and compares against the class of the underlying bundle (read off the
-    lower-right block of the family pairing).  Translation invariance makes
-    the result independent of y.
+    Pulls the family connection back along x -> (y, x), recomputes its
+    curvature by seam-aware differences over the x-grid, scales by the Chern
+    normalization and compares against the class of the pulled-back datum,
+    whose pairing is the lower-right block of the family pairing.  Translation
+    invariance makes the result independent of y.
     """
-    base = y.torus
-    g = base.genus
-    prod = family_conn.datum.torus
-    f = parameter_section(y, prod)
-
-    def pulled(x_lifts):
-        return family_conn.theta(f.apply(x_lifts)) @ f.matrix
-
-    gf = GridFunction.sample(base, resolution, pulled, measure_jumps=True)
-    restricted = CHERN_NORMALIZATION * dbar_fd(gf).values
-    target = CHERN_NORMALIZATION * (-np.pi) * family_conn.datum.hermitian[g:, g:]
-    return float(np.max(np.abs(restricted - target)))
+    restricted = pullback_connection(parameter_section(y, family_conn.datum.torus), family_conn)
+    recomputed = CHERN_NORMALIZATION * curvature(restricted, resolution).values
+    return float(np.max(np.abs(recomputed - chern_form(restricted.datum))))

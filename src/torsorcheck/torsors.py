@@ -27,12 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import connections
 from .bundles import AHDatum
-from .connections import (
-    CHERN_NORMALIZATION,
-    chern_form,
-    family_connection,
-)
+from .connections import chern_form, family_connection
 from .errors import BaseMismatch, ShapeMismatch
 from .grids import GridFunction, dbar_fd
 from .torus import ComplexTorus
@@ -260,8 +257,7 @@ def sigma_presentation(datum: AHDatum, resolution: int) -> TorsorPresentation:
     zero-stride view of one (g, g) matrix over the grid.
     """
     g = datum.torus.genus
-    coeff = chern_form(datum).coefficients
-    grid = np.broadcast_to(coeff, (resolution,) * (2 * g) + (g, g))
+    grid = np.broadcast_to(chern_form(datum), (resolution,) * (2 * g) + (g, g))
     return TorsorPresentation(datum.torus, "sigma", grid, datum=datum)
 
 
@@ -295,7 +291,7 @@ def tau_presentation(datum: AHDatum, resolution: int, frame: str = "product",
 
     if frame == "product":
         gf = GridFunction.sample(base, resolution, slice_covector, measure_jumps=True)
-        theta_ref = CHERN_NORMALIZATION * dbar_fd(gf).values
+        theta_ref = connections.CHERN_NORMALIZATION * dbar_fd(gf).values
     elif frame == "slice_normal":
         # d log of the frame change, as a function of the slice parameter
         def frame_dlog(x_lifts):
@@ -307,7 +303,7 @@ def tau_presentation(datum: AHDatum, resolution: int, frame: str = "product",
         gf_norm = GridFunction.sample(base, resolution, normal_covector, measure_jumps=True)
         gf_dlog = GridFunction.sample(base, resolution, frame_dlog, measure_jumps=True)
         correction = -dbar_fd(gf_dlog).values
-        theta_ref = CHERN_NORMALIZATION * (dbar_fd(gf_norm).values + correction)
+        theta_ref = connections.CHERN_NORMALIZATION * (dbar_fd(gf_norm).values + correction)
     else:
         raise ValueError(f"unknown frame {frame!r}")
     return TorsorPresentation(base, "tau", theta_ref, datum=datum)

@@ -1,4 +1,4 @@
-"""Compact complex tori: lattices, point arithmetic, invariant forms, cycle pairings.
+"""Compact complex tori: lattices, point arithmetic, cycle pairings.
 
 Conventions used everywhere in this package:
 
@@ -9,13 +9,12 @@ Conventions used everywhere in this package:
   The canonical representative of a point has c in [0, 1)^{2g}.
 * Hermitian pairings are linear in the first argument and conjugate-linear
   in the second.
-* Coefficients of a (1,1)-form are stored as a matrix T with T[j, k] the
-  coefficient of dz_j ^ dzbar_k.
+* The only invariant forms used are (1,1)-forms, stored as a (g, g) matrix T
+  with T[j, k] the coefficient of dz_j ^ dzbar_k; on a pair of real tangent
+  vectors u, v in C^g such a form evaluates to u T conj(v) - v T conj(u).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -147,66 +146,15 @@ class TorusPoint:
         return f"TorusPoint({self.lift})"
 
 
-@dataclass(frozen=True)
-class InvariantForm:
-    """Translation-invariant form of pure bidegree (p, q) with p + q <= 2.
+def cycle_integral(torus: ComplexTorus, coefficients, j: int, k: int) -> complex:
+    """Integral of an invariant (1,1)-form over the 2-cycle of generators j, k (0-based).
 
-    Coefficient layout by bidegree:
-
-    * (0, 0): scalar;
-    * (1, 0) / (0, 1): vector of dz_j / dzbar_j coefficients, shape (g,);
-    * (1, 1): matrix T with T[j, k] the dz_j ^ dzbar_k coefficient;
-    * (2, 0) / (0, 2): antisymmetric matrix, form = 1/2 sum T[j,k] dz_j ^ dz_k.
+    With T the (g, g) coefficients and u, v the two generators, the value is
+    u T conj(v) - v T conj(u).
     """
-
-    torus: ComplexTorus
-    bidegree: tuple[int, int]
-    coefficients: np.ndarray
-
-    def __post_init__(self):
-        p, q = self.bidegree
-        if p < 0 or q < 0 or p + q > 2:
-            raise ValueError(f"unsupported bidegree {self.bidegree}")
-        g = self.torus.genus
-        coeff = np.asarray(self.coefficients, dtype=complex)
-        expected = {0: (), 1: (g,), 2: (g, g)}[p + q]
-        if coeff.shape != expected:
-            raise ValueError(f"coefficients for bidegree {self.bidegree} must have shape {expected}")
-        if self.bidegree in ((2, 0), (0, 2)):
-            skew_defect = np.max(np.abs(coeff + coeff.T)) if g else 0.0
-            if skew_defect > 1e-12 * max(1.0, np.max(np.abs(coeff))):
-                raise ValueError("degree-2 block of pure holomorphic type must be antisymmetric")
-        object.__setattr__(self, "coefficients", coeff)
-
-    @property
-    def degree(self) -> int:
-        return sum(self.bidegree)
-
-    def pair_vectors(self, u, v) -> complex:
-        """Evaluate a degree-2 form on an ordered pair of real tangent vectors in C^g."""
-        if self.degree != 2:
-            raise ValueError("pair_vectors needs a degree-2 form")
-        u = np.asarray(u, dtype=complex)
-        v = np.asarray(v, dtype=complex)
-        t = self.coefficients
-        if self.bidegree == (1, 1):
-            return complex(u @ t @ np.conj(v) - v @ t @ np.conj(u))
-        if self.bidegree == (2, 0):
-            return complex(u @ t @ v)
-        return complex(np.conj(u) @ t @ np.conj(v))
-
-    def eval_vector(self, u) -> complex:
-        """Evaluate a degree-1 form on a tangent vector."""
-        if self.degree != 1:
-            raise ValueError("eval_vector needs a degree-1 form")
-        u = np.asarray(u, dtype=complex)
-        return complex(self.coefficients @ (u if self.bidegree == (1, 0) else np.conj(u)))
-
-
-def cycle_integral(form: InvariantForm, j: int, k: int) -> complex:
-    """Pairing of an invariant 2-form with the 2-cycle spanned by generators j, k (0-based)."""
-    torus = form.torus
     n = 2 * torus.genus
     if not (0 <= j < n and 0 <= k < n):
         raise IndexOutOfRange(f"indices ({j}, {k}) outside 0..{n - 1}")
-    return form.pair_vectors(torus.lattice_vector(j), torus.lattice_vector(k))
+    t = np.asarray(coefficients, dtype=complex)
+    u, v = torus.lattice_vector(j), torus.lattice_vector(k)
+    return complex(u @ t @ np.conj(v) - v @ t @ np.conj(u))

@@ -25,9 +25,9 @@ from pathlib import Path
 
 import numpy as np
 
+from . import connections
 from .bundles import AHDatum, trivial_datum
 from .connections import (
-    CHERN_NORMALIZATION,
     canonical_connection,
     check_eq_i,
     chern_form,
@@ -90,6 +90,8 @@ _NUMERIC_DEFAULTS = {
 
 def _parse_array(nested, shape, where: str) -> np.ndarray:
     """Finite floats of the given shape, else ConfigInvalid naming ``where``."""
+    if _holds_bool(nested):
+        raise ConfigInvalid(f"{where}: entries must be numbers, not booleans")
     try:
         arr = np.asarray(nested, dtype=float)
     except (TypeError, ValueError) as exc:
@@ -106,6 +108,13 @@ def _parse_complex_array(nested, shape, where: str) -> np.ndarray:
     return arr[..., 0] + 1j * arr[..., 1]
 
 
+def _holds_bool(nested) -> bool:
+    """Whether a JSON value holds ``true`` or ``false``, which float() reads as 1 or 0."""
+    if isinstance(nested, list):
+        return any(_holds_bool(item) for item in nested)
+    return isinstance(nested, bool)
+
+
 def _is_int(value) -> bool:
     """A JSON integer; ``true`` and ``false`` are ints to Python but not counts."""
     return isinstance(value, int) and not isinstance(value, bool)
@@ -113,11 +122,8 @@ def _is_int(value) -> bool:
 
 def _tolerance(numeric: dict, name: str) -> float:
     """numeric[name] as a float; zero, negative or non-finite tolerances pass nothing."""
-    try:
-        value = float(numeric[name])
-    except (TypeError, ValueError):
-        value = math.nan
-    if not (math.isfinite(value) and value > 0):
+    value = float(_parse_array(numeric[name], (), f"numeric.{name}"))
+    if value <= 0:
         raise ConfigInvalid(f"numeric.{name}: finite number > 0 required")
     return value
 
@@ -193,6 +199,8 @@ class VerificationConfig:
         samples = numeric["samples"]
         if not _is_int(samples) or samples < 1:
             raise ConfigInvalid("numeric.samples: integer >= 1 required")
+        tolerances = {name: _tolerance(numeric, name)
+                      for name in ("tolerance_analytic", "tolerance_fd", "tolerance_exact")}
         checks = data.get("checks")
         if checks is not None:
             if not isinstance(checks, list):
@@ -212,7 +220,7 @@ class VerificationConfig:
                 "hermitian": [[[z.real, z.imag] for z in row] for row in datum.hermitian],
                 "chi_turns": list(turns),
             },
-            "numeric": {k: numeric[k] for k in sorted(numeric)},
+            "numeric": {"grid": grid, "seed": seed, "samples": samples, **tolerances},
             "checks": checks,
             "output": data.get("output"),
         }
@@ -220,9 +228,7 @@ class VerificationConfig:
             torus=torus,
             datum=datum,
             grid=grid,
-            tolerance_analytic=_tolerance(numeric, "tolerance_analytic"),
-            tolerance_fd=_tolerance(numeric, "tolerance_fd"),
-            tolerance_exact=_tolerance(numeric, "tolerance_exact"),
+            **tolerances,
             seed=seed,
             samples=samples,
             checks=checks,
@@ -300,7 +306,7 @@ class _SuiteContext:
 
     @cached_property
     def chern_matrix(self) -> np.ndarray:
-        return chern_form(self.datum).coefficients
+        return chern_form(self.datum)
 
     @cached_property
     def canonical_curvature(self):
@@ -425,7 +431,7 @@ def _check_chern_integrality(ctx, rng):
     err = 0.0
     for j in range(n):
         for k in range(n):
-            err = max(err, abs(cycle_integral(omega, j, k) - target[j, k]))
+            err = max(err, abs(cycle_integral(ctx.torus, omega, j, k) - target[j, k]))
     return err, ctx.cfg.tolerance_analytic, n * n
 
 
@@ -434,7 +440,7 @@ def _check_curvature_invariance(ctx, rng):
 
 
 def _check_sigma_obstruction(ctx, rng):
-    recomputed = CHERN_NORMALIZATION * ctx.canonical_curvature.values
+    recomputed = connections.CHERN_NORMALIZATION * ctx.canonical_curvature.values
     err = float(np.max(np.abs(recomputed - ctx.chern_matrix)))
     return err, ctx.cfg.tolerance_fd, ctx.cfg.grid
 
@@ -524,7 +530,7 @@ def _check_trivial_bundle(ctx, rng):
     flat = trivial_datum(ctx.torus)
     sigma = sigma_presentation(flat, cfg.grid)
     tau = tau_presentation(flat, cfg.grid)
-    err = float(np.max(np.abs(chern_form(flat).coefficients)))
+    err = float(np.max(np.abs(chern_form(flat))))
     err = max(err, float(np.max(np.abs(trivialization_class(sigma)))))
     err = max(err, float(np.max(np.abs(trivialization_class(tau)))))
     err = max(err, is_holomorphic(sigma.zero_section(), cfg.tolerance_exact)[1])
@@ -568,8 +574,9 @@ CHECK_ORDER = list(_CHECK_FUNCTIONS)
 def run_suite(cfg: VerificationConfig) -> VerificationReport:
     """Execute the selected checks in order and assemble the report.
 
-    Exceptions inside a check mark it failed (max_error null) and are recorded
-    in ``crash_notes``; the remaining checks still run.
+    Exceptions inside a check, and a non-finite error or tolerance, mark it
+    failed (max_error null) and are recorded in ``crash_notes``; the remaining
+    checks still run.
     """
     ctx = _SuiteContext(cfg)
     selected = cfg.checks if cfg.checks is not None else CHECK_ORDER
@@ -581,6 +588,10 @@ def run_suite(cfg: VerificationConfig) -> VerificationReport:
         start = time.perf_counter()
         try:
             max_error, tolerance, samples = _CHECK_FUNCTIONS[name](ctx, ctx.rng(index))
+            if not (math.isfinite(max_error) and math.isfinite(tolerance)):
+                raise FloatingPointError(
+                    f"non-finite result: max_error {max_error}, tolerance {tolerance}"
+                )
             status = "pass" if max_error <= tolerance else "fail"
             result = CheckResult(
                 name=name,
@@ -613,7 +624,9 @@ def run_suite(cfg: VerificationConfig) -> VerificationReport:
 
 
 def report_json(report: VerificationReport) -> str:
-    return json.dumps(report.to_json_dict(), indent=2, ensure_ascii=False) + "\n"
+    # strict JSON: run_suite never reports a non-finite number
+    return json.dumps(report.to_json_dict(), indent=2, ensure_ascii=False,
+                      allow_nan=False) + "\n"
 
 
 def emit_report(report: VerificationReport, path=None) -> None:

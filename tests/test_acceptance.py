@@ -75,7 +75,7 @@ def test_criterion_1_integrality_anchor():
         omega = chern_form(datum)
         target = datum.pairing_imag_int
         dev = max(
-            abs(cycle_integral(omega, j, k) - target[j, k])
+            abs(cycle_integral(datum.torus, omega, j, k) - target[j, k])
             for j in range(2)
             for k in range(2)
         )
@@ -86,7 +86,7 @@ def test_criterion_1_integrality_anchor():
 
 def test_criterion_2_sigma_obstruction_recomputation():
     (datum, _), _ = _configs()
-    omega = chern_form(datum).coefficients
+    omega = chern_form(datum)
     with Timer() as t:
         errors = {}
         for n in (64, 128):
@@ -141,7 +141,7 @@ def test_criterion_5_tau_obstruction_and_isomorphism():
     results = []
     for (datum, n), budget in zip(_configs(), (30.0, 300.0)):
         with Timer() as t:
-            omega = chern_form(datum).coefficients
+            omega = chern_form(datum)
             tau = tau_presentation(datum, n)
             dev = float(np.max(np.abs(tau.theta_ref - omega)))
             gamma = canonical_morphism(sigma_presentation(datum, n), tau)
@@ -183,7 +183,7 @@ def test_criterion_7_trivial_bundle_degenerate_run():
     torus = ComplexTorus([[1.0, 1.0j]])
     with Timer() as t:
         datum = trivial_datum(torus)
-        omega_max = float(np.max(np.abs(chern_form(datum).coefficients)))
+        omega_max = float(np.max(np.abs(chern_form(datum))))
         sigma = sigma_presentation(datum, 64)
         tau = tau_presentation(datum, 64)
         class_max = max(

@@ -16,7 +16,6 @@ from torsorcheck import (
     hermitian_pairing,
     pullback,
     pullback_frame_log,
-    restrict_slice,
     slice_embedding,
     translation_map,
     trivial_datum,
@@ -199,7 +198,7 @@ class TestPullback:
         ]
         for f in maps:
             pulled = pullback(f, principal_datum)
-            flog, _ = pullback_frame_log(f, principal_datum)
+            flog = pullback_frame_log(f, principal_datum)
             for _ in range(20):
                 n = rng.integers(-2, 3, size=2).astype(float)
                 lam = square_torus.lift_of_coords(n)
@@ -253,21 +252,21 @@ class TestFamily:
 
     def test_slice_at_zero_is_trivial(self, principal_datum, square_torus):
         fam = build_family(principal_datum)
-        sliced = restrict_slice(fam, square_torus.zero())
+        sliced = pullback(slice_embedding(square_torus.zero(), fam.torus), fam)
         assert np.max(np.abs(sliced.hermitian)) <= 1e-12
         assert np.allclose(sliced.chi, 1.0)
 
     def test_slice_pairing_vanishes(self, g2_datum, g2_torus, rng):
         fam = build_family(g2_datum)
         for x in g2_torus.random_points(rng, 5):
-            sliced = restrict_slice(fam, x)
+            sliced = pullback(slice_embedding(x, fam.torus), fam)
             assert np.max(np.abs(sliced.hermitian)) <= 1e-12
             assert sliced.is_topologically_trivial()
 
     def test_slice_phases_closed_form(self, principal_datum, square_torus, rng):
         fam = build_family(principal_datum)
         for x in square_torus.random_points(rng, 5):
-            sliced = restrict_slice(fam, x)
+            sliced = pullback(slice_embedding(x, fam.torus), fam)
             for j in range(2):
                 lam = square_torus.lattice_vector(j)
                 e = np.imag(hermitian_pairing(principal_datum.hermitian, x.lift, lam))

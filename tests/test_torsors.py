@@ -85,7 +85,7 @@ class TestObstruction:
     def test_zero_offset_returns_reference(self, principal_datum, sigma_g1):
         theta = obstruction(sigma_g1.zero_section())
         assert np.array_equal(theta.values, sigma_g1.theta_ref)
-        assert np.max(np.abs(theta.values - chern_form(principal_datum).coefficients)) == 0
+        assert np.max(np.abs(theta.values - chern_form(principal_datum))) == 0
 
     def test_constant_offset_unchanged(self, sigma_g1, rng):
         v = rng.standard_normal(1) + 1j * rng.standard_normal(1)
@@ -287,7 +287,7 @@ class TestDuality:
 
 class TestTauPresentation:
     def test_matches_invariant_class(self, principal_datum, tau_g1):
-        omega = chern_form(principal_datum).coefficients
+        omega = chern_form(principal_datum)
         assert np.max(np.abs(tau_g1.theta_ref - omega)) <= 1e-6
 
     def test_base_point_independent(self, principal_datum, tau_g1, rng):

@@ -127,6 +127,13 @@ class TestConfig:
         b = VerificationConfig.demo("principal-g1").digest()
         assert a == b and len(a) == 64
 
+    def test_digest_reads_parsed_numbers(self):
+        # one run, one digest: the canonical config holds the parsed tolerance
+        integer = VerificationConfig.from_dict(with_numeric(tolerance_fd=1))
+        real = VerificationConfig.from_dict(with_numeric(tolerance_fd=1.0))
+        assert integer.canonical["numeric"]["tolerance_fd"] == 1.0
+        assert integer.digest() == real.digest()
+
 
 class TestSuite:
     def test_trivial_run_all_pass(self):
@@ -168,6 +175,25 @@ class TestSuite:
         # the later checks still ran
         assert by_name["sigma_tau_match"].status == "pass"
         assert report.overall == "fail"
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_error_fails_with_strict_json(self, monkeypatch, bad):
+        def non_finite(ctx, rng):
+            return bad, 1e-8, 1
+
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        monkeypatch.setitem(_CHECK_FUNCTIONS, "datum_valid", non_finite)
+        data = with_numeric()
+        data["checks"] = ["datum_valid", "chern_integrality"]
+        report = run_suite(VerificationConfig.from_dict(data))
+        parsed = json.loads(report_json(report), parse_constant=reject)
+        first, second = parsed["checks"]
+        assert first["status"] == "fail" and first["max_error"] is None
+        assert "non-finite" in report.crash_notes["datum_valid"]
+        assert second["status"] == "pass"
+        assert parsed["overall"] == "fail"
 
     def test_datum_valid_passes_what_the_loader_accepts(self):
         # E(1, i) = -1.000000005 lies within INTEGRAL_TOL of an integer, so
@@ -293,6 +319,11 @@ class TestCli:
         ("bundle", "chi_turns", "x"),
         ("bundle", "chi_turns", [math.nan, 0]),
         ("bundle", "hermitian", [[[math.nan, 0]]]),
+        ("numeric", "tolerance_fd", True),
+        ("torus", "kappa_max", True),
+        ("torus", "periods", [[[True, 0], [0, True]]]),
+        ("bundle", "chi_turns", [True, 0]),
+        ("bundle", "hermitian", [[[True, 0]]]),
         (None, "checks", 5),
         (None, "output", 5),
     ], ids=str)
