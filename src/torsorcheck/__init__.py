@@ -79,4 +79,28 @@ from .verifier import (
 )
 from .version import __version__
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    # bundles
+    "AHDatum", "TorusHomomorphism", "addition_map", "build_family", "first_projection",
+    "hermitian_pairing", "parameter_section", "pullback", "pullback_frame_log",
+    "slice_embedding", "translation_map", "trivial_datum",
+    # connections
+    "CHERN_NORMALIZATION", "ConnectionForm", "canonical_connection", "check_eq_i",
+    "chern_form", "curvature", "family_connection", "pullback_connection", "slice_connection",
+    # errors
+    "BaseMismatch", "ConfigInvalid", "DegenerateLattice", "IndexOutOfRange",
+    "LatticeNotPreserved", "NonIntegralE", "NotHermitian", "NotLatticeVector",
+    "ResolutionTooCoarse", "SemicharacterInconsistent", "ShapeMismatch", "TorsorcheckError",
+    "TorusMismatch",
+    # grids
+    "GridFunction", "dbar_fd", "dz_fd", "lattice_grid",
+    # torsors
+    "TorsorMorphism", "TorsorPresentation", "TorsorSection", "act", "canonical_morphism",
+    "custom_presentation", "duality_map", "is_holomorphic", "is_holomorphic_morphism",
+    "local_holomorphic_section", "obstruction", "sigma_presentation", "tau_presentation",
+    "transition", "trivialization_class",
+    # torus
+    "ComplexTorus", "TorusPoint", "cycle_integral", "product_torus",
+    # verifier
+    "DEMO_CONFIGS", "VerificationConfig", "VerificationReport", "emit_report", "run_suite",
+]

@@ -64,8 +64,8 @@ class AHDatum:
                 "Im H must take integer values on lattice pairs; "
                 f"max deviation {np.max(np.abs(e - np.round(e))):.3e}"
             )
-        if np.max(np.abs(np.abs(chi) - 1.0)) > UNIT_TOL:
-            raise SemicharacterInconsistent("generator phases must have unit modulus")
+        if not np.all(np.isfinite(chi)) or np.max(np.abs(np.abs(chi) - 1.0)) > UNIT_TOL:
+            raise SemicharacterInconsistent("generator phases must be finite with unit modulus")
         self.torus = torus
         self.hermitian = hermitian
         self.chi = chi

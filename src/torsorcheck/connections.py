@@ -117,7 +117,7 @@ def curvature(conn: ConnectionForm, resolution: int) -> GridFunction:
     the covector is affine in (z, zbar).
     """
     torus = conn.datum.torus
-    gf = GridFunction.sample(torus, resolution, conn.theta, measure_jumps=True)
+    gf = GridFunction.sample(torus, resolution, conn.theta)
     return dbar_fd(gf)
 
 

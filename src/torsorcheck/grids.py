@@ -6,11 +6,11 @@ period matrix to complex lifts, so periodicity is exact wrap-around and the
 via the inverse chart matrix of the torus.  Central differences at the grid
 spacing are exact (to rounding) on functions affine in (z, zbar).
 
-Functions that are not honest functions on the torus but shift by a constant
-across each period (connection forms in an automorphy frame, chart-local
-torsor offsets) are handled by ``seam_jumps``: value(c + e_d) = value(c) +
-jumps[d].  ``_wirtinger_fd`` is the one derivative kernel; ``dbar_fd`` and
-``dz_fd`` select its rows.
+Functions that shift by a constant across each period (connection forms in
+an automorphy frame, chart-local torsor offsets) carry ``seam_jumps``, which
+``GridFunction.sample`` always measures: value(c + e_d) = value(c) + jumps[d].
+``_wirtinger_fd`` is the one derivative kernel; ``dbar_fd`` and ``dz_fd``
+select its rows.
 """
 
 from __future__ import annotations
@@ -70,19 +70,17 @@ class GridFunction:
         return self.values.shape[2 * self.torus.genus :]
 
     @classmethod
-    def sample(cls, torus: ComplexTorus, resolution: int, fn,
-               measure_jumps: bool = False) -> "GridFunction":
+    def sample(cls, torus: ComplexTorus, resolution: int, fn) -> "GridFunction":
         """Sample ``fn`` (vectorized over lifts, (..., g) -> (...,) + value_shape).
 
-        With ``measure_jumps`` the constant period increments are measured from
-        two evaluations per direction and attached as ``seam_jumps``.
+        ``fn`` must shift by a constant across each period; the increments are
+        measured from two evaluations per direction and kept as ``seam_jumps``.
         """
         if resolution < MIN_RESOLUTION:
             raise ResolutionTooCoarse(f"resolution {resolution} < {MIN_RESOLUTION}")
         coords = lattice_grid(resolution, 2 * torus.genus)
         values = np.asarray(fn(torus.lift_of_coords(coords)))
-        jumps = measure_seam_jumps(torus, fn) if measure_jumps else None
-        return cls(torus, values, seam_jumps=jumps)
+        return cls(torus, values, seam_jumps=measure_seam_jumps(torus, fn))
 
     def mean(self) -> np.ndarray:
         """Average over the grid axes (pairwise summation, evaluation-order free)."""

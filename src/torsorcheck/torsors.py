@@ -4,8 +4,8 @@ A torsor over the trivial bundle with fiber V = C^g (invariant (1,0)-forms) is
 presented concretely by a reference smooth section together with that
 section's obstruction (0,1)-form Theta, sampled on the lattice grid with the
 layout Theta[..., j, k] = component dz_j along direction dzbar_k.  Sections
-are reference + offset, obstructions are Theta + dbar(offset), and a section
-is holomorphic exactly when its obstruction vanishes.
+are reference + offset (one array), obstructions are Theta + dbar(offset),
+and a section is holomorphic exactly when its obstruction vanishes.
 
 Two reference sections are built here:
 
@@ -13,8 +13,8 @@ Two reference sections are built here:
   is the invariant curvature class;
 * ``tau_presentation`` - the family of flat slice restrictions of the induced
   two-variable connection, whose obstruction is recomputed from first
-  principles by differentiating the family in the parameter's antiholomorphic
-  directions.
+  principles by differentiating the product-frame slice covectors in the
+  parameter's antiholomorphic directions.
 
 The canonical morphism matches references affinely (offset -> offset); its
 obstruction is the difference of the reference obstructions, so it is
@@ -74,42 +74,29 @@ class TorsorPresentation:
 class TorsorSection:
     """reference + offset; the offset is a V-valued map on the base.
 
-    The offset is kept as a tuple of array addends folded from the right, so
-    the torsor-action axioms hold bitwise: acting by v then w produces the same
-    floats as acting by v + w.  ``seam_jumps``, when present, has shape (2g, g)
-    and gives the offset's constant increment across one period in each grid
+    The offset is one array, of shape (g,) for a constant offset or
+    (N,)*2g + (g,) for a grid-sampled one; it defaults to the (g,) zero
+    vector.  Acting on the zero section by v then w produces the same floats
+    as acting by v + w.  ``seam_jumps``, when present, has shape (2g, g) and
+    gives the offset's constant increment across one period in each grid
     direction, as in ``GridFunction``: such a section is chart-local, and
     single-valued on the torus only when the jumps vanish.
     """
 
-    def __init__(self, presentation: TorsorPresentation, addends: tuple = (),
-                 seam_jumps=None):
+    def __init__(self, presentation: TorsorPresentation, offset=None, seam_jumps=None):
         g = presentation.torus.genus
-        grid_shape = (presentation.resolution,) * (2 * g)
-        for a in addends:
-            if a.shape != (g,) and a.shape != grid_shape + (g,):
-                raise ShapeMismatch(
-                    f"offset addends must have shape {(g,)} or {grid_shape + (g,)}"
-                )
+        if offset is None:
+            offset = np.zeros(g, dtype=complex)
+        offset = _offset_array(presentation, offset, "offsets")
         if seam_jumps is not None:
             seam_jumps = np.asarray(seam_jumps, dtype=complex)
             if seam_jumps.shape != (2 * g, g):
                 raise ShapeMismatch(f"seam jumps must have shape {(2 * g, g)}")
-            if all(a.shape == (g,) for a in addends):
+            if offset.shape == (g,):
                 raise ShapeMismatch("seam jumps need a grid-sampled offset")
         self.presentation = presentation
-        self.addends = tuple(addends)
+        self.offset = offset
         self.seam_jumps = seam_jumps
-
-    @property
-    def offset(self) -> np.ndarray:
-        """Materialized offset  a_0 + (a_1 + (a_2 + ...)), right to left."""
-        if not self.addends:
-            return np.zeros(self.presentation.torus.genus, dtype=complex)
-        acc = np.asarray(self.addends[-1], dtype=complex)
-        for a in self.addends[-2::-1]:
-            acc = np.asarray(a, dtype=complex) + acc
-        return acc
 
     def same_section(self, other: "TorsorSection") -> bool:
         """Exact equality of sections: same presentation, seam jumps and offset values."""
@@ -117,6 +104,16 @@ class TorsorSection:
             return False
         left, right = np.broadcast_arrays(self.offset, other.offset)
         return bool(np.array_equal(left, right))
+
+
+def _offset_array(pres: TorsorPresentation, v, what: str) -> np.ndarray:
+    """``v`` as a complex array of shape (g,) or (N,)*2g + (g,), else ShapeMismatch."""
+    g = pres.torus.genus
+    v = np.asarray(v, dtype=complex)
+    grid_shape = (pres.resolution,) * (2 * g)
+    if v.shape != (g,) and v.shape != grid_shape + (g,):
+        raise ShapeMismatch(f"{what} must have shape {(g,)} or {grid_shape + (g,)}")
+    return v
 
 
 def _same_jumps(s: TorsorSection, t: TorsorSection) -> bool:
@@ -127,13 +124,9 @@ def _same_jumps(s: TorsorSection, t: TorsorSection) -> bool:
 
 def act(section: TorsorSection, v) -> TorsorSection:
     """Move the section by a V-valued offset; the torsor action."""
-    pres = section.presentation
-    g = pres.torus.genus
-    v = np.asarray(v, dtype=complex)
-    grid_shape = (pres.resolution,) * (2 * g)
-    if v.shape != (g,) and v.shape != grid_shape + (g,):
-        raise ShapeMismatch(f"action offsets must have shape {(g,)} or {grid_shape + (g,)}")
-    return TorsorSection(pres, section.addends + (v,), section.seam_jumps)
+    # checked before adding: a wrong-shaped v can broadcast to a valid shape
+    v = _offset_array(section.presentation, v, "action offsets")
+    return TorsorSection(section.presentation, section.offset + v, section.seam_jumps)
 
 
 def transition(s: TorsorSection, t: TorsorSection) -> np.ndarray:
@@ -174,9 +167,9 @@ class TorsorMorphism:
         if section.presentation is not self.source:
             raise BaseMismatch("section does not live on the morphism source")
         if self.sign == 1:
-            return TorsorSection(self.target, section.addends, section.seam_jumps)
+            return TorsorSection(self.target, section.offset, section.seam_jumps)
         jumps = None if section.seam_jumps is None else -section.seam_jumps
-        return TorsorSection(self.target, tuple(-a for a in section.addends), jumps)
+        return TorsorSection(self.target, -section.offset, jumps)
 
     def obstruction(self) -> np.ndarray:
         """Obstruction of the morphism as a section of the comparison torsor.
@@ -242,8 +235,8 @@ def local_holomorphic_section(p: TorsorPresentation) -> TorsorSection:
     def offset(z):
         return -(np.conj(z) @ t.T)
 
-    gf = GridFunction.sample(p.torus, p.resolution, offset, measure_jumps=True)
-    return TorsorSection(p, (gf.values,), gf.seam_jumps)
+    gf = GridFunction.sample(p.torus, p.resolution, offset)
+    return TorsorSection(p, gf.values, gf.seam_jumps)
 
 
 # -- the two canonical presentations ------------------------------------------
@@ -261,24 +254,17 @@ def sigma_presentation(datum: AHDatum, resolution: int) -> TorsorPresentation:
     return TorsorPresentation(datum.torus, "sigma", grid, datum=datum)
 
 
-def tau_presentation(datum: AHDatum, resolution: int, frame: str = "product",
-                     z_base=None) -> TorsorPresentation:
+def tau_presentation(datum: AHDatum, resolution: int, z_base=None) -> TorsorPresentation:
     """Presentation of the torsor of flat-slice families, obstruction from scratch.
 
-    Samples the slice covectors of the induced family connection over the
-    parameter grid and differentiates them in the antiholomorphic parameter
-    directions with seam-aware central differences.
-
-    ``frame="product"`` differentiates the restrictions of the product-frame
-    covector (no frame correction arises).  ``frame="slice_normal"``
-    re-expresses every slice in its own normal-form frame first and then
-    subtracts the frame-change correction; the two routes must agree and the
-    agreement is asserted by the test suite.
+    Samples the slice covectors of the induced family connection, restricted
+    in the product frame at the base point ``z_base``, over the parameter grid
+    and differentiates them in the antiholomorphic parameter directions with
+    seam-aware central differences.
     """
     base = datum.torus
     g = base.genus
     fam = family_connection(datum)
-    h_fam = fam.datum.hermitian
     if z_base is None:
         z_base = np.zeros(g, dtype=complex)
     z_base = np.asarray(z_base, dtype=complex).reshape(g)
@@ -289,23 +275,8 @@ def tau_presentation(datum: AHDatum, resolution: int, frame: str = "product",
         points = np.concatenate([z_part, x_lifts], axis=-1)
         return fam.theta(points)[..., :g]
 
-    if frame == "product":
-        gf = GridFunction.sample(base, resolution, slice_covector, measure_jumps=True)
-        theta_ref = connections.CHERN_NORMALIZATION * dbar_fd(gf).values
-    elif frame == "slice_normal":
-        # d log of the frame change, as a function of the slice parameter
-        def frame_dlog(x_lifts):
-            return np.pi * (np.conj(np.asarray(x_lifts, dtype=complex)) @ h_fam[:g, g:].T)
-
-        def normal_covector(x_lifts):
-            return slice_covector(x_lifts) + frame_dlog(x_lifts)
-
-        gf_norm = GridFunction.sample(base, resolution, normal_covector, measure_jumps=True)
-        gf_dlog = GridFunction.sample(base, resolution, frame_dlog, measure_jumps=True)
-        correction = -dbar_fd(gf_dlog).values
-        theta_ref = connections.CHERN_NORMALIZATION * (dbar_fd(gf_norm).values + correction)
-    else:
-        raise ValueError(f"unknown frame {frame!r}")
+    gf = GridFunction.sample(base, resolution, slice_covector)
+    theta_ref = connections.CHERN_NORMALIZATION * dbar_fd(gf).values
     return TorsorPresentation(base, "tau", theta_ref, datum=datum)
 
 

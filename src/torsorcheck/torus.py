@@ -78,10 +78,6 @@ class ComplexTorus:
             raise IndexOutOfRange(f"generator index {j} outside 0..{2 * self.genus - 1}")
         return self.periods[:, j]
 
-    def is_lattice_vector(self, v, tol: float = POINT_TOL) -> bool:
-        c = self.lattice_coords(np.asarray(v, dtype=complex))
-        return bool(np.max(np.abs(c - np.round(c))) <= tol)
-
     # -- points ------------------------------------------------------------
 
     def point(self, lift) -> "TorusPoint":

@@ -48,6 +48,11 @@ class TestValidation:
         with pytest.raises(SemicharacterInconsistent):
             AHDatum(square_torus, [[1.0]], [0.5, 1.0])
 
+    def test_phases_must_be_finite(self, square_torus):
+        # |NaN| - 1 compares false against the unit tolerance, so NaN needs its own test
+        with pytest.raises(SemicharacterInconsistent):
+            AHDatum(square_torus, [[1.0]], [np.nan, 1.0])
+
     def test_pairing_within_integral_tolerance_accepted(self, square_torus):
         # E(1, i) = -(1 + 5e-9): inside INTEGRAL_TOL, so neither test may reject it
         d = AHDatum(square_torus, [[1 + 5e-9]], [1.0, 1.0])

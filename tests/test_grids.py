@@ -39,6 +39,11 @@ STENCIL_CASES = {
 }
 
 
+def node_values(torus, n, fn):
+    """``fn`` at the grid nodes, without seam jumps: its period increments are not constant."""
+    return GridFunction(torus, fn(torus.lift_of_coords(lattice_grid(n, 2 * torus.genus))))
+
+
 def _interior(values, torus):
     """Restrict to nodes whose stencil does not wrap around the seam."""
     sl = tuple(slice(1, -1) for _ in range(2 * torus.genus))
@@ -51,16 +56,15 @@ class TestDbarBasics:
         assert dbar_fd(gf).max_abs() <= 1e-12
 
     def test_antiholomorphic_linear(self, square_torus):
-        gf = GridFunction.sample(square_torus, 16, lambda z: np.conj(z[..., 0]),
-                                 measure_jumps=True)
+        gf = GridFunction.sample(square_torus, 16, lambda z: np.conj(z[..., 0]))
         assert np.max(np.abs(dbar_fd(gf).values[..., 0] - 1.0)) <= 1e-9
 
     def test_holomorphic_linear(self, square_torus):
-        gf = GridFunction.sample(square_torus, 16, lambda z: z[..., 0], measure_jumps=True)
+        gf = GridFunction.sample(square_torus, 16, lambda z: z[..., 0])
         assert dbar_fd(gf).max_abs() <= 1e-9
 
     def test_dz_of_holomorphic_linear(self, square_torus):
-        gf = GridFunction.sample(square_torus, 16, lambda z: z[..., 0], measure_jumps=True)
+        gf = GridFunction.sample(square_torus, 16, lambda z: z[..., 0])
         assert np.max(np.abs(dz_fd(gf).values[..., 0] - 1.0)) <= 1e-9
 
     def test_resolution_floor(self, square_torus):
@@ -74,21 +78,21 @@ class TestDbarBasics:
         def fn(z):
             return z @ coeff_z + np.conj(z) @ coeff_zbar
 
-        gf = GridFunction.sample(g2_torus, 8, fn, measure_jumps=True)
+        gf = GridFunction.sample(g2_torus, 8, fn)
         assert np.max(np.abs(dbar_fd(gf).values - coeff_zbar)) <= 1e-9
         assert np.max(np.abs(dz_fd(gf).values - coeff_z)) <= 1e-9
 
 
 class TestDbarAccuracy:
     def test_annihilates_holomorphic_quadratic(self, square_torus):
-        gf = GridFunction.sample(square_torus, 32, lambda z: z[..., 0] ** 2)
+        gf = node_values(square_torus, 32, lambda z: z[..., 0] ** 2)
         interior = _interior(dbar_fd(gf).values, square_torus)
         assert np.max(np.abs(interior)) <= 1e-10
 
     def test_second_order_on_cubic(self, square_torus):
         errors = []
         for n in (16, 64):  # quadrupling the resolution
-            gf = GridFunction.sample(square_torus, n, lambda z: z[..., 0] ** 3)
+            gf = node_values(square_torus, n, lambda z: z[..., 0] ** 3)
             errors.append(np.max(np.abs(_interior(dbar_fd(gf).values, square_torus))))
         assert errors[0] / errors[1] >= 3.5
 
@@ -108,9 +112,7 @@ class TestDbarAccuracy:
 
 class TestSeams:
     def test_constant_jump_handled_exactly(self, square_torus):
-        gf = GridFunction.sample(
-            square_torus, 16, lambda z: np.conj(z[..., 0]) + 0.3, measure_jumps=True
-        )
+        gf = GridFunction.sample(square_torus, 16, lambda z: np.conj(z[..., 0]) + 0.3)
         assert np.allclose(gf.seam_jumps, [1.0, -1.0j], atol=1e-12)
         assert np.max(np.abs(dbar_fd(gf).values[..., 0] - 1.0)) <= 1e-9
 

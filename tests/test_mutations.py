@@ -1,9 +1,11 @@
 """Mutation table: each injected defect must flip the named checks to ``fail``.
 
-A defect is injected with ``monkeypatch`` where the suite looks it up, and
-both principal demos run at grid 8.  The expected sets are exact, so a check
-that stops catching a defect, or starts failing for an unrelated reason,
-shows up here.  ``slice_flatness`` survives all three defects.
+A defect is injected with ``monkeypatch`` in every module where the suite
+looks the name up, and both principal demos run at grid 8.  The expected sets
+are exact, so a check that stops catching a defect, or starts failing for an
+unrelated reason, shows up here.  Every check fails under at least one row.
+A row may also edit the demo config; the ``datum_valid`` row loads a datum
+that the loader's own checks, patched off, would have refused.
 """
 
 import json
@@ -11,8 +13,26 @@ import json
 import numpy as np
 import pytest
 
-from torsorcheck import VerificationConfig, connections, grids, run_suite, verifier
+from torsorcheck import (
+    AHDatum,
+    VerificationConfig,
+    bundles,
+    connections,
+    grids,
+    run_suite,
+    torsors,
+    verifier,
+)
 from torsorcheck.torsors import TorsorMorphism
+
+LOOKUP_MODULES = (bundles, connections, grids, torsors, verifier)
+
+
+def patch_everywhere(monkeypatch, name, value):
+    """Replace ``name`` in every torsorcheck module that binds it."""
+    for module in LOOKUP_MODULES:
+        if hasattr(module, name):
+            monkeypatch.setattr(module, name, value)
 
 
 def zero_seam_jumps(monkeypatch):
@@ -29,6 +49,58 @@ def negated_chern_normalization(monkeypatch):
     monkeypatch.setattr(connections, "CHERN_NORMALIZATION", -connections.CHERN_NORMALIZATION)
 
 
+def family_without_dual_half(monkeypatch):
+    """The family covector keeps alpha* theta and drops its p1* L^* half."""
+    family_connection = connections.family_connection
+
+    def addition_half_only(datum):
+        fam = family_connection(datum)
+        alpha = bundles.addition_map(fam.datum.torus).matrix
+        base = connections.canonical_connection(datum)
+        return connections.ConnectionForm(fam.datum, lambda u: base.theta(u @ alpha.T) @ alpha)
+
+    patch_everywhere(monkeypatch, "family_connection", addition_half_only)
+
+
+def dbar_on_dz_rows(monkeypatch):
+    patch_everywhere(monkeypatch, "dbar_fd", grids.dz_fd)
+
+
+def one_sided_stencil(monkeypatch):
+    """A first-order forward difference in place of the central one."""
+    def forward_wirtinger_fd(gf, rows):
+        n = gf.resolution
+        vals = np.asarray(gf.values, dtype=complex)
+        diffs = []
+        for d in range(2 * gf.torus.genus):
+            ahead = np.roll(vals, -1, axis=d)
+            if gf.seam_jumps is not None:
+                ahead[(slice(None),) * d + (n - 1,)] += gf.seam_jumps[d]
+            diffs.append((ahead - vals) * n)
+        return grids.GridFunction(gf.torus, np.einsum("kd,d...->...k", rows, np.stack(diffs)))
+
+    monkeypatch.setattr(grids, "_wirtinger_fd", forward_wirtinger_fd)
+
+
+def identity_trivial_datum(monkeypatch):
+    def trivial(torus):
+        return AHDatum(torus, np.eye(torus.genus), np.ones(2 * torus.genus))
+
+    patch_everywhere(monkeypatch, "trivial_datum", trivial)
+
+
+def unchecked_non_integral_datum(monkeypatch):
+    """Switch off the loader's integrality tests and load 3/2 H, whose E is half-integral."""
+    monkeypatch.setattr(bundles, "INTEGRAL_TOL", np.inf)
+    monkeypatch.setattr(bundles, "SEMICHARACTER_TOL", np.inf)
+
+    def scale_hermitian(data):
+        data["bundle"]["hermitian"] = [[[1.5 * re, 1.5 * im] for re, im in row]
+                                       for row in data["bundle"]["hermitian"]]
+
+    return scale_hermitian
+
+
 MUTANTS = {
     "seam_jumps_zeroed": (zero_seam_jumps, {
         "curvature_invariance",
@@ -41,12 +113,29 @@ MUTANTS = {
     }),
     "duality_sign_plus_one": (equivariant_duality, {"duality_involution"}),
     "chern_normalization_negated": (negated_chern_normalization, {"chern_integrality"}),
+    "family_without_dual_half": (family_without_dual_half, {"slice_flatness"}),
+    "dbar_on_dz_rows": (dbar_on_dz_rows, {
+        "sigma_obstruction",
+        "family_curvature_restriction",
+        "tau_obstruction",
+        "sigma_tau_match",
+        "perturbed_reference",
+        "convergence_order",
+    }),
+    "one_sided_stencil": (one_sided_stencil, {"convergence_order"}),
+    "trivial_datum_identity": (identity_trivial_datum, {"trivial_bundle"}),
+    "unchecked_non_integral_datum": (unchecked_non_integral_datum, {
+        "datum_valid",
+        "chern_integrality",
+    }),
 }
 
 
-def failing_checks(demo: str) -> set:
+def failing_checks(demo: str, edit=None) -> set:
     data = json.loads(json.dumps(VerificationConfig.demo(demo).canonical))
     data["numeric"]["grid"] = 8
+    if edit is not None:
+        edit(data)
     report = run_suite(VerificationConfig.from_dict(data))
     return {c.name for c in report.checks if c.status != "pass"}
 
@@ -60,5 +149,10 @@ def test_unmutated_demo_passes_at_grid_8(demo):
 @pytest.mark.parametrize("mutant", sorted(MUTANTS))
 def test_mutant_fails_named_checks(monkeypatch, mutant, demo):
     inject, expected = MUTANTS[mutant]
-    inject(monkeypatch)
-    assert failing_checks(demo) == expected
+    edit = inject(monkeypatch)
+    assert failing_checks(demo, edit) == expected
+
+
+def test_every_check_fails_under_some_row():
+    killed = set().union(*(expected for _, expected in MUTANTS.values()))
+    assert killed == set(verifier.CHECK_ORDER)

@@ -136,12 +136,12 @@ class TestChartLocalSection:
         assert np.array_equal(moved.seam_jumps, witness.seam_jumps)
         assert np.allclose(transition(witness, moved), v)
         # the same values without the period increments are another section
-        unwrapped = TorsorSection(sigma_g1, witness.addends)
+        unwrapped = TorsorSection(sigma_g1, witness.offset)
         assert not unwrapped.same_section(witness)
         with pytest.raises(ShapeMismatch):
             transition(unwrapped, witness)
         with pytest.raises(ShapeMismatch):  # increments of no sampled offset
-            TorsorSection(sigma_g1, (), witness.seam_jumps)
+            TorsorSection(sigma_g1, None, witness.seam_jumps)
         # duality negates offset and jumps alike, so the image stays holomorphic
         sigma_dual = sigma_presentation(principal_datum.dual(), N_G1)
         image = duality_map(sigma_g1, sigma_dual).apply(witness)
@@ -294,10 +294,6 @@ class TestTauPresentation:
         z = rng.standard_normal(1) + 1j * rng.standard_normal(1)
         moved = tau_presentation(principal_datum, N_G1, z_base=z)
         assert np.max(np.abs(moved.theta_ref - tau_g1.theta_ref)) <= 1e-8
-
-    def test_slice_normal_route_agrees(self, principal_datum, tau_g1):
-        alt = tau_presentation(principal_datum, N_G1, frame="slice_normal")
-        assert np.max(np.abs(alt.theta_ref - tau_g1.theta_ref)) <= 1e-10
 
     def test_labeled_reference_must_be_constant(self, square_torus, rng):
         bumpy = rng.standard_normal((16, 16, 1, 1)) + 0j

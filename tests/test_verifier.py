@@ -1,6 +1,9 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -204,6 +207,17 @@ class TestSuite:
         report = run_suite(VerificationConfig.from_dict(data))
         assert [c.status for c in report.checks] == ["pass", "pass"]
 
+    def test_datum_valid_keeps_a_nan_phase(self):
+        # a NaN phase set past the loader must fail the check, not vanish in a maximum
+        data = with_numeric()
+        data["checks"] = ["datum_valid"]
+        cfg = VerificationConfig.from_dict(data)
+        cfg.datum.chi = np.array([np.nan, 1.0], dtype=complex)
+        err, _, _ = _CHECK_FUNCTIONS["datum_valid"](_SuiteContext(cfg), None)
+        assert math.isnan(err)
+        (check,) = run_suite(cfg).checks
+        assert check.status == "fail" and check.max_error is None
+
     def test_convergence_probe_genuinely_second_order(self):
         report = run_suite(VerificationConfig.demo("principal-g1"))
         conv = {c.name: c for c in report.checks}["convergence_order"]
@@ -318,6 +332,7 @@ class TestCli:
         ("numeric", "fd_step", "grid"),
         ("bundle", "chi_turns", "x"),
         ("bundle", "chi_turns", [math.nan, 0]),
+        ("bundle", "chi_turns", [1e308, 0]),
         ("bundle", "hermitian", [[[math.nan, 0]]]),
         ("numeric", "tolerance_fd", True),
         ("torus", "kappa_max", True),
@@ -334,6 +349,23 @@ class TestCli:
         cfg_path.write_text(json.dumps(data))
         assert main(["--config", str(cfg_path), "--checks", "datum_valid"]) == 2
         assert key in capsys.readouterr().err
+
+    def test_overflowing_phase_exit_two_under_warnings_as_errors(self, tmp_path):
+        # 2 pi * 1e308 overflows; the load must still end in ConfigInvalid, not a traceback
+        data = with_numeric()
+        data["bundle"]["chi_turns"] = [1e308, 0]
+        cfg_path = tmp_path / "overflow.json"
+        cfg_path.write_text(json.dumps(data))
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path, "PYTHONWARNINGS": "error::RuntimeWarning"}
+        proc = subprocess.run(
+            [sys.executable, "-m", "torsorcheck.cli", "--config", str(cfg_path)],
+            env=env, capture_output=True, text=True,
+        )
+        assert proc.returncode == 2
+        assert "bundle.chi_turns" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_failing_tolerance_exit_one(self, capsys):
         code = main(["--demo", "principal-g1", "--grid", "16",
