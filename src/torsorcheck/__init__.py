@@ -15,9 +15,7 @@ from .bundles import (
     hermitian_pairing,
     parameter_section,
     pullback,
-    pullback_frame_log,
     slice_embedding,
-    translation_map,
     trivial_datum,
 )
 from .connections import (
@@ -82,8 +80,7 @@ from .version import __version__
 __all__ = [
     # bundles
     "AHDatum", "TorusHomomorphism", "addition_map", "build_family", "first_projection",
-    "hermitian_pairing", "parameter_section", "pullback", "pullback_frame_log",
-    "slice_embedding", "translation_map", "trivial_datum",
+    "hermitian_pairing", "parameter_section", "pullback", "slice_embedding", "trivial_datum",
     # connections
     "CHERN_NORMALIZATION", "ConnectionForm", "canonical_connection", "check_eq_i",
     "chern_form", "curvature", "family_connection", "pullback_connection", "slice_connection",

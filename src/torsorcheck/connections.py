@@ -48,12 +48,6 @@ class ConnectionForm:
     def __call__(self, z) -> np.ndarray:
         return np.asarray(self.theta(np.asarray(z, dtype=complex)), dtype=complex)
 
-    def automorphy_defect(self, lam, z) -> np.ndarray:
-        """Deviation of theta(z+lam) - theta(z) from -pi H(dz, lam)."""
-        lam = np.asarray(lam, dtype=complex)
-        expected = -np.pi * (self.datum.hermitian @ np.conj(lam))
-        return self(np.asarray(z, dtype=complex) + lam) - self(z) - expected
-
 
 def canonical_connection(datum: AHDatum) -> ConnectionForm:
     """The unitary connection with translation-invariant curvature."""

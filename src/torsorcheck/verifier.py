@@ -5,9 +5,14 @@ curvature class, translation invariance of the curvature, the
 finite-difference recomputation of the sigma obstruction, flatness of the
 slice restrictions, the restriction identity for the family curvature, the
 from-scratch tau obstruction, holomorphy of the canonical sigma-tau morphism,
-the affine identity for a perturbed reference, the duality involutions, the
-trivial-bundle degenerate run, and a convergence-order probe.  A crash in one
-check never suppresses the following ones.
+the affine identity for a perturbed reference, holomorphy of the duality maps
+with negation of the dual covectors, the trivial-bundle degenerate run (zero
+class, holomorphic references and morphism), and a convergence-order probe.  A
+crash in one check never suppresses the following ones.
+
+The checks measure only what can fail on the mathematics.  The section-action
+bookkeeping (equivariance of the canonical morphism, the duality round trip and
+anti-equivariance) holds bitwise by construction and is pinned in the tests.
 
 Reports are deterministic for a fixed config and seed: every numeric field is
 bitwise reproducible on one platform; only the wall-time fields vary.
@@ -39,7 +44,6 @@ from .errors import ConfigInvalid, TorsorcheckError
 from .grids import GridFunction, dbar_fd, lattice_grid
 from .torsors import (
     TorsorPresentation,
-    act,
     canonical_morphism,
     custom_presentation,
     duality_map,
@@ -429,7 +433,7 @@ def _check_datum_valid(ctx, rng):
 
 
 def _check_chern_integrality(ctx, rng):
-    omega = chern_form(ctx.datum)
+    omega = ctx.chern_matrix
     n = 2 * ctx.torus.genus
     target = ctx.datum.pairing_imag_int
     err = 0.0
@@ -473,15 +477,8 @@ def _check_tau_obstruction(ctx, rng):
 
 
 def _check_sigma_tau_match(ctx, rng):
-    gamma = canonical_morphism(ctx.sigma, ctx.tau)
-    _, err = is_holomorphic_morphism(gamma, ctx.cfg.tolerance_fd)
-    g = ctx.torus.genus
-    shape = (ctx.cfg.grid,) * (2 * g) + (g,)
-    v = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    left = gamma.apply(act(ctx.sigma.zero_section(), v)).offset
-    right = act(gamma.apply(ctx.sigma.zero_section()), v).offset
-    equivariance = float(np.max(np.abs(left - right)))
-    return max(err, equivariance), ctx.cfg.tolerance_fd, ctx.cfg.grid
+    _, err = is_holomorphic_morphism(canonical_morphism(ctx.sigma, ctx.tau), ctx.cfg.tolerance_fd)
+    return err, ctx.cfg.tolerance_fd, ctx.cfg.grid
 
 
 def _check_perturbed_reference(ctx, rng):
@@ -497,28 +494,14 @@ def _check_duality(ctx, rng):
     dual = ctx.datum.dual()
     tau_dual = tau_presentation(dual, cfg.grid)
     sigma_dual = sigma_presentation(dual, cfg.grid)
-    delta = duality_map(ctx.tau, tau_dual)
-    delta_back = duality_map(tau_dual, ctx.tau)
-    delta_conn = duality_map(ctx.sigma, sigma_dual)
     err = max(
-        is_holomorphic_morphism(delta, cfg.tolerance_exact)[1],
-        is_holomorphic_morphism(delta_conn, cfg.tolerance_exact)[1],
+        is_holomorphic_morphism(duality_map(ctx.tau, tau_dual), cfg.tolerance_exact)[1],
+        is_holomorphic_morphism(duality_map(ctx.sigma, sigma_dual), cfg.tolerance_exact)[1],
     )
-    g = ctx.torus.genus
-    shape = (cfg.grid,) * (2 * g) + (g,)
-    for _ in range(cfg.samples):
-        v = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        section = act(ctx.tau.zero_section(), v)
-        roundtrip = delta_back.apply(delta.apply(section))
-        err = max(err, float(np.max(np.abs(roundtrip.offset - section.offset))))
-        w = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        left = delta.apply(act(section, w)).offset
-        right = act(delta.apply(section), -w).offset
-        err = max(err, float(np.max(np.abs(left - right))))
     # zero-offset references map to each other: the covectors are negatives
     theta = canonical_connection(ctx.datum)
     theta_dual = canonical_connection(dual)
-    z = ctx.torus.lift_of_coords(rng.random((cfg.samples, 2 * g)))
+    z = ctx.torus.lift_of_coords(rng.random((cfg.samples, 2 * ctx.torus.genus)))
     err = max(err, float(np.max(np.abs(theta(z) + theta_dual(z)))))
     x = ctx.torus.random_points(rng, 1)[0]
     slice_l = slice_connection(ctx.family, x)
@@ -537,15 +520,8 @@ def _check_trivial_bundle(ctx, rng):
     err = max(err, float(np.max(np.abs(trivialization_class(tau)))))
     err = max(err, is_holomorphic(sigma.zero_section(), cfg.tolerance_exact)[1])
     err = max(err, is_holomorphic(tau.zero_section(), cfg.tolerance_exact)[1])
-    gamma = canonical_morphism(sigma, tau)
-    err = max(err, is_holomorphic_morphism(gamma, cfg.tolerance_exact)[1])
-    g = ctx.torus.genus
-    v = rng.standard_normal((g,)) + 1j * rng.standard_normal((g,))
-    identity_gap = float(np.max(np.abs(
-        gamma.apply(act(sigma.zero_section(), v)).offset
-        - act(tau.zero_section(), v).offset
-    )))
-    return max(err, identity_gap), cfg.tolerance_exact, cfg.grid
+    err = max(err, is_holomorphic_morphism(canonical_morphism(sigma, tau), cfg.tolerance_exact)[1])
+    return err, cfg.tolerance_exact, cfg.grid
 
 
 def _check_convergence_order(ctx, rng):

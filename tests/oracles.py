@@ -1,0 +1,58 @@
+"""Independent oracles that only the tests use.
+
+Each one restates a piece of the mathematics from its definition, so that the
+package's own constructions can be checked against it.
+"""
+
+import numpy as np
+
+from torsorcheck import TorusHomomorphism, TorusMismatch, hermitian_pairing
+
+
+def translation_map(x) -> TorusHomomorphism:
+    """z -> z + x on the torus of the point x."""
+    g = x.torus.genus
+    return TorusHomomorphism(x.torus, x.torus, np.eye(g), x.lift)
+
+
+def compose(outer: TorusHomomorphism, inner: TorusHomomorphism) -> TorusHomomorphism:
+    """outer after inner."""
+    if not inner.target.same_as(outer.source):
+        raise TorusMismatch("composition needs matching middle torus")
+    return TorusHomomorphism(
+        inner.source,
+        outer.target,
+        outer.matrix @ inner.matrix,
+        outer.matrix @ inner.translation + outer.translation,
+    )
+
+
+def pullback_frame_log(f: TorusHomomorphism, datum):
+    """log of the frame change relating pulled-back and normal-form factors.
+
+    Returns the scalar function flog(z) = pi H(Mz, t), vectorized over lifts,
+    so the comparison behind ``pullback`` reads
+    a(M lam, M z + t) = a_pull(lam, z) * exp(flog(z + lam) - flog(z)).
+    """
+    h = datum.hermitian
+    m, t = f.matrix, f.translation
+
+    def flog(z):
+        return np.pi * hermitian_pairing(h, np.asarray(z, dtype=complex) @ m.T, t)
+
+    return flog
+
+
+def automorphy_defect(conn, lam, z) -> np.ndarray:
+    """Deviation of theta(z+lam) - theta(z) from -pi H(dz, lam)."""
+    lam = np.asarray(lam, dtype=complex)
+    expected = -np.pi * (conn.datum.hermitian @ np.conj(lam))
+    return conn(np.asarray(z, dtype=complex) + lam) - conn(z) - expected
+
+
+def is_topologically_trivial(datum) -> bool:
+    """Degree zero: E vanishes on lattice pairs and H vanishes outright."""
+    return bool(
+        np.max(np.abs(datum.pairing_imag)) < 0.5
+        and np.max(np.abs(datum.hermitian)) <= 1e-10
+    )

@@ -3,6 +3,7 @@ import pytest
 
 from torsorcheck import (
     AHDatum,
+    ComplexTorus,
     LatticeNotPreserved,
     NonIntegralE,
     NotHermitian,
@@ -15,25 +16,25 @@ from torsorcheck import (
     first_projection,
     hermitian_pairing,
     pullback,
-    pullback_frame_log,
     slice_embedding,
-    translation_map,
     trivial_datum,
 )
 from torsorcheck.torus import product_torus
+
+from oracles import compose, is_topologically_trivial, pullback_frame_log, translation_map
 
 
 class TestValidation:
     def test_trivial_datum(self, square_torus):
         d = trivial_datum(square_torus)
         assert np.all(d.pairing_imag_int == 0)
-        assert d.is_topologically_trivial()
+        assert is_topologically_trivial(d)
 
     def test_principal_pairing(self, square_torus):
         d = AHDatum(square_torus, [[1.0]], [1.0, 1.0])
         # oracle: E(1, i) = Im(1 * conj(i)) = -1
         assert d.pairing_imag_int[0, 1] == -1
-        assert not d.is_topologically_trivial()
+        assert not is_topologically_trivial(d)
 
     def test_half_pairing_not_integral(self, square_torus):
         # oracle: E(1, i) = Im(0.5 * conj(i)) = -0.5
@@ -52,6 +53,18 @@ class TestValidation:
         # |NaN| - 1 compares false against the unit tolerance, so NaN needs its own test
         with pytest.raises(SemicharacterInconsistent):
             AHDatum(square_torus, [[1.0]], [np.nan, 1.0])
+
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, complex(1.0, np.inf)])
+    def test_pairing_must_be_finite(self, square_torus, entry):
+        # NaN compares false against every tolerance, so finiteness is its own test
+        with pytest.raises(NotHermitian):
+            AHDatum(square_torus, [[entry]], [1.0, 1.0])
+
+    def test_overflowing_pairing_is_nonintegral(self):
+        # finite H whose lattice pairings overflow: E holds NaN, not an integer
+        torus = ComplexTorus([[1e200, 1e200j]])
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonIntegralE):
+            AHDatum(torus, [[1e300]], [1.0, 1.0])
 
     def test_pairing_within_integral_tolerance_accepted(self, square_torus):
         # E(1, i) = -(1 + 5e-9): inside INTEGRAL_TOL, so neither test may reject it
@@ -133,6 +146,13 @@ class TestFactor:
         with pytest.raises(NotLatticeVector):
             principal_datum.factor(np.array([0.5]), np.zeros(1))
 
+    @pytest.mark.parametrize("entry", [np.nan, np.inf])
+    def test_non_finite_lattice_input_rejected(self, principal_datum, entry):
+        with pytest.raises(NotLatticeVector):
+            principal_datum.chi_on([entry, 0])
+        with pytest.raises(NotLatticeVector):
+            principal_datum.factor([entry], np.zeros(1))
+
 
 class TestAlgebra:
     def test_dual_of_trivial(self, flat_datum):
@@ -174,6 +194,19 @@ class TestHomomorphisms:
         with pytest.raises(LatticeNotPreserved):
             TorusHomomorphism(square_torus, square_torus, [[0.5]])
 
+    @pytest.mark.parametrize("matrix, translation", [
+        ([[np.nan]], None), ([[np.inf]], None), ([[1.0]], [np.nan]), ([[1.0]], [np.inf]),
+    ])
+    def test_non_finite_map_rejected(self, square_torus, matrix, translation):
+        with pytest.raises(LatticeNotPreserved):
+            TorusHomomorphism(square_torus, square_torus, matrix, translation)
+
+    def test_overflowing_map_rejected(self, square_torus):
+        # the image 4e308 overflows, so its lattice coordinates come out NaN
+        source = ComplexTorus([[4.0, 4.0j]])
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(LatticeNotPreserved):
+            TorusHomomorphism(source, square_torus, [[1e308]])
+
     def test_multiplication_map_allowed(self, square_torus):
         f = TorusHomomorphism(square_torus, square_torus, [[2.0]])
         assert np.allclose(f.apply(np.array([0.25j])), [0.5j])
@@ -181,7 +214,7 @@ class TestHomomorphisms:
     def test_compose(self, square_torus):
         double = TorusHomomorphism(square_torus, square_torus, [[2.0]])
         shift = translation_map(square_torus.point([0.3 + 0.1j]))
-        both = shift.compose(double)
+        both = compose(shift, double)
         z = np.array([0.2 + 0.2j])
         assert np.allclose(both.apply(z), shift.apply(double.apply(z)))
 
@@ -226,7 +259,7 @@ class TestPullback:
         x = square_torus.point([0.11 + 0.47j])
         f = translation_map(x)
         g = shift_and_double(square_torus, square_torus.point([0.05 - 0.21j]))
-        once = pullback(f.compose(g), principal_datum)
+        once = pullback(compose(f, g), principal_datum)
         twice = pullback(g, pullback(f, principal_datum))
         assert np.max(np.abs(once.hermitian - twice.hermitian)) <= 1e-10
         assert np.max(np.abs(once.chi - twice.chi)) <= 1e-10
@@ -266,7 +299,7 @@ class TestFamily:
         for x in g2_torus.random_points(rng, 5):
             sliced = pullback(slice_embedding(x, fam.torus), fam)
             assert np.max(np.abs(sliced.hermitian)) <= 1e-12
-            assert sliced.is_topologically_trivial()
+            assert is_topologically_trivial(sliced)
 
     def test_slice_phases_closed_form(self, principal_datum, square_torus, rng):
         fam = build_family(principal_datum)

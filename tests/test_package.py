@@ -1,4 +1,6 @@
+import ast
 import types
+from pathlib import Path
 
 import torsorcheck
 
@@ -24,3 +26,35 @@ def test_submodules_still_import_by_name():
 
     assert connections.CHERN_NORMALIZATION == torsorcheck.CHERN_NORMALIZATION
     assert grids.dbar_fd is torsorcheck.dbar_fd
+
+
+def _imported_names(tree: ast.Module) -> set:
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(a.asname or a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names.update(a.asname or a.name for a in node.names)
+    return names
+
+
+def _exported_names(tree: ast.Module) -> set:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+def test_no_module_imports_an_unused_name():
+    # a name counts as used when it is read, exported in __all__, or a dunder
+    unused = {}
+    for path in sorted(Path(torsorcheck.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)} | _exported_names(tree)
+        names = sorted(n for n in _imported_names(tree) - used
+                       if not (n.startswith("__") and n.endswith("__")))
+        if names:
+            unused[path.name] = names
+    assert unused == {}

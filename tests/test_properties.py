@@ -4,7 +4,8 @@ A datum is drawn on the torus with periods [I | Z], Z = X + iY in the Siegel
 upper half-space (X symmetric, Y positive definite), with H = k Y^{-1} for
 k in {1, -1, 0, 2}, so that Im H is integral on the lattice, and random
 generator phases.  The whole suite must pass on it and reproduce its report
-byte for byte; the torsor action and the duality maps must compose bitwise.
+byte for byte; the torsor action, the canonical morphism and the duality
+maps must compose bitwise.
 """
 
 import json
@@ -20,9 +21,11 @@ from hypothesis import strategies as st  # noqa: E402
 from torsorcheck import (  # noqa: E402
     VerificationConfig,
     act,
+    canonical_morphism,
     duality_map,
     run_suite,
     sigma_presentation,
+    tau_presentation,
 )
 from torsorcheck.verifier import report_json  # noqa: E402
 
@@ -83,3 +86,5 @@ def test_action_and_duality_compose_bitwise(data, seed, exponents):
     assert np.array_equal(act(s, w).offset, act(zero, v + w).offset)
     assert delta.apply(act(s, w)).same_section(act(delta.apply(s), -w))
     assert back.apply(delta.apply(s)).same_section(s)
+    gamma = canonical_morphism(sigma, tau_presentation(cfg.datum, cfg.grid))
+    assert gamma.apply(act(zero, v)).same_section(act(gamma.apply(zero), v))
