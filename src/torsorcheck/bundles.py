@@ -39,6 +39,11 @@ SEMICHARACTER_TOL = 2 * np.pi * INTEGRAL_TOL
 UNIT_TOL = 1e-12
 
 
+def _fits_int64(x: np.ndarray) -> bool:
+    """Whether every (integral, finite) entry casts to int64 without overflow."""
+    return bool(np.all((x >= -(2.0**63)) & (x < 2.0**63)))
+
+
 def hermitian_pairing(h: np.ndarray, u, v) -> np.ndarray:
     """H(u, v) = sum_jk u_j H_jk conj(v_k), broadcast over leading axes."""
     u = np.asarray(u, dtype=complex)
@@ -67,6 +72,8 @@ class AHDatum:
                 "Im H must take integer values on lattice pairs; "
                 f"max deviation {np.max(np.abs(e - np.round(e))):.3e}"
             )
+        if not _fits_int64(np.round(e)):
+            raise NonIntegralE("Im H on lattice pairs must lie in the int64 range")
         if not np.all(np.isfinite(chi)) or np.max(np.abs(np.abs(chi) - 1.0)) > UNIT_TOL:
             raise SemicharacterInconsistent("generator phases must be finite with unit modulus")
         self.torus = torus
@@ -100,6 +107,8 @@ class AHDatum:
         n = np.asarray(n_coords)
         if not np.all(np.isfinite(n)) or np.max(np.abs(n - np.round(n))) > 1e-9:
             raise NotLatticeVector("coordinates are not finite integers")
+        if not _fits_int64(np.round(n)):
+            raise NotLatticeVector("coordinates must lie in the int64 range")
         n_int = np.round(n).astype(np.int64)
         upper = np.triu(self.pairing_imag_int, k=1)
         parity = int(n_int @ upper @ n_int) % 2

@@ -9,8 +9,12 @@ spacing are exact (to rounding) on functions affine in (z, zbar).
 Functions that shift by a constant across each period (connection forms in
 an automorphy frame, chart-local torsor offsets) carry ``seam_jumps``, which
 ``GridFunction.sample`` always measures: value(c + e_d) = value(c) + jumps[d].
-``_wirtinger_fd`` is the one derivative kernel; ``dbar_fd`` and ``dz_fd``
-select its rows.
+``_wirtinger_fd`` is the one derivative kernel.  It reads its input through a
+slab source, one first-axis slab at a time, keeps only the slabs i-1, i and
+i+1, and yields the output slab by slab, so it never needs the input or the
+output as a whole grid.  ``dbar_fd`` and ``dz_fd`` select its rows and gather
+its slabs into an output grid; ``dbar_slabs`` hands the slabs to a caller
+that samples per slab and consumes each output slab as it comes.
 """
 
 from __future__ import annotations
@@ -123,52 +127,70 @@ def _central_difference(slab: np.ndarray, axis: int, jump, out: np.ndarray) -> N
     differencing, v[1] - (v[-1] - J) and (v[0] + J) - v[-2], which keeps the
     rounding of value(c + e_d) = value(c) + J_d.
     """
-    def at(start, stop):
-        index = [slice(None)] * slab.ndim
-        index[axis] = slice(start, stop)
-        return tuple(index)
-
-    first, second, before_last, last = at(0, 1), at(1, 2), at(-2, -1), at(-1, None)
-    np.subtract(slab[at(2, None)], slab[at(None, -2)], out=out[at(1, -1)])
+    v, o = slab.swapaxes(0, axis), out.swapaxes(0, axis)  # views with ``axis`` first
+    first, second, before_last, last = v[:1], v[1:2], v[-2:-1], v[-1:]
+    np.subtract(v[2:], v[:-2], out=o[1:-1])
     if jump is None:
-        np.subtract(slab[second], slab[last], out=out[first])
-        np.subtract(slab[first], slab[before_last], out=out[last])
+        np.subtract(second, last, out=o[:1])
+        np.subtract(first, before_last, out=o[-1:])
     else:
-        np.subtract(slab[second], slab[last] - jump, out=out[first])
-        np.subtract(slab[first] + jump, slab[before_last], out=out[last])
+        np.subtract(second, last - jump, out=o[:1])
+        np.subtract(first + jump, before_last, out=o[-1:])
 
 
-def _wirtinger_fd(gf: GridFunction, rows: np.ndarray) -> GridFunction:
-    """sum_d rows[k, d] * (central difference along grid direction d), as axis k.
+def _wirtinger_fd(torus: ComplexTorus, resolution: int, slab, rows: np.ndarray, jumps=None):
+    """Yield sum_d rows[k, d] * (central difference along grid direction d), as axis k,
+    one first-axis slab at a time, for i = 0 .. N-1.
 
-    The output is filled one first-axis slab at a time: each direction's
-    difference for the slab goes into one reused slab buffer and is
-    accumulated straight into the output, so no temporary exceeds a slab.
+    ``slab(i)`` gives the values on first-axis slab i, shape (N,)*(2g-1) +
+    value_shape, and ``jumps`` are their seam jumps, if any.  Only the slabs
+    i-1, i and i+1 are held; at the wrap, slabs N-1 (for i = 0) and 0 (for
+    i = N-1) are read again instead of kept.  Each direction's difference goes
+    into one reused slab buffer and is accumulated straight into the output
+    slab, so no temporary exceeds a slab.  The output slab is stored with axis
+    k first, so each accumulation is contiguous, and handed back as a view
+    with k last.
     """
-    n = gf.resolution
+    n = resolution
     if n < MIN_RESOLUTION:
         raise ResolutionTooCoarse(f"resolution {n} < {MIN_RESOLUTION}")
-    vals = np.asarray(gf.values, dtype=complex)
-    jumps = gf.seam_jumps
-    out = np.zeros(vals.shape + (rows.shape[0],), dtype=complex)
-    diff = np.empty_like(vals[0])
+
+    def read(i):
+        return np.asarray(slab(i), dtype=complex)
+
+    behind, here, ahead = read(n - 1), read(0), read(1)
+    if jumps is not None:
+        behind = behind - jumps[0]
+    diff = np.empty_like(here)
     term = np.empty_like(diff)
+    k_last = (*range(1, here.ndim + 1), 0)
     scale = n / 2.0  # 1 / (2h) with h = 1/N
     for i in range(n):
-        ahead, behind = vals[(i + 1) % n], vals[i - 1]
-        if jumps is not None and i == n - 1:
-            ahead = ahead + jumps[0]
-        if jumps is not None and i == 0:
-            behind = behind - jumps[0]
-        for d in range(2 * gf.torus.genus):
+        out = np.zeros((rows.shape[0],) + here.shape, dtype=complex)
+        for d in range(2 * torus.genus):
             if d == 0:
                 np.subtract(ahead, behind, out=diff)
             else:
-                _central_difference(vals[i], d - 1, None if jumps is None else jumps[d], diff)
+                _central_difference(here, d - 1, None if jumps is None else jumps[d], diff)
             diff *= scale
             for k in range(rows.shape[0]):
                 np.multiply(rows[k, d], diff, out=term)
-                out[i, ..., k] += term
+                out[k] += term
+        yield out.transpose(k_last)
+        if i + 1 < n:
+            behind, here = here, ahead
+            ahead = read((i + 2) % n)
+            if jumps is not None and i + 2 == n:
+                ahead = ahead + jumps[0]
+
+
+def _on_grid(gf: GridFunction, rows: np.ndarray) -> GridFunction:
+    """The kernel over the values of ``gf``, gathered into one output grid."""
+    vals = gf.values
+    out = np.empty(vals.shape + (rows.shape[0],), dtype=complex)
+    slabs = _wirtinger_fd(gf.torus, gf.resolution, vals.__getitem__, rows, gf.seam_jumps)
+    for i, out_slab in enumerate(slabs):
+        out[i] = out_slab
     return GridFunction(gf.torus, out)
 
 
@@ -177,10 +199,18 @@ def dbar_fd(gf: GridFunction) -> GridFunction:
 
     Output value_shape is value_shape + (g,), entry [..., k] = d(value)/dzbar_k.
     """
-    return _wirtinger_fd(gf, gf.torus.dzbar_rows)
+    return _on_grid(gf, gf.torus.dzbar_rows)
 
 
 def dz_fd(gf: GridFunction) -> GridFunction:
     """Per-node dz-derivative coefficients; appends one axis of length g."""
-    return _wirtinger_fd(gf, gf.torus.dz_rows)
+    return _on_grid(gf, gf.torus.dz_rows)
 
+
+def dbar_slabs(torus: ComplexTorus, resolution: int, slab):
+    """``dbar_fd`` of the values read through ``slab(i)``, yielded slab by slab.
+
+    For values with no seam jumps that are cheaper to compute per slab than to
+    hold as a grid.
+    """
+    return _wirtinger_fd(torus, resolution, slab, torus.dzbar_rows)

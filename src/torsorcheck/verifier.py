@@ -20,6 +20,7 @@ bitwise reproducible on one platform; only the wall-time fields vary.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -41,7 +42,7 @@ from .connections import (
     slice_connection,
 )
 from .errors import ConfigInvalid, TorsorcheckError
-from .grids import GridFunction, dbar_fd, lattice_grid
+from .grids import GridFunction, dbar_fd, dbar_slabs, lattice_grid
 from .torsors import (
     TorsorPresentation,
     canonical_morphism,
@@ -215,6 +216,10 @@ class VerificationConfig:
             unknown = [c for c in checks if c not in CHECK_ORDER]
             if unknown:
                 raise ConfigInvalid(f"checks: unknown names {unknown}")
+            if not checks:
+                raise ConfigInvalid("checks: an empty list selects nothing; use null for all")
+            # one spelling per selection, so the same run gets the same digest
+            checks = [name for name in CHECK_ORDER if name in checks]
         if not isinstance(data.get("output"), (str, type(None))):
             raise ConfigInvalid("output: path string or null required")
         canonical = {
@@ -336,86 +341,83 @@ class _SuiteContext:
         return np.random.default_rng([self.cfg.seed, check_index])
 
 
-def _probe_modes(torus: ComplexTorus, rng, amplitude: float) -> list:
-    """(mode, coefficient) pairs of the seeded trigonometric probe.
+def _probe_sampler(torus: ComplexTorus, resolution: int, rng, amplitude: float):
+    """The seeded trigonometric probe sum_m coeff_m exp(2 pi i m . c), slab by slab.
 
-    The modes are the unit vectors e_0 .. e_{2g-1} and then (1, ..., 1); each
+    The modes m are the unit vectors e_0 .. e_{2g-1} and then (1, ..., 1); each
     coefficient draws g real parts, then g imaginary parts, mode by mode.
+    Returns ``values(i)``, the g components on first-axis slab i, and
+    ``dbar(i)``, which yields (j, k, closed-form d/dzbar_k of component j)
+    there.
+
+    A unit mode's phase is a 1-D exponential broadcast (without copying) over
+    the slab.  The diagonal mode's argument goes through the same ``@ ones``
+    matmul as ``lattice_grid(N, 2g) @ ones``, for slab i only, which reproduces
+    those floats exactly (a broadcast sum of the axes rounds differently).
     """
     g = torus.genus
     dims = 2 * g
-    modes = [np.eye(dims, dtype=int)[d] for d in range(dims)] + [np.ones(dims, dtype=int)]
-    return [(m, amplitude * (rng.standard_normal(g) + 1j * rng.standard_normal(g)))
-            for m in modes]
-
-
-def _mode_phases(resolution: int, dims: int) -> list:
-    """exp(2 pi i m . c) over the grid for each probe mode, in ``_probe_modes`` order.
-
-    A unit mode's phase is a 1-D exponential broadcast (without copying) along
-    its own axis; only the diagonal mode is stored as a full grid.  Its
-    argument goes through the same ``@ ones`` matmul as
-    ``lattice_grid(N, dims) @ ones``, one first-axis slab at a time, which
-    reproduces those floats exactly (a broadcast sum of the axes rounds
-    differently).
-    """
     n = resolution
-    shape = (n,) * dims
+    modes = [np.eye(dims, dtype=int)[d] for d in range(dims)] + [np.ones(dims, dtype=int)]
+    coeffs = [amplitude * (rng.standard_normal(g) + 1j * rng.standard_normal(g))
+              for _ in modes]
+    # d/dzbar_k of coeff_j exp(2 pi i m . c) is exp(2 pi i m . c) coeff_j chain_k
+    outer = [np.einsum("j,k->jk", c, 2j * np.pi * (torus.dzbar_rows @ m))
+             for m, c in zip(modes, coeffs)]
+    shape = (n,) * (dims - 1)
     axis = np.exp(2j * np.pi * (np.arange(n) / n))
-    phases = [np.broadcast_to(axis.reshape((1,) * d + (n,) + (1,) * (dims - 1 - d)), shape)
-              for d in range(dims)]
-    slab = np.empty(shape[1:] + (dims,))
-    slab[..., 1:] = lattice_grid(n, dims - 1)
+    units = [np.broadcast_to(axis.reshape((1,) * d + (n,) + (1,) * (dims - 2 - d)), shape)
+             for d in range(dims - 1)]
+    coords = np.empty(shape + (dims,))
+    coords[..., 1:] = lattice_grid(n, dims - 1)
     ones = np.ones(dims, dtype=int)
-    diagonal = np.empty(shape, dtype=complex)
-    for i in range(n):
-        slab[..., 0] = i / n
-        diagonal[i] = np.exp(2j * np.pi * (slab @ ones))
-    return phases + [diagonal]
 
+    # the stencil has read slabs i-1 .. i+1 when slab i's closed form is
+    # wanted, so three cached slabs spare the closed form every exponential
+    @functools.lru_cache(maxsize=3)
+    def phases(i):
+        coords[..., 0] = i / n
+        return [np.broadcast_to(axis[i], shape), *units, np.exp(2j * np.pi * (coords @ ones))]
 
-# The probe sums below run from 0 in mode order, with each product's operands
-# in the order of a dense ``+=`` loop over the modes: coefficient * phase for
-# the values and phase * coefficient for the derivative.  numpy's complex
-# multiply is not bitwise commutative where it uses fused multiply-adds.
+    # The sums run from 0 in mode order, with each product's operands in the
+    # order of a dense ``+=`` loop over the modes: coefficient * phase for the
+    # values and phase * coefficient for the derivative.  numpy's complex
+    # multiply is not bitwise commutative where it uses fused multiply-adds.
+    def values(i):
+        here = phases(i)
+        out = np.empty(shape + (g,), dtype=complex)
+        for j in range(g):
+            out[..., j] = sum(c[j] * phase for phase, c in zip(here, coeffs))
+        return out
 
-def _probe_component(phases: list, coeffs: list, j: int) -> np.ndarray:
-    """Component j of sum_m coeff_m exp(2 pi i m . c), one first-axis slab at a time."""
-    out = np.empty(phases[-1].shape, dtype=complex)
-    for i in range(len(out)):
-        out[i] = sum(c[j] * phase[i] for phase, c in zip(phases, coeffs))
-    return out
+    def dbar(i):
+        here = phases(i)
+        for j, k in np.ndindex(g, g):
+            yield j, k, sum(phase * mat[j, k] for phase, mat in zip(here, outer))
+
+    return values, dbar
 
 
 def _smooth_offset(torus: ComplexTorus, resolution: int, rng, amplitude: float) -> np.ndarray:
     """Seeded trigonometric offset grid, shape (N,)*2g + (g,)."""
-    coeffs = [c for _, c in _probe_modes(torus, rng, amplitude)]
-    phases = _mode_phases(resolution, 2 * torus.genus)
-    return np.stack([_probe_component(phases, coeffs, j) for j in range(torus.genus)],
-                    axis=-1)
+    values, _ = _probe_sampler(torus, resolution, rng, amplitude)
+    out = np.empty((resolution,) * (2 * torus.genus) + (torus.genus,), dtype=complex)
+    for i in range(resolution):
+        out[i] = values(i)
+    return out
 
 
 def _probe_error(torus: ComplexTorus, resolution: int, rng, amplitude: float) -> float:
     """max |dbar_fd(probe) - closed-form dbar(probe)| over the grid.
 
-    The probe is sampled and differentiated one value component at a time,
-    and the closed form is assembled slab by slab and compared as soon as it
-    is formed, so only g + 2 full grids are alive at once.
+    The stencil reads the probe slab by slab, and each output slab is compared
+    with the closed form as soon as it is formed, so no full grid is held.
     """
-    g = torus.genus
-    modes = _probe_modes(torus, rng, amplitude)
-    coeffs = [c for _, c in modes]
-    phases = _mode_phases(resolution, 2 * g)
-    # d/dzbar_k of coeff_j exp(2 pi i m . c) is exp(2 pi i m . c) coeff_j chain_k
-    outer = [np.einsum("j,k->jk", c, 2j * np.pi * (torus.dzbar_rows @ m)) for m, c in modes]
+    values, dbar = _probe_sampler(torus, resolution, rng, amplitude)
     err = 0.0
-    for j in range(g):
-        fd = dbar_fd(GridFunction(torus, _probe_component(phases, coeffs, j))).values
-        for i in range(resolution):
-            for k in range(g):
-                analytic = sum(phase[i] * mat[j, k] for phase, mat in zip(phases, outer))
-                err = max(err, float(np.max(np.abs(fd[i, ..., k] - analytic))))
-        del fd  # release before the next component's stencil runs
+    for i, fd in enumerate(dbar_slabs(torus, resolution, values)):
+        for j, k, analytic in dbar(i):
+            err = max(err, float(np.max(np.abs(fd[..., j, k] - analytic))))
     return err
 
 

@@ -66,6 +66,12 @@ class TestValidation:
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonIntegralE):
             AHDatum(torus, [[1e300]], [1.0, 1.0])
 
+    @pytest.mark.parametrize("entry", [2e19, -1e19])
+    def test_pairing_beyond_int64_is_nonintegral(self, square_torus, entry):
+        # E(1, i) = -entry is an integral float, but no int64 holds it
+        with pytest.raises(NonIntegralE, match="int64"):
+            AHDatum(square_torus, [[entry]], [1.0, 1.0])
+
     def test_pairing_within_integral_tolerance_accepted(self, square_torus):
         # E(1, i) = -(1 + 5e-9): inside INTEGRAL_TOL, so neither test may reject it
         d = AHDatum(square_torus, [[1 + 5e-9]], [1.0, 1.0])
@@ -152,6 +158,15 @@ class TestFactor:
             principal_datum.chi_on([entry, 0])
         with pytest.raises(NotLatticeVector):
             principal_datum.factor([entry], np.zeros(1))
+
+    @pytest.mark.parametrize("entry", [1e300, -1e300, 2.0**63])
+    def test_coordinates_beyond_int64_rejected(self, principal_datum, entry):
+        # an integral float that no int64 holds, which the cast would wrap
+        with pytest.raises(NotLatticeVector, match="int64"):
+            principal_datum.chi_on([entry, 0])
+
+    def test_int64_edge_coordinate_accepted(self, principal_datum):
+        assert principal_datum.chi_on([-(2.0**63), 0]) == 1.0
 
 
 class TestAlgebra:

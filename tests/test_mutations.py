@@ -64,20 +64,26 @@ def family_without_dual_half(monkeypatch):
 
 def dbar_on_dz_rows(monkeypatch):
     patch_everywhere(monkeypatch, "dbar_fd", grids.dz_fd)
+    kernel = grids._wirtinger_fd
+    patch_everywhere(monkeypatch, "dbar_slabs",
+                     lambda torus, n, slab: kernel(torus, n, slab, torus.dz_rows))
 
 
 def one_sided_stencil(monkeypatch):
     """A first-order forward difference in place of the central one."""
-    def forward_wirtinger_fd(gf, rows):
-        n = gf.resolution
-        vals = np.asarray(gf.values, dtype=complex)
-        diffs = []
-        for d in range(2 * gf.torus.genus):
-            ahead = np.roll(vals, -1, axis=d)
-            if gf.seam_jumps is not None:
-                ahead[(slice(None),) * d + (n - 1,)] += gf.seam_jumps[d]
-            diffs.append((ahead - vals) * n)
-        return grids.GridFunction(gf.torus, np.einsum("kd,d...->...k", rows, np.stack(diffs)))
+    def forward_wirtinger_fd(torus, n, slab, rows, jumps=None):
+        for i in range(n):
+            here = np.asarray(slab(i), dtype=complex)
+            ahead = np.asarray(slab((i + 1) % n), dtype=complex)
+            if jumps is not None and i == n - 1:
+                ahead = ahead + jumps[0]
+            diffs = [(ahead - here) * n]
+            for d in range(1, 2 * torus.genus):
+                ahead = np.roll(here, -1, axis=d - 1)
+                if jumps is not None:
+                    ahead[(slice(None),) * (d - 1) + (n - 1,)] += jumps[d]
+                diffs.append((ahead - here) * n)
+            yield np.einsum("kd,d...->...k", rows, np.stack(diffs))
 
     monkeypatch.setattr(grids, "_wirtinger_fd", forward_wirtinger_fd)
 
@@ -131,13 +137,16 @@ MUTANTS = {
 }
 
 
-def failing_checks(demo: str, edit=None) -> set:
+def demo_report(demo: str, edit=None):
     data = json.loads(json.dumps(VerificationConfig.demo(demo).canonical))
     data["numeric"]["grid"] = 8
     if edit is not None:
         edit(data)
-    report = run_suite(VerificationConfig.from_dict(data))
-    return {c.name for c in report.checks if c.status != "pass"}
+    return run_suite(VerificationConfig.from_dict(data))
+
+
+def failing_checks(demo: str, edit=None) -> set:
+    return {c.name for c in demo_report(demo, edit).checks if c.status != "pass"}
 
 
 @pytest.mark.parametrize("demo", ["principal-g1", "principal-g2"])
@@ -151,6 +160,21 @@ def test_mutant_fails_named_checks(monkeypatch, mutant, demo):
     inject, expected = MUTANTS[mutant]
     edit = inject(monkeypatch)
     assert failing_checks(demo, edit) == expected
+
+
+@pytest.mark.parametrize("demo", ["principal-g1", "principal-g2"])
+@pytest.mark.parametrize("mutant", ["dbar_on_dz_rows", "one_sided_stencil"])
+def test_stencil_rows_fail_on_a_measured_error(monkeypatch, mutant, demo):
+    # the defect must reach the stencil itself: each failing check measures a
+    # finite error above its tolerance instead of crashing
+    inject, expected = MUTANTS[mutant]
+    inject(monkeypatch)
+    report = demo_report(demo)
+    assert report.crash_notes == {}
+    by_name = {c.name: c for c in report.checks}
+    for name in expected:
+        c = by_name[name]
+        assert np.isfinite(c.max_error) and c.max_error > c.tolerance, name
 
 
 def test_every_check_fails_under_some_row():

@@ -70,6 +70,9 @@ PROBE_TORI = {
     "g2-diag": (np.hstack([np.eye(2), 1j * np.diag([1.0, 2.0])]), 6),
     "g2-full": (np.hstack([np.eye(2), [[0.2 + 1j, 0.1 + 0.3j], [0.1 + 0.3j, -0.4 + 2j]]]), 5),
     "g3-diag": (np.hstack([np.eye(3), 1j * np.diag([1.0, 1.5, 2.0])]), 4),
+    "g3-full": (np.hstack([np.eye(3), [[0.2 + 1j, 0.1 + 0.3j, 0.05 + 0.1j],
+                                       [0.1 + 0.3j, -0.3 + 1.5j, 0.2j],
+                                       [0.05 + 0.1j, 0.2j, 0.1 + 2j]]]), 4),
 }
 
 
@@ -101,6 +104,26 @@ class TestConfig:
         data["checks"] = ["sigma_obstruction", "bogus"]
         with pytest.raises(ConfigInvalid, match="bogus"):
             VerificationConfig.from_dict(data)
+
+    def test_empty_check_list_rejected(self):
+        data = with_numeric()
+        data["checks"] = []
+        with pytest.raises(ConfigInvalid, match="checks"):
+            VerificationConfig.from_dict(data)
+
+    def test_check_selection_spelled_once(self):
+        # reordered or repeated names select the same run, so one digest
+        spellings = [["datum_valid", "chern_integrality"],
+                     ["chern_integrality", "datum_valid"],
+                     ["chern_integrality", "datum_valid", "chern_integrality"]]
+        cfgs = []
+        for checks in spellings:
+            data = with_numeric()
+            data["checks"] = checks
+            cfgs.append(VerificationConfig.from_dict(data))
+        assert {cfg.digest() for cfg in cfgs} == {cfgs[0].digest()}
+        for cfg in cfgs:
+            assert cfg.canonical["checks"] == ["datum_valid", "chern_integrality"]
 
     @pytest.mark.parametrize("samples", [0, -1, 2.5])
     def test_samples_below_one_rejected(self, samples):
@@ -251,7 +274,9 @@ class TestConvergenceProbe:
     def test_peak_memory_is_a_few_grids(self):
         # a dense probe holds the grid, its g x g derivative and their
         # temporaries, about 20 complex grids at 2N; the streamed probe holds
-        # g + 2 = 4 of them plus slab-sized temporaries
+        # no full grid, only a window of three input slabs, one output slab
+        # and slab-sized temporaries (about 1.1 grids here, where a slab is
+        # 1/24 of the grid)
         data = json.loads(json.dumps(VerificationConfig.demo("principal-g2").canonical))
         data["numeric"]["grid"] = 12
         ctx = _SuiteContext(VerificationConfig.from_dict(data))
@@ -265,7 +290,7 @@ class TestConvergenceProbe:
         finally:
             tracemalloc.stop()
         assert error <= tolerance
-        assert peak <= 6 * grid_bytes, f"peak {peak / grid_bytes:.1f} grids"
+        assert peak <= 2 * grid_bytes, f"peak {peak / grid_bytes:.1f} grids"
 
 
 class TestReport:
@@ -381,6 +406,10 @@ class TestCli:
         data = json.loads(out.read_text())
         assert data["seed"] == 7
         assert [c["name"] for c in data["checks"]] == ["datum_valid", "chern_integrality"]
+
+    def test_empty_check_selection_exit_two(self, capsys):
+        assert main(["--demo", "trivial", "--checks", ","]) == 2
+        assert "checks" in capsys.readouterr().err
 
     def test_out_dir_env_override(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("TORSORCHECK_OUT_DIR", str(tmp_path))
