@@ -37,6 +37,22 @@ def lattice_grid(resolution: int, dims: int) -> np.ndarray:
     return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
 
 
+def slab_coords(resolution: int, dims: int):
+    """``at(i)``: the nodes of first-axis slab i, equal to ``lattice_grid(N, dims)[i]``.
+
+    The slabs share one buffer of shape (N,)*(dims-1) + (dims,), refilled in
+    place for each i, so each is used up before the next is asked for.
+    """
+    coords = np.empty((resolution,) * (dims - 1) + (dims,))
+    coords[..., 1:] = lattice_grid(resolution, dims - 1)
+
+    def at(i):
+        coords[..., 0] = i / resolution
+        return coords
+
+    return at
+
+
 @dataclass
 class GridFunction:
     """Values sampled over the periodic lattice-coordinate grid of a torus.
@@ -79,11 +95,17 @@ class GridFunction:
 
         ``fn`` must shift by a constant across each period; the increments are
         measured from two evaluations per direction and kept as ``seam_jumps``.
+        ``fn`` is called on one first-axis slab at a time, so its temporaries
+        are slab-sized and only the returned grid is held whole.
         """
         if resolution < MIN_RESOLUTION:
             raise ResolutionTooCoarse(f"resolution {resolution} < {MIN_RESOLUTION}")
-        coords = lattice_grid(resolution, 2 * torus.genus)
-        values = np.asarray(fn(torus.lift_of_coords(coords)))
+        at = slab_coords(resolution, 2 * torus.genus)
+        first = np.asarray(fn(torus.lift_of_coords(at(0))))
+        values = np.empty((resolution,) + first.shape, dtype=first.dtype)
+        values[0] = first
+        for i in range(1, resolution):
+            values[i] = fn(torus.lift_of_coords(at(i)))
         return cls(torus, values, seam_jumps=measure_seam_jumps(torus, fn))
 
     def mean(self) -> np.ndarray:

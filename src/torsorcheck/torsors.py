@@ -48,16 +48,14 @@ class TorsorPresentation:
     datum: AHDatum | None = None
 
     def __post_init__(self):
+        # GridFunction checks one resolution on every axis and finite values
+        grid = GridFunction(self.torus, np.asarray(self.theta_ref, dtype=complex))
         g = self.torus.genus
-        self.theta_ref = np.asarray(self.theta_ref, dtype=complex)
-        dims = 2 * g
-        if self.theta_ref.ndim != dims + 2 or self.theta_ref.shape[-2:] != (g, g):
+        if grid.value_shape != (g, g):
             raise ShapeMismatch("reference obstruction must be a grid of (g, g) matrices")
-        if not np.all(np.isfinite(self.theta_ref)):
-            raise ValueError("reference obstruction must be finite")
+        self.theta_ref = grid.values
         if self.label in ("sigma", "tau"):
-            axes = tuple(range(dims))
-            variation = np.max(np.abs(self.theta_ref - self.theta_ref.mean(axis=axes)))
+            variation = grid.max_variation()
             if variation > REFERENCE_VARIATION_TOL:
                 raise ValueError(
                     f"{self.label} reference obstruction varies by {variation:.3e} over the grid"
@@ -79,8 +77,8 @@ class TorsorSection:
     vector.  Acting on the zero section by v then w produces the same floats
     as acting by v + w.  ``seam_jumps``, when present, has shape (2g, g) and
     gives the offset's constant increment across one period in each grid
-    direction, as in ``GridFunction``: such a section is chart-local, and
-    single-valued on the torus only when the jumps vanish.
+    direction, as in ``GridFunction``: such a section is chart-local.  Jumps
+    that are all zero are stored as none, since the offset is then periodic.
     """
 
     def __init__(self, presentation: TorsorPresentation, offset=None, seam_jumps=None):
@@ -92,7 +90,9 @@ class TorsorSection:
             seam_jumps = np.asarray(seam_jumps, dtype=complex)
             if seam_jumps.shape != (2 * g, g):
                 raise ShapeMismatch(f"seam jumps must have shape {(2 * g, g)}")
-            if offset.shape == (g,):
+            if not np.any(seam_jumps):  # zero increments: the offset is periodic
+                seam_jumps = None
+            elif offset.shape == (g,):
                 raise ShapeMismatch("seam jumps need a grid-sampled offset")
         self.presentation = presentation
         self.offset = offset

@@ -25,7 +25,7 @@ import hashlib
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from pathlib import Path
 
@@ -42,7 +42,7 @@ from .connections import (
     slice_connection,
 )
 from .errors import ConfigInvalid, TorsorcheckError
-from .grids import GridFunction, dbar_fd, dbar_slabs, lattice_grid
+from .grids import GridFunction, dbar_fd, dbar_slabs, slab_coords
 from .torsors import (
     TorsorPresentation,
     canonical_morphism,
@@ -91,6 +91,8 @@ _NUMERIC_DEFAULTS = {
     "seed": 20250809,
     "samples": 5,
 }
+#: the integer numeric fields and the least value each may take
+_INTEGER_LEAST = {"grid": 4, "seed": 0, "samples": 1}
 
 
 def _parse_array(nested, shape, where: str) -> np.ndarray:
@@ -125,6 +127,13 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _reject_unknown(section: dict, known, where: str) -> None:
+    """A misspelt key would otherwise load silently under the default it meant to change."""
+    unknown = [k for k in section if k not in known]
+    if unknown:
+        raise ConfigInvalid(f"{where}: unknown keys {unknown}")
+
+
 def _tolerance(numeric: dict, name: str) -> float:
     """numeric[name] as a float; zero, negative or non-finite tolerances pass nothing."""
     value = float(_parse_array(numeric[name], (), f"numeric.{name}"))
@@ -138,7 +147,7 @@ class VerificationConfig:
     """Validated run configuration; construction fails with the invariant name."""
 
     torus: ComplexTorus
-    datum: AHDatum | None  # None means the trivial bundle
+    datum: AHDatum  # the config's "trivial" is resolved to trivial_datum(torus)
     grid: int
     tolerance_analytic: float
     tolerance_fd: float
@@ -153,9 +162,11 @@ class VerificationConfig:
     def from_dict(cls, data: dict) -> "VerificationConfig":
         if not isinstance(data, dict):
             raise ConfigInvalid("config: top level must be an object")
+        _reject_unknown(data, ("torus", "bundle", "numeric", "checks", "output"), "config")
         torus_spec = data.get("torus")
         if not isinstance(torus_spec, dict):
             raise ConfigInvalid("torus: section missing")
+        _reject_unknown(torus_spec, ("genus", "periods", "kappa_max"), "torus")
         genus = torus_spec.get("genus")
         if not _is_int(genus) or genus < 1:
             raise ConfigInvalid("torus.genus: positive integer required")
@@ -173,8 +184,9 @@ class VerificationConfig:
 
         bundle_spec = data.get("bundle", "trivial")
         if bundle_spec == "trivial":
-            datum = None
+            datum = trivial_datum(torus)
         elif isinstance(bundle_spec, dict):
+            _reject_unknown(bundle_spec, ("hermitian", "chi_turns"), "bundle")
             hermitian = _parse_complex_array(
                 bundle_spec.get("hermitian"), (genus, genus), "bundle.hermitian"
             )
@@ -194,21 +206,15 @@ class VerificationConfig:
         user_numeric = data.get("numeric", {})
         if not isinstance(user_numeric, dict):
             raise ConfigInvalid("numeric: section must be an object")
-        unknown = [k for k in user_numeric if k not in numeric]
-        if unknown:
-            raise ConfigInvalid(f"numeric: unknown keys {unknown}")
+        _reject_unknown(user_numeric, numeric, "numeric")
         numeric.update(user_numeric)
-        grid = numeric["grid"]
-        if not _is_int(grid) or grid < 4:
-            raise ConfigInvalid("numeric.grid: integer >= 4 required")
-        seed = numeric["seed"]
-        if not _is_int(seed) or seed < 0:
-            raise ConfigInvalid("numeric.seed: integer >= 0 required")
-        samples = numeric["samples"]
-        if not _is_int(samples) or samples < 1:
-            raise ConfigInvalid("numeric.samples: integer >= 1 required")
-        tolerances = {name: _tolerance(numeric, name)
-                      for name in ("tolerance_analytic", "tolerance_fd", "tolerance_exact")}
+        parsed = {}
+        for name, least in _INTEGER_LEAST.items():
+            if not _is_int(numeric[name]) or numeric[name] < least:
+                raise ConfigInvalid(f"numeric.{name}: integer >= {least} required")
+            parsed[name] = numeric[name]
+        for name in ("tolerance_analytic", "tolerance_fd", "tolerance_exact"):
+            parsed[name] = _tolerance(numeric, name)
         checks = data.get("checks")
         if checks is not None:
             if not isinstance(checks, list):
@@ -228,25 +234,16 @@ class VerificationConfig:
                 "periods": [[[z.real, z.imag] for z in row] for row in periods],
                 "kappa_max": kappa,
             },
-            "bundle": "trivial" if datum is None else {
+            "bundle": "trivial" if bundle_spec == "trivial" else {
                 "hermitian": [[[z.real, z.imag] for z in row] for row in datum.hermitian],
                 "chi_turns": list(turns),
             },
-            "numeric": {"grid": grid, "seed": seed, "samples": samples, **tolerances},
+            "numeric": parsed,
             "checks": checks,
             "output": data.get("output"),
         }
-        return cls(
-            torus=torus,
-            datum=datum,
-            grid=grid,
-            **tolerances,
-            seed=seed,
-            samples=samples,
-            checks=checks,
-            output=data.get("output"),
-            canonical=canonical,
-        )
+        return cls(torus=torus, datum=datum, **parsed, checks=checks,
+                   output=data.get("output"), canonical=canonical)
 
     @classmethod
     def from_file(cls, path) -> "VerificationConfig":
@@ -289,23 +286,10 @@ class VerificationReport:
     crash_notes: dict[str, str] = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
-        return {
-            "version": self.version,
-            "config_digest": self.config_digest,
-            "seed": self.seed,
-            "overall": self.overall,
-            "checks": [
-                {
-                    "name": c.name,
-                    "status": c.status,
-                    "max_error": c.max_error,
-                    "tolerance": c.tolerance,
-                    "samples": c.samples,
-                    "wall_time_ms": c.wall_time_ms,
-                }
-                for c in self.checks
-            ],
-        }
+        """The fields in declaration order; the crash notes are printed, not written."""
+        out = asdict(self)
+        del out["crash_notes"]
+        return out
 
 
 class _SuiteContext:
@@ -314,7 +298,7 @@ class _SuiteContext:
     def __init__(self, cfg: VerificationConfig):
         self.cfg = cfg
         self.torus = cfg.torus
-        self.datum = cfg.datum if cfg.datum is not None else trivial_datum(cfg.torus)
+        self.datum = cfg.datum
 
     @cached_property
     def chern_matrix(self) -> np.ndarray:
@@ -368,16 +352,14 @@ def _probe_sampler(torus: ComplexTorus, resolution: int, rng, amplitude: float):
     axis = np.exp(2j * np.pi * (np.arange(n) / n))
     units = [np.broadcast_to(axis.reshape((1,) * d + (n,) + (1,) * (dims - 2 - d)), shape)
              for d in range(dims - 1)]
-    coords = np.empty(shape + (dims,))
-    coords[..., 1:] = lattice_grid(n, dims - 1)
+    coords = slab_coords(n, dims)
     ones = np.ones(dims, dtype=int)
 
     # the stencil has read slabs i-1 .. i+1 when slab i's closed form is
     # wanted, so three cached slabs spare the closed form every exponential
     @functools.lru_cache(maxsize=3)
     def phases(i):
-        coords[..., 0] = i / n
-        return [np.broadcast_to(axis[i], shape), *units, np.exp(2j * np.pi * (coords @ ones))]
+        return [np.broadcast_to(axis[i], shape), *units, np.exp(2j * np.pi * (coords(i) @ ones))]
 
     # The sums run from 0 in mode order, with each product's operands in the
     # order of a dense ``+=`` loop over the modes: coefficient * phase for the
@@ -568,30 +550,17 @@ def run_suite(cfg: VerificationConfig) -> VerificationReport:
         start = time.perf_counter()
         try:
             max_error, tolerance, samples = _CHECK_FUNCTIONS[name](ctx, ctx.rng(index))
+            max_error, tolerance, samples = float(max_error), float(tolerance), int(samples)
             if not (math.isfinite(max_error) and math.isfinite(tolerance)):
                 raise FloatingPointError(
                     f"non-finite result: max_error {max_error}, tolerance {tolerance}"
                 )
             status = "pass" if max_error <= tolerance else "fail"
-            result = CheckResult(
-                name=name,
-                status=status,
-                max_error=float(max_error),
-                tolerance=float(tolerance),
-                samples=int(samples),
-                wall_time_ms=(time.perf_counter() - start) * 1000.0,
-            )
         except Exception as exc:  # crash isolation: keep running
             crash_notes[name] = f"{type(exc).__name__}: {exc}"
-            result = CheckResult(
-                name=name,
-                status="fail",
-                max_error=None,
-                tolerance=None,
-                samples=0,
-                wall_time_ms=(time.perf_counter() - start) * 1000.0,
-            )
-        results.append(result)
+            status, max_error, tolerance, samples = "fail", None, None, 0
+        wall_time_ms = (time.perf_counter() - start) * 1000.0
+        results.append(CheckResult(name, status, max_error, tolerance, samples, wall_time_ms))
     overall = "pass" if results and all(r.status == "pass" for r in results) else "fail"
     return VerificationReport(
         version=__version__,

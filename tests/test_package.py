@@ -1,4 +1,5 @@
 import ast
+import importlib
 import types
 from pathlib import Path
 
@@ -58,3 +59,31 @@ def test_no_module_imports_an_unused_name():
         if names:
             unused[path.name] = names
     assert unused == {}
+
+
+def _benchmark_layer_calls() -> list:
+    """``LAYER_CALLS`` of the benchmark's tracer, read from its source without importing it."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "LAYER_CALLS" for t in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    raise AssertionError("perfbench/tracing.py defines no LAYER_CALLS")
+
+
+def test_benchmark_layer_calls_resolve():
+    # the tracer looks a method up in its class's own vars and a function in its
+    # module; a name it cannot find records no spans and yields no metric
+    missing = []
+    for module, path, _ in _benchmark_layer_calls():
+        mod = importlib.import_module(f"torsorcheck.{module}")
+        if "." in path:
+            cls_name, attr = path.split(".")
+            found = attr in vars(getattr(mod, cls_name, object))
+        else:
+            found = callable(getattr(mod, path, None))
+        if not found:
+            missing.append(f"{module}.{path}")
+    assert missing == []

@@ -148,6 +148,16 @@ class TestChartLocalSection:
         assert np.array_equal(image.seam_jumps, -witness.seam_jumps)
         assert obstruction(image).max_abs() <= 1e-9
 
+    def test_zero_jumps_are_no_jumps(self, flat_datum):
+        # the trivial bundle's witness has a zero offset with zero increments,
+        # so it is the zero section moved by a zero grid
+        sigma = sigma_presentation(flat_datum, 16)
+        witness = local_holomorphic_section(sigma)
+        zero = act(sigma.zero_section(), np.zeros((16, 16, 1), dtype=complex))
+        assert witness.seam_jumps is None
+        assert witness.same_section(zero)
+        assert np.array_equal(transition(zero, witness), np.zeros((16, 16, 1)))
+
 
 class TestCanonicalMorphism:
     def test_identity_morphism(self, sigma_g1):
@@ -299,6 +309,21 @@ class TestTauPresentation:
         bumpy = rng.standard_normal((16, 16, 1, 1)) + 0j
         with pytest.raises(ValueError):
             TorsorPresentation(square_torus, "tau", bumpy)
+
+
+class TestPresentationLayout:
+    @pytest.mark.parametrize("shape", [(16, 1, 1, 1), (16, 8, 1, 1)], ids=str)
+    def test_one_resolution_on_every_axis(self, square_torus, shape):
+        # an axis of length 1 would broadcast against a 16 x 16 grid in a
+        # morphism, and one of length 8 would fail inside numpy
+        with pytest.raises(ShapeMismatch):
+            TorsorPresentation(square_torus, "custom", np.zeros(shape, dtype=complex))
+
+    def test_non_finite_reference_rejected(self, square_torus):
+        theta = np.zeros((16, 16, 1, 1), dtype=complex)
+        theta[3, 5] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            TorsorPresentation(square_torus, "custom", theta)
 
 
 class TestSigmaPresentation:

@@ -82,6 +82,11 @@ class TestConfig:
             cfg = VerificationConfig.demo(name)
             assert cfg.grid >= 4
 
+    def test_trivial_bundle_resolved_at_load(self):
+        cfg = VerificationConfig.demo("trivial")
+        assert np.array_equal(cfg.datum.hermitian, np.zeros((1, 1)))
+        assert cfg.canonical["bundle"] == "trivial"
+
     def test_unknown_demo(self):
         with pytest.raises(ConfigInvalid):
             VerificationConfig.demo("nope")
@@ -366,6 +371,9 @@ class TestCli:
         ("bundle", "hermitian", [[[True, 0]]]),
         (None, "checks", 5),
         (None, "output", 5),
+        (None, "check", ["datum_valid"]),
+        ("torus", "kapa_max", 10),
+        ("bundle", "chi_turn", [0, 0]),
     ], ids=str)
     def test_malformed_field_exit_two(self, tmp_path, capsys, section, key, value):
         data = with_numeric()
