@@ -27,6 +27,7 @@ from .errors import (
     NotHermitian,
     NotLatticeVector,
     SemicharacterInconsistent,
+    ShapeMismatch,
     TorusMismatch,
 )
 from .torus import ComplexTorus, TorusPoint, product_torus
@@ -44,6 +45,14 @@ def _fits_int64(x: np.ndarray) -> bool:
     return bool(np.all((x >= -(2.0**63)) & (x < 2.0**63)))
 
 
+def _complex_of_shape(x, shape: tuple, what: str) -> np.ndarray:
+    """``x`` as a complex array of exactly ``shape``, else ShapeMismatch."""
+    x = np.asarray(x, dtype=complex)
+    if x.shape != shape:
+        raise ShapeMismatch(f"{what} must have shape {shape}, got {x.shape}")
+    return x
+
+
 def hermitian_pairing(h: np.ndarray, u, v) -> np.ndarray:
     """H(u, v) = sum_jk u_j H_jk conj(v_k), broadcast over leading axes."""
     u = np.asarray(u, dtype=complex)
@@ -56,8 +65,8 @@ class AHDatum:
 
     def __init__(self, torus: ComplexTorus, hermitian, chi):
         g = torus.genus
-        hermitian = np.asarray(hermitian, dtype=complex).reshape(g, g)
-        chi = np.asarray(chi, dtype=complex).reshape(2 * g)
+        hermitian = _complex_of_shape(hermitian, (g, g), "pairing matrix")
+        chi = _complex_of_shape(chi, (2 * g,), "generator phases")
         if not np.all(np.isfinite(hermitian)):
             raise NotHermitian("pairing matrix must be finite")
         scale = max(1.0, float(np.max(np.abs(hermitian))))
@@ -151,10 +160,10 @@ class TorusHomomorphism:
     """Affine holomorphic map between tori: z -> M z + t with M lattice-preserving."""
 
     def __init__(self, source: ComplexTorus, target: ComplexTorus, matrix, translation=None):
-        matrix = np.asarray(matrix, dtype=complex).reshape(target.genus, source.genus)
+        matrix = _complex_of_shape(matrix, (target.genus, source.genus), "linear part")
         if translation is None:
             translation = np.zeros(target.genus, dtype=complex)
-        translation = np.asarray(translation, dtype=complex).reshape(target.genus)
+        translation = _complex_of_shape(translation, (target.genus,), "translation")
         if not (np.all(np.isfinite(matrix)) and np.all(np.isfinite(translation))):
             raise LatticeNotPreserved("linear part and translation must be finite")
         image = matrix @ source.periods  # image of the source generators

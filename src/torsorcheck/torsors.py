@@ -28,22 +28,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import connections
-from .bundles import AHDatum
+from .bundles import AHDatum, parameter_section
 from .connections import chern_form, family_connection
 from .errors import BaseMismatch, ShapeMismatch
 from .grids import GridFunction, dbar_fd
 from .torus import ComplexTorus
 
-#: labeled reference obstructions must be constant over the grid to this extent
+#: tau's recomputed reference obstruction must be constant over the grid to this extent
 REFERENCE_VARIATION_TOL = 1e-8
 
 
 @dataclass
 class TorsorPresentation:
-    """A torsor given by a named reference section and its obstruction grid."""
+    """A torsor given by a reference section's obstruction grid."""
 
     torus: ComplexTorus
-    label: str  # "sigma" | "tau" | "custom"
     theta_ref: np.ndarray  # shape (N,)*2g + (g, g); sigma's is a read-only broadcast view
     datum: AHDatum | None = None
 
@@ -54,12 +53,6 @@ class TorsorPresentation:
         if grid.value_shape != (g, g):
             raise ShapeMismatch("reference obstruction must be a grid of (g, g) matrices")
         self.theta_ref = grid.values
-        if self.label in ("sigma", "tau"):
-            variation = grid.max_variation()
-            if variation > REFERENCE_VARIATION_TOL:
-                raise ValueError(
-                    f"{self.label} reference obstruction varies by {variation:.3e} over the grid"
-                )
 
     @property
     def resolution(self) -> int:
@@ -143,8 +136,8 @@ def obstruction(section: TorsorSection) -> GridFunction:
     pres = section.presentation
     torus = pres.torus
     u = section.offset
-    if u.ndim == 1:  # constant offsets are killed by dbar
-        return GridFunction(torus, pres.theta_ref.copy())
+    if u.ndim == 1:  # constant offsets are killed by dbar; the view is read-only
+        return GridFunction(torus, np.broadcast_to(pres.theta_ref, pres.theta_ref.shape))
     dbar_u = dbar_fd(GridFunction(torus, u, seam_jumps=section.seam_jumps)).values
     return GridFunction(torus, pres.theta_ref + dbar_u)
 
@@ -251,38 +244,41 @@ def sigma_presentation(datum: AHDatum, resolution: int) -> TorsorPresentation:
     """
     g = datum.torus.genus
     grid = np.broadcast_to(chern_form(datum), (resolution,) * (2 * g) + (g, g))
-    return TorsorPresentation(datum.torus, "sigma", grid, datum=datum)
+    return TorsorPresentation(datum.torus, grid, datum=datum)
 
 
 def tau_presentation(datum: AHDatum, resolution: int, z_base=None) -> TorsorPresentation:
     """Presentation of the torsor of flat-slice families, obstruction from scratch.
 
     Samples the slice covectors of the induced family connection, restricted
-    in the product frame at the base point ``z_base``, over the parameter grid
+    in the product frame at the base point ``z_base`` (read along
+    ``parameter_section``'s map x -> (z_base, x)), over the parameter grid
     and differentiates them in the antiholomorphic parameter directions with
-    seam-aware central differences.
+    seam-aware central differences.  Raises ValueError when the result varies
+    over the grid by more than ``REFERENCE_VARIATION_TOL``.
     """
     base = datum.torus
     g = base.genus
     fam = family_connection(datum)
     if z_base is None:
         z_base = np.zeros(g, dtype=complex)
-    z_base = np.asarray(z_base, dtype=complex).reshape(g)
+    section = parameter_section(base.point(z_base), fam.datum.torus)
 
     def slice_covector(x_lifts):
-        x_lifts = np.asarray(x_lifts, dtype=complex)
-        z_part = np.broadcast_to(z_base, x_lifts.shape)
-        points = np.concatenate([z_part, x_lifts], axis=-1)
-        return fam.theta(points)[..., :g]
+        return fam.theta(section.apply(x_lifts))[..., :g]
 
     gf = GridFunction.sample(base, resolution, slice_covector)
-    theta_ref = connections.CHERN_NORMALIZATION * dbar_fd(gf).values
-    return TorsorPresentation(base, "tau", theta_ref, datum=datum)
+    pres = TorsorPresentation(base, connections.CHERN_NORMALIZATION * dbar_fd(gf).values,
+                              datum=datum)
+    # recomputed, so it can miss the constant class; sigma's is that class by construction
+    variation = float(np.max(np.abs(pres.theta_ref - trivialization_class(pres))))
+    if variation > REFERENCE_VARIATION_TOL:
+        raise ValueError(f"tau reference obstruction varies by {variation:.3e} over the grid")
+    return pres
 
 
 def custom_presentation(reference_of: TorsorPresentation, extra_offset) -> TorsorPresentation:
     """Presentation whose reference is the given one moved by a smooth offset."""
     moved = act(reference_of.zero_section(), np.asarray(extra_offset, dtype=complex))
     theta = obstruction(moved).values
-    return TorsorPresentation(reference_of.torus, "custom", theta,
-                              datum=reference_of.datum)
+    return TorsorPresentation(reference_of.torus, theta, datum=reference_of.datum)

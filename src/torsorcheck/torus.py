@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DegenerateLattice, IndexOutOfRange, TorusMismatch
+from .errors import DegenerateLattice, IndexOutOfRange, TorsorcheckError, TorusMismatch
 
 #: tolerance for deciding torus-point equality, in lattice coordinates
 POINT_TOL = 1e-9
@@ -28,6 +28,9 @@ class ComplexTorus:
     """C^g modulo the lattice spanned by the columns of a g x 2g period matrix."""
 
     def __init__(self, periods, kappa_max: float = 1e8, factors=None):
+        kappa_max = float(kappa_max)
+        if not (np.isfinite(kappa_max) and kappa_max >= 1):  # a NaN or inf cap guards nothing
+            raise TorsorcheckError(f"kappa_max must be a finite number >= 1, got {kappa_max}")
         periods = np.atleast_2d(np.asarray(periods, dtype=complex))
         g, cols = periods.shape
         if cols != 2 * g:
@@ -43,7 +46,7 @@ class ComplexTorus:
             )
         self.genus = g
         self.periods = periods
-        self.kappa_max = float(kappa_max)
+        self.kappa_max = kappa_max
         self.factors = factors  # (left, right) for product tori, else None
         self._stack_inv = np.linalg.inv(stack)
         # Wirtinger chart matrix: directional derivatives along the lattice

@@ -248,7 +248,11 @@ class VerificationConfig:
     @classmethod
     def from_file(cls, path) -> "VerificationConfig":
         try:
-            data = json.loads(Path(path).read_text(encoding="utf-8"))
+            text = Path(path).read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigInvalid(f"config file {str(path)!r} cannot be read: {exc}") from None
+        try:
+            data = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ConfigInvalid(f"config file is not valid JSON: {exc}") from None
         return cls.from_dict(data)

@@ -9,6 +9,7 @@ from torsorcheck import (
     NotHermitian,
     NotLatticeVector,
     SemicharacterInconsistent,
+    ShapeMismatch,
     TorusHomomorphism,
     TorusMismatch,
     addition_map,
@@ -80,6 +81,16 @@ class TestValidation:
     def test_pairing_outside_integral_tolerance_is_nonintegral(self, square_torus):
         with pytest.raises(NonIntegralE):
             AHDatum(square_torus, [[1 + 2e-8]], [1.0, 1.0])
+
+    @pytest.mark.parametrize("hermitian, chi", [
+        ([[1.0]], np.ones(4)),                  # numpy could not reshape it
+        ([1.0, 0.0, 0.0, 0.5], np.ones(4)),     # numpy would reshape it silently
+        (np.diag([1.0, 0.5]), np.ones((2, 2))),
+        (np.diag([1.0, 0.5]), np.ones(2)),
+    ], ids=["pairing_1x1", "pairing_flat", "phases_2x2", "phases_short"])
+    def test_shapes_must_be_exact(self, g2_torus, hermitian, chi):
+        with pytest.raises(ShapeMismatch, match="shape"):
+            AHDatum(g2_torus, hermitian, chi)
 
     def test_g2_diag_datum(self, g2_datum):
         e = g2_datum.pairing_imag_int
@@ -215,6 +226,13 @@ class TestHomomorphisms:
     def test_non_finite_map_rejected(self, square_torus, matrix, translation):
         with pytest.raises(LatticeNotPreserved):
             TorusHomomorphism(square_torus, square_torus, matrix, translation)
+
+    @pytest.mark.parametrize("matrix, translation", [
+        ([[1.0, 0.0]], None), ([1.0, 0.0, 0.0, 1.0], None), (np.eye(2), [0.0]),
+    ], ids=["matrix_1x2", "matrix_flat", "translation_short"])
+    def test_shapes_must_be_exact(self, g2_torus, matrix, translation):
+        with pytest.raises(ShapeMismatch, match=r"shape \(2,"):
+            TorusHomomorphism(g2_torus, g2_torus, matrix, translation)
 
     def test_overflowing_map_rejected(self, square_torus):
         # the image 4e308 overflows, so its lattice coordinates come out NaN

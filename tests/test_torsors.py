@@ -16,6 +16,7 @@ from torsorcheck import (
     custom_presentation,
     dbar_fd,
     duality_map,
+    grids,
     is_holomorphic,
     is_holomorphic_morphism,
     lattice_grid,
@@ -227,9 +228,7 @@ class TestCanonicalMorphism:
     def test_close_references_give_small_obstruction(self, tau_g1, rng):
         eps = 1e-7
         noise = rng.standard_normal(tau_g1.theta_ref.shape)
-        nearby = TorsorPresentation(
-            tau_g1.torus, "custom", tau_g1.theta_ref + eps * noise
-        )
+        nearby = TorsorPresentation(tau_g1.torus, tau_g1.theta_ref + eps * noise)
         gamma = canonical_morphism(tau_g1, nearby)
         _, err = is_holomorphic_morphism(gamma, eps)
         assert err <= eps * np.max(np.abs(noise)) + 1e-10
@@ -249,9 +248,7 @@ class TestTrivializationClass:
     def test_exact_form_has_zero_class(self, principal_datum, tau_g1):
         values, _ = trig_offset(principal_datum.torus, N_G1, 0.4, np.array([1, 1]))
         moved = act(tau_g1.zero_section(), values)
-        shifted = TorsorPresentation(
-            tau_g1.torus, "custom", obstruction(moved).values - tau_g1.theta_ref
-        )
+        shifted = TorsorPresentation(tau_g1.torus, obstruction(moved).values - tau_g1.theta_ref)
         assert np.max(np.abs(trivialization_class(shifted))) <= 1e-8
 
 
@@ -305,10 +302,12 @@ class TestTauPresentation:
         moved = tau_presentation(principal_datum, N_G1, z_base=z)
         assert np.max(np.abs(moved.theta_ref - tau_g1.theta_ref)) <= 1e-8
 
-    def test_labeled_reference_must_be_constant(self, square_torus, rng):
-        bumpy = rng.standard_normal((16, 16, 1, 1)) + 0j
-        with pytest.raises(ValueError):
-            TorsorPresentation(square_torus, "tau", bumpy)
+    def test_recomputed_reference_must_be_constant(self, principal_datum, monkeypatch):
+        # without seam jumps the stencil sees the automorphy shift as a jump at the seam
+        monkeypatch.setattr(grids, "measure_seam_jumps",
+                            lambda torus, fn: np.zeros((2 * torus.genus, torus.genus)))
+        with pytest.raises(ValueError, match="varies by"):
+            tau_presentation(principal_datum, 16)
 
 
 class TestPresentationLayout:
@@ -317,13 +316,19 @@ class TestPresentationLayout:
         # an axis of length 1 would broadcast against a 16 x 16 grid in a
         # morphism, and one of length 8 would fail inside numpy
         with pytest.raises(ShapeMismatch):
-            TorsorPresentation(square_torus, "custom", np.zeros(shape, dtype=complex))
+            TorsorPresentation(square_torus, np.zeros(shape, dtype=complex))
 
     def test_non_finite_reference_rejected(self, square_torus):
         theta = np.zeros((16, 16, 1, 1), dtype=complex)
         theta[3, 5] = np.nan
         with pytest.raises(ValueError, match="finite"):
-            TorsorPresentation(square_torus, "custom", theta)
+            TorsorPresentation(square_torus, theta)
+
+    def test_non_finite_broadcast_reference_rejected(self, square_torus):
+        # the finiteness check reads a broadcast view's one matrix, not its grid
+        theta = np.broadcast_to(np.array([[np.nan + 0j]]), (16, 16, 1, 1))
+        with pytest.raises(ValueError, match="finite"):
+            TorsorPresentation(square_torus, theta)
 
 
 class TestSigmaPresentation:
@@ -342,3 +347,23 @@ class TestSigmaPresentation:
         assert sigma.theta_ref.shape == (n,) * 4 + (2, 2)
         assert sigma.theta_ref.strides[:4] == (0,) * 4
         assert not sigma.theta_ref.flags.writeable
+
+    def test_built_without_a_grid_temporary(self, g2_datum):
+        # checking a broadcast reference must not expand it into grid-sized masks
+        n = 24
+        grid_bytes = np.dtype(complex).itemsize * n**4 * 2 * 2
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            held = tracemalloc.get_traced_memory()[0]
+            sigma_presentation(g2_datum, n)
+            peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.05 * grid_bytes, f"{peak / grid_bytes:.3f} grids at peak"
+
+    def test_zero_section_obstruction_is_the_reference_view(self, g2_datum):
+        sigma = sigma_presentation(g2_datum, 16)
+        theta = obstruction(sigma.zero_section()).values
+        assert not theta.flags.writeable
+        assert np.shares_memory(theta, sigma.theta_ref)

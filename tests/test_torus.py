@@ -5,6 +5,7 @@ from torsorcheck import (
     ComplexTorus,
     DegenerateLattice,
     IndexOutOfRange,
+    TorsorcheckError,
     TorusMismatch,
     cycle_integral,
 )
@@ -31,6 +32,12 @@ class TestValidation:
     def test_condition_cap_enforced(self):
         with pytest.raises(DegenerateLattice):
             ComplexTorus([[1.0, 1e-9j]], kappa_max=1e6)
+
+    @pytest.mark.parametrize("kappa_max", [np.nan, np.inf, 0.5, -1.0])
+    def test_condition_cap_must_be_finite_and_at_least_one(self, kappa_max):
+        # every condition number compares false against a NaN cap and passes an inf one
+        with pytest.raises(TorsorcheckError, match="kappa_max"):
+            ComplexTorus([[1.0, 1e-11j]], kappa_max=kappa_max)
 
     def test_bad_shape_rejected(self):
         with pytest.raises(DegenerateLattice):

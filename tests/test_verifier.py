@@ -383,6 +383,17 @@ class TestCli:
         assert main(["--config", str(cfg_path), "--checks", "datum_valid"]) == 2
         assert key in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind", ["missing", "directory", "not_utf8"])
+    def test_unreadable_config_file_exit_two(self, tmp_path, capsys, kind):
+        # exit 1 means a failed check; a file that cannot be read is a bad config
+        cfg_path = tmp_path / "cfg.json"
+        if kind == "directory":
+            cfg_path.mkdir()
+        elif kind == "not_utf8":
+            cfg_path.write_bytes(b'{"torus": "\xff"}')
+        assert main(["--config", str(cfg_path)]) == 2
+        assert str(cfg_path) in capsys.readouterr().err
+
     def test_overflowing_phase_exit_two_under_warnings_as_errors(self, tmp_path):
         # 2 pi * 1e308 overflows; the load must still end in ConfigInvalid, not a traceback
         data = with_numeric()
