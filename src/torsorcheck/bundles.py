@@ -30,7 +30,7 @@ from .errors import (
     ShapeMismatch,
     TorusMismatch,
 )
-from .torus import ComplexTorus, TorusPoint, product_torus
+from .torus import ComplexTorus, TorusPoint, _complex_of_shape, product_torus
 
 HERMITIAN_TOL = 1e-12
 INTEGRAL_TOL = 1e-8
@@ -43,14 +43,6 @@ UNIT_TOL = 1e-12
 def _fits_int64(x: np.ndarray) -> bool:
     """Whether every (integral, finite) entry casts to int64 without overflow."""
     return bool(np.all((x >= -(2.0**63)) & (x < 2.0**63)))
-
-
-def _complex_of_shape(x, shape: tuple, what: str) -> np.ndarray:
-    """``x`` as a complex array of exactly ``shape``, else ShapeMismatch."""
-    x = np.asarray(x, dtype=complex)
-    if x.shape != shape:
-        raise ShapeMismatch(f"{what} must have shape {shape}, got {x.shape}")
-    return x
 
 
 def hermitian_pairing(h: np.ndarray, u, v) -> np.ndarray:
@@ -113,7 +105,10 @@ class AHDatum:
         chi(sum n_j l_j) = prod chi_j^{n_j} * (-1)^{sum_{j<k} n_j n_k E_jk},
         with the sign exponent computed in exact integer arithmetic.
         """
+        shape = (2 * self.torus.genus,)
         n = np.asarray(n_coords)
+        if n.shape != shape:
+            raise ShapeMismatch(f"lattice coordinates must have shape {shape}, got {n.shape}")
         if not np.all(np.isfinite(n)) or np.max(np.abs(n - np.round(n))) > 1e-9:
             raise NotLatticeVector("coordinates are not finite integers")
         if not _fits_int64(np.round(n)):
@@ -126,7 +121,7 @@ class AHDatum:
 
     def factor(self, lam, z) -> np.ndarray:
         """Factor of automorphy a(lam, z), vectorized over lifts z (..., g)."""
-        lam = np.asarray(lam, dtype=complex).reshape(self.torus.genus)
+        lam = _complex_of_shape(lam, (self.torus.genus,), "lattice vectors")
         if not np.all(np.isfinite(lam)):
             raise NotLatticeVector("first argument must be a finite lattice vector")
         coords = self.torus.lattice_coords(lam)

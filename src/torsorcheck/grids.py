@@ -74,9 +74,7 @@ class GridFunction:
         n = self.values.shape[0]
         if self.values.shape[:dims] != (n,) * dims:
             raise ShapeMismatch("grid axes must share one resolution")
-        # a zero-stride (broadcast) axis repeats one entry, so index 0 on it checks them all
-        distinct = tuple(slice(None) if step else slice(0, 1) for step in self.values.strides)
-        if not np.all(np.isfinite(self.values[distinct])):
+        if not np.all(np.isfinite(self.values)):
             raise ValueError("grid values must be finite")
         if self.seam_jumps is not None:
             self.seam_jumps = np.asarray(self.seam_jumps)

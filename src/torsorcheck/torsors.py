@@ -2,8 +2,8 @@
 
 A torsor over the trivial bundle with fiber V = C^g (invariant (1,0)-forms) is
 presented concretely by a reference smooth section together with that
-section's obstruction (0,1)-form Theta, sampled on the lattice grid with the
-layout Theta[..., j, k] = component dz_j along direction dzbar_k.  Sections
+section's obstruction (0,1)-form Theta, one (g, g) matrix or a lattice grid of
+them, with Theta[..., j, k] = component dz_j along direction dzbar_k.  Sections
 are reference + offset (one array), obstructions are Theta + dbar(offset),
 and a section is holomorphic exactly when its obstruction vanishes.
 
@@ -30,8 +30,8 @@ import numpy as np
 from . import connections
 from .bundles import AHDatum, parameter_section
 from .connections import chern_form, family_connection
-from .errors import BaseMismatch, ShapeMismatch
-from .grids import GridFunction, dbar_fd
+from .errors import BaseMismatch, ResolutionTooCoarse, ShapeMismatch
+from .grids import MIN_RESOLUTION, GridFunction, dbar_fd
 from .torus import ComplexTorus
 
 #: tau's recomputed reference obstruction must be constant over the grid to this extent
@@ -40,23 +40,22 @@ REFERENCE_VARIATION_TOL = 1e-8
 
 @dataclass
 class TorsorPresentation:
-    """A torsor given by a reference section's obstruction grid."""
+    """A torsor given by a reference section's obstruction on the N-point grid."""
 
     torus: ComplexTorus
-    theta_ref: np.ndarray  # shape (N,)*2g + (g, g); sigma's is a read-only broadcast view
+    resolution: int
+    theta_ref: np.ndarray  # (g, g) or (N,)*2g + (g, g); stored finite and read-only
     datum: AHDatum | None = None
 
     def __post_init__(self):
-        # GridFunction checks one resolution on every axis and finite values
-        grid = GridFunction(self.torus, np.asarray(self.theta_ref, dtype=complex))
+        if self.resolution < MIN_RESOLUTION:
+            raise ResolutionTooCoarse(f"resolution {self.resolution} < {MIN_RESOLUTION}")
         g = self.torus.genus
-        if grid.value_shape != (g, g):
-            raise ShapeMismatch("reference obstruction must be a grid of (g, g) matrices")
-        self.theta_ref = grid.values
-
-    @property
-    def resolution(self) -> int:
-        return self.theta_ref.shape[0]
+        theta = _constant_or_grid(self, self.theta_ref, (g, g), "reference obstructions")
+        if not np.all(np.isfinite(theta)):
+            raise ValueError("reference obstruction must be finite")
+        self.theta_ref = theta.view()
+        self.theta_ref.flags.writeable = False
 
     def zero_section(self) -> "TorsorSection":
         return TorsorSection(self)
@@ -78,7 +77,7 @@ class TorsorSection:
         g = presentation.torus.genus
         if offset is None:
             offset = np.zeros(g, dtype=complex)
-        offset = _offset_array(presentation, offset, "offsets")
+        offset = _constant_or_grid(presentation, offset, (g,), "offsets")
         if seam_jumps is not None:
             seam_jumps = np.asarray(seam_jumps, dtype=complex)
             if seam_jumps.shape != (2 * g, g):
@@ -99,13 +98,12 @@ class TorsorSection:
         return bool(np.array_equal(left, right))
 
 
-def _offset_array(pres: TorsorPresentation, v, what: str) -> np.ndarray:
-    """``v`` as a complex array of shape (g,) or (N,)*2g + (g,), else ShapeMismatch."""
-    g = pres.torus.genus
+def _constant_or_grid(pres: TorsorPresentation, v, value_shape: tuple, what: str) -> np.ndarray:
+    """``v`` as complex, of shape ``value_shape`` or (N,)*2g + that, else ShapeMismatch."""
     v = np.asarray(v, dtype=complex)
-    grid_shape = (pres.resolution,) * (2 * g)
-    if v.shape != (g,) and v.shape != grid_shape + (g,):
-        raise ShapeMismatch(f"{what} must have shape {(g,)} or {grid_shape + (g,)}")
+    grid_shape = (pres.resolution,) * (2 * pres.torus.genus) + value_shape
+    if v.shape != value_shape and v.shape != grid_shape:
+        raise ShapeMismatch(f"{what} must have shape {value_shape} or {grid_shape}")
     return v
 
 
@@ -118,8 +116,9 @@ def _same_jumps(s: TorsorSection, t: TorsorSection) -> bool:
 def act(section: TorsorSection, v) -> TorsorSection:
     """Move the section by a V-valued offset; the torsor action."""
     # checked before adding: a wrong-shaped v can broadcast to a valid shape
-    v = _offset_array(section.presentation, v, "action offsets")
-    return TorsorSection(section.presentation, section.offset + v, section.seam_jumps)
+    pres = section.presentation
+    v = _constant_or_grid(pres, v, (pres.torus.genus,), "action offsets")
+    return TorsorSection(pres, section.offset + v, section.seam_jumps)
 
 
 def transition(s: TorsorSection, t: TorsorSection) -> np.ndarray:
@@ -131,20 +130,24 @@ def transition(s: TorsorSection, t: TorsorSection) -> np.ndarray:
     return t.offset - s.offset
 
 
-def obstruction(section: TorsorSection) -> GridFunction:
+def obstruction(section: TorsorSection) -> np.ndarray:
     """Obstruction of the section: reference obstruction plus dbar of the offset."""
     pres = section.presentation
-    torus = pres.torus
     u = section.offset
-    if u.ndim == 1:  # constant offsets are killed by dbar; the view is read-only
-        return GridFunction(torus, np.broadcast_to(pres.theta_ref, pres.theta_ref.shape))
-    dbar_u = dbar_fd(GridFunction(torus, u, seam_jumps=section.seam_jumps)).values
-    return GridFunction(torus, pres.theta_ref + dbar_u)
+    if u.ndim == 1:  # constant offsets are killed by dbar: the read-only reference itself
+        return pres.theta_ref
+    dbar_u = dbar_fd(GridFunction(pres.torus, u, seam_jumps=section.seam_jumps)).values
+    return pres.theta_ref + dbar_u
+
+
+def _max_abs(theta: np.ndarray) -> float:
+    """max |theta|, taken slab by slab so no |theta| grid sits beside it; NaN propagates."""
+    return float(np.max([np.max(np.abs(slab)) for slab in theta]))
 
 
 def is_holomorphic(section: TorsorSection, tol: float) -> tuple[bool, float]:
     """Whether the section's obstruction vanishes to tolerance; returns (flag, max error)."""
-    err = obstruction(section).max_abs()
+    err = _max_abs(obstruction(section))
     return err <= tol, err
 
 
@@ -185,15 +188,16 @@ def duality_map(p: TorsorPresentation, p_dual: TorsorPresentation) -> TorsorMorp
     """The connection-negating isomorphism onto the dual bundle's torsor."""
     _check_common_base(p, p_dual)
     if p.datum is not None and p_dual.datum is not None:
-        gap = np.max(np.abs(p_dual.datum.hermitian + p.datum.hermitian))
+        # the dual datum is (-H, conj(chi)); both halves must match
+        gap = max(np.max(np.abs(p_dual.datum.hermitian + p.datum.hermitian)),
+                  np.max(np.abs(p_dual.datum.chi - np.conj(p.datum.chi))))
         if gap > 1e-10:
             raise BaseMismatch("target presentation is not built from the dual datum")
     return TorsorMorphism(p, p_dual, sign=-1)
 
 
 def is_holomorphic_morphism(m: TorsorMorphism, tol: float) -> tuple[bool, float]:
-    # the maximum is taken slab by slab, so no |obstruction| grid sits beside it
-    err = max(float(np.max(np.abs(slab))) for slab in m.obstruction())
+    err = _max_abs(m.obstruction())
     return err <= tol, err
 
 
@@ -205,14 +209,13 @@ def _check_common_base(p1: TorsorPresentation, p2: TorsorPresentation):
 
 
 def trivialization_class(p: TorsorPresentation) -> np.ndarray:
-    """Invariant part of the reference obstruction: the grid average.
+    """Invariant part of the reference obstruction: its grid average, or the constant.
 
     On a torus a constant-coefficient (0,1)-form with values in V is exact
     only when it vanishes, so the average represents the obstruction class;
     the presentation is trivializable exactly when it is (numerically) zero.
     """
-    axes = tuple(range(2 * p.torus.genus))
-    return p.theta_ref.mean(axis=axes)
+    return p.theta_ref.mean(axis=tuple(range(p.theta_ref.ndim - 2)))
 
 
 def local_holomorphic_section(p: TorsorPresentation) -> TorsorSection:
@@ -238,13 +241,10 @@ def sigma_presentation(datum: AHDatum, resolution: int) -> TorsorPresentation:
     """Presentation of the torsor of connections on the bundle itself.
 
     The reference is the canonical unitary connection; its obstruction is the
-    invariant curvature class, stored here analytically (the verifier
-    recomputes it independently by finite differences) as a read-only
-    zero-stride view of one (g, g) matrix over the grid.
+    invariant curvature class, stored here analytically as one (g, g) matrix
+    (the verifier recomputes it independently by finite differences).
     """
-    g = datum.torus.genus
-    grid = np.broadcast_to(chern_form(datum), (resolution,) * (2 * g) + (g, g))
-    return TorsorPresentation(datum.torus, grid, datum=datum)
+    return TorsorPresentation(datum.torus, resolution, chern_form(datum), datum=datum)
 
 
 def tau_presentation(datum: AHDatum, resolution: int, z_base=None) -> TorsorPresentation:
@@ -268,8 +268,8 @@ def tau_presentation(datum: AHDatum, resolution: int, z_base=None) -> TorsorPres
         return fam.theta(section.apply(x_lifts))[..., :g]
 
     gf = GridFunction.sample(base, resolution, slice_covector)
-    pres = TorsorPresentation(base, connections.CHERN_NORMALIZATION * dbar_fd(gf).values,
-                              datum=datum)
+    pres = TorsorPresentation(base, resolution,
+                              connections.CHERN_NORMALIZATION * dbar_fd(gf).values, datum=datum)
     # recomputed, so it can miss the constant class; sigma's is that class by construction
     variation = float(np.max(np.abs(pres.theta_ref - trivialization_class(pres))))
     if variation > REFERENCE_VARIATION_TOL:
@@ -280,5 +280,5 @@ def tau_presentation(datum: AHDatum, resolution: int, z_base=None) -> TorsorPres
 def custom_presentation(reference_of: TorsorPresentation, extra_offset) -> TorsorPresentation:
     """Presentation whose reference is the given one moved by a smooth offset."""
     moved = act(reference_of.zero_section(), np.asarray(extra_offset, dtype=complex))
-    theta = obstruction(moved).values
-    return TorsorPresentation(reference_of.torus, theta, datum=reference_of.datum)
+    return TorsorPresentation(reference_of.torus, reference_of.resolution, obstruction(moved),
+                              datum=reference_of.datum)

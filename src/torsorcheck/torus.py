@@ -18,10 +18,24 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DegenerateLattice, IndexOutOfRange, TorsorcheckError, TorusMismatch
+from .errors import (
+    DegenerateLattice,
+    IndexOutOfRange,
+    ShapeMismatch,
+    TorsorcheckError,
+    TorusMismatch,
+)
 
 #: tolerance for deciding torus-point equality, in lattice coordinates
 POINT_TOL = 1e-9
+
+
+def _complex_of_shape(x, shape: tuple, what: str) -> np.ndarray:
+    """``x`` as a complex array of exactly ``shape``, else ShapeMismatch."""
+    x = np.asarray(x, dtype=complex)
+    if x.shape != shape:
+        raise ShapeMismatch(f"{what} must have shape {shape}, got {x.shape}")
+    return x
 
 
 class ComplexTorus:
@@ -31,12 +45,10 @@ class ComplexTorus:
         kappa_max = float(kappa_max)
         if not (np.isfinite(kappa_max) and kappa_max >= 1):  # a NaN or inf cap guards nothing
             raise TorsorcheckError(f"kappa_max must be a finite number >= 1, got {kappa_max}")
-        periods = np.atleast_2d(np.asarray(periods, dtype=complex))
-        g, cols = periods.shape
-        if cols != 2 * g:
-            raise DegenerateLattice(
-                f"period matrix must be g x 2g, got {g} x {cols}"
-            )
+        periods = np.asarray(periods, dtype=complex)
+        if periods.ndim != 2 or periods.shape[0] < 1 or periods.shape[1] != 2 * periods.shape[0]:
+            raise DegenerateLattice(f"period matrix must be g x 2g, g >= 1; got {periods.shape}")
+        g = periods.shape[0]
         stack = np.vstack([periods.real, periods.imag])
         cond = np.linalg.cond(stack)
         if not np.isfinite(cond) or cond > kappa_max:
@@ -84,7 +96,7 @@ class ComplexTorus:
     # -- points ------------------------------------------------------------
 
     def point(self, lift) -> "TorusPoint":
-        return TorusPoint(self, np.asarray(lift, dtype=complex).reshape(self.genus))
+        return TorusPoint(self, lift)
 
     def zero(self) -> "TorusPoint":
         return TorusPoint(self, np.zeros(self.genus, dtype=complex))
@@ -120,7 +132,7 @@ class TorusPoint:
 
     def __init__(self, torus: ComplexTorus, lift):
         self.torus = torus
-        self.lift = np.asarray(lift, dtype=complex).reshape(torus.genus)
+        self.lift = _complex_of_shape(lift, (torus.genus,), "point lifts")
 
     def reduce(self) -> "TorusPoint":
         """Canonical representative: lattice coordinates in [0, 1)^{2g}."""

@@ -176,6 +176,13 @@ class TestFactor:
         with pytest.raises(NotLatticeVector, match="int64"):
             principal_datum.chi_on([entry, 0])
 
+    def test_lattice_argument_shapes_are_exact(self, g2_datum):
+        # a (2, 1) lattice vector is not flattened, and short coordinates fail cleanly
+        with pytest.raises(ShapeMismatch):
+            g2_datum.factor(np.array([[1.0], [0.0]]), np.zeros(2))
+        with pytest.raises(ShapeMismatch):
+            g2_datum.chi_on([1, 0, 0])
+
     def test_int64_edge_coordinate_accepted(self, principal_datum):
         assert principal_datum.chi_on([-(2.0**63), 0]) == 1.0
 

@@ -95,6 +95,21 @@ def identity_trivial_datum(monkeypatch):
     patch_everywhere(monkeypatch, "trivial_datum", trivial)
 
 
+def dual_keeps_chi(monkeypatch):
+    """``AHDatum.dual`` keeps the phases where it should conjugate them."""
+    def dual(self):
+        return AHDatum(self.torus, -self.hermitian, self.chi)
+
+    monkeypatch.setattr(AHDatum, "dual", dual)
+
+    # the demos' phases are 1, which conjugation fixes
+    def turn_phases(data):
+        genus = data["torus"]["genus"]
+        data["bundle"]["chi_turns"] = [0.25, 0.1] if genus == 1 else [0.3, 0.1, 0.7, 0.2]
+
+    return turn_phases
+
+
 def unchecked_non_integral_datum(monkeypatch):
     """Switch off the loader's integrality tests and load 3/2 H, whose E is half-integral."""
     monkeypatch.setattr(bundles, "INTEGRAL_TOL", np.inf)
@@ -130,6 +145,7 @@ MUTANTS = {
     }),
     "one_sided_stencil": (one_sided_stencil, {"convergence_order"}),
     "trivial_datum_identity": (identity_trivial_datum, {"trivial_bundle"}),
+    "dual_keeps_chi": (dual_keeps_chi, {"duality_involution"}),
     "unchecked_non_integral_datum": (unchecked_non_integral_datum, {
         "datum_valid",
         "chern_integrality",

@@ -7,6 +7,7 @@ from torsorcheck import (
     AHDatum,
     BaseMismatch,
     GridFunction,
+    ResolutionTooCoarse,
     ShapeMismatch,
     TorsorPresentation,
     TorsorSection,
@@ -25,6 +26,7 @@ from torsorcheck import (
     sigma_presentation,
     tau_presentation,
     transition,
+    trivial_datum,
     trivialization_class,
 )
 
@@ -85,13 +87,13 @@ class TestAction:
 class TestObstruction:
     def test_zero_offset_returns_reference(self, principal_datum, sigma_g1):
         theta = obstruction(sigma_g1.zero_section())
-        assert np.array_equal(theta.values, sigma_g1.theta_ref)
-        assert np.max(np.abs(theta.values - chern_form(principal_datum))) == 0
+        assert np.array_equal(theta, sigma_g1.theta_ref)
+        assert np.max(np.abs(theta - chern_form(principal_datum))) == 0
 
     def test_constant_offset_unchanged(self, sigma_g1, rng):
         v = rng.standard_normal(1) + 1j * rng.standard_normal(1)
         moved = act(sigma_g1.zero_section(), v)
-        assert np.array_equal(obstruction(moved).values, sigma_g1.theta_ref)
+        assert np.array_equal(obstruction(moved), sigma_g1.theta_ref)
 
     def test_affine_in_offset(self, principal_datum, tau_g1):
         values, _ = trig_offset(principal_datum.torus, N_G1, 0.3, np.array([1, 0]))
@@ -99,7 +101,7 @@ class TestObstruction:
         expected = tau_g1.theta_ref + dbar_fd(
             GridFunction(principal_datum.torus, values)
         ).values
-        assert np.max(np.abs(obstruction(moved).values - expected)) <= 1e-10
+        assert np.max(np.abs(obstruction(moved) - expected)) <= 1e-10
 
     def test_fd_derivative_matches_closed_form(self, principal_datum):
         # the operator itself, against the analytic derivative of the probe;
@@ -123,12 +125,12 @@ class TestChartLocalSection:
     def test_antilinear_witness_is_holomorphic(self, sigma_g1):
         witness = local_holomorphic_section(sigma_g1)
         assert np.max(np.abs(witness.seam_jumps)) > 0
-        assert obstruction(witness).max_abs() <= 1e-9
+        assert np.max(np.abs(obstruction(witness))) <= 1e-9
 
     def test_g2_antilinear_witness_is_holomorphic(self, g2_datum):
         witness = local_holomorphic_section(sigma_presentation(g2_datum, 16))
         assert np.max(np.abs(witness.seam_jumps)) > 0
-        assert obstruction(witness).max_abs() <= 1e-9
+        assert np.max(np.abs(obstruction(witness))) <= 1e-9
 
     def test_jumps_are_carried_and_compared(self, principal_datum, sigma_g1, rng):
         witness = local_holomorphic_section(sigma_g1)
@@ -147,7 +149,7 @@ class TestChartLocalSection:
         sigma_dual = sigma_presentation(principal_datum.dual(), N_G1)
         image = duality_map(sigma_g1, sigma_dual).apply(witness)
         assert np.array_equal(image.seam_jumps, -witness.seam_jumps)
-        assert obstruction(image).max_abs() <= 1e-9
+        assert np.max(np.abs(obstruction(image))) <= 1e-9
 
     def test_zero_jumps_are_no_jumps(self, flat_datum):
         # the trivial bundle's witness has a zero offset with zero increments,
@@ -228,7 +230,7 @@ class TestCanonicalMorphism:
     def test_close_references_give_small_obstruction(self, tau_g1, rng):
         eps = 1e-7
         noise = rng.standard_normal(tau_g1.theta_ref.shape)
-        nearby = TorsorPresentation(tau_g1.torus, tau_g1.theta_ref + eps * noise)
+        nearby = TorsorPresentation(tau_g1.torus, N_G1, tau_g1.theta_ref + eps * noise)
         gamma = canonical_morphism(tau_g1, nearby)
         _, err = is_holomorphic_morphism(gamma, eps)
         assert err <= eps * np.max(np.abs(noise)) + 1e-10
@@ -248,7 +250,7 @@ class TestTrivializationClass:
     def test_exact_form_has_zero_class(self, principal_datum, tau_g1):
         values, _ = trig_offset(principal_datum.torus, N_G1, 0.4, np.array([1, 1]))
         moved = act(tau_g1.zero_section(), values)
-        shifted = TorsorPresentation(tau_g1.torus, obstruction(moved).values - tau_g1.theta_ref)
+        shifted = TorsorPresentation(tau_g1.torus, N_G1, obstruction(moved) - tau_g1.theta_ref)
         assert np.max(np.abs(trivialization_class(shifted))) <= 1e-8
 
 
@@ -291,6 +293,14 @@ class TestDuality:
         with pytest.raises(BaseMismatch):
             duality_map(sigma_g1, sigma_presentation(principal_datum, N_G1))
 
+    def test_target_with_unconjugated_phases_rejected(self, square_torus):
+        # H = 0 is its own negative, so only the phases tell this datum from its dual
+        datum = AHDatum(square_torus, [[0]], [1j, 1])
+        sigma = sigma_presentation(datum, 16)
+        duality_map(sigma, sigma_presentation(datum.dual(), 16))
+        with pytest.raises(BaseMismatch):
+            duality_map(sigma, sigma)
+
 
 class TestTauPresentation:
     def test_matches_invariant_class(self, principal_datum, tau_g1):
@@ -309,6 +319,10 @@ class TestTauPresentation:
         with pytest.raises(ValueError, match="varies by"):
             tau_presentation(principal_datum, 16)
 
+    def test_base_point_shape_is_exact(self, g2_datum):
+        with pytest.raises(ShapeMismatch):
+            tau_presentation(g2_datum, 8, z_base=[0, 0, 0])
+
 
 class TestPresentationLayout:
     @pytest.mark.parametrize("shape", [(16, 1, 1, 1), (16, 8, 1, 1)], ids=str)
@@ -316,23 +330,32 @@ class TestPresentationLayout:
         # an axis of length 1 would broadcast against a 16 x 16 grid in a
         # morphism, and one of length 8 would fail inside numpy
         with pytest.raises(ShapeMismatch):
-            TorsorPresentation(square_torus, np.zeros(shape, dtype=complex))
+            TorsorPresentation(square_torus, 16, np.zeros(shape, dtype=complex))
 
     def test_non_finite_reference_rejected(self, square_torus):
         theta = np.zeros((16, 16, 1, 1), dtype=complex)
         theta[3, 5] = np.nan
         with pytest.raises(ValueError, match="finite"):
-            TorsorPresentation(square_torus, theta)
+            TorsorPresentation(square_torus, 16, theta)
+
+    def test_resolution_below_minimum_rejected(self, square_torus):
+        with pytest.raises(ResolutionTooCoarse):
+            TorsorPresentation(square_torus, 3, np.zeros((1, 1), dtype=complex))
+
+    def test_grid_must_have_the_presentation_resolution(self, square_torus):
+        with pytest.raises(ShapeMismatch):
+            TorsorPresentation(square_torus, resolution=16,
+                               theta_ref=np.zeros((8, 8, 1, 1), dtype=complex))
 
     def test_non_finite_broadcast_reference_rejected(self, square_torus):
-        # the finiteness check reads a broadcast view's one matrix, not its grid
+        # a broadcast view of one non-finite matrix is refused like any grid
         theta = np.broadcast_to(np.array([[np.nan + 0j]]), (16, 16, 1, 1))
         with pytest.raises(ValueError, match="finite"):
-            TorsorPresentation(square_torus, theta)
+            TorsorPresentation(square_torus, 16, theta)
 
 
 class TestSigmaPresentation:
-    def test_reference_is_a_read_only_broadcast(self, g2_datum):
+    def test_reference_is_one_read_only_matrix(self, g2_datum):
         # the invariant class is one (g, g) matrix; no N^{2g} copy of it is kept
         n = 24
         grid_bytes = np.dtype(complex).itemsize * n**4 * 2 * 2
@@ -344,9 +367,9 @@ class TestSigmaPresentation:
         finally:
             tracemalloc.stop()
         assert kept < 0.01 * grid_bytes, f"{kept / grid_bytes:.3f} grids kept"
-        assert sigma.theta_ref.shape == (n,) * 4 + (2, 2)
-        assert sigma.theta_ref.strides[:4] == (0,) * 4
+        assert sigma.theta_ref.shape == (2, 2)
         assert not sigma.theta_ref.flags.writeable
+        assert obstruction(sigma.zero_section()) is sigma.theta_ref
 
     def test_built_without_a_grid_temporary(self, g2_datum):
         # checking a broadcast reference must not expand it into grid-sized masks
@@ -364,6 +387,23 @@ class TestSigmaPresentation:
 
     def test_zero_section_obstruction_is_the_reference_view(self, g2_datum):
         sigma = sigma_presentation(g2_datum, 16)
-        theta = obstruction(sigma.zero_section()).values
+        theta = obstruction(sigma.zero_section())
         assert not theta.flags.writeable
         assert np.shares_memory(theta, sigma.theta_ref)
+
+    def test_constant_checks_hold_no_grid(self, g2_datum):
+        # both obstructions are constant, so each check reads (g, g) matrices only
+        n = 24
+        grid_bytes = np.dtype(complex).itemsize * n**4 * 2 * 2
+        delta = duality_map(sigma_presentation(g2_datum, n), sigma_presentation(g2_datum.dual(), n))
+        flat = sigma_presentation(trivial_datum(g2_datum.torus), n).zero_section()
+        for check, arg in [(is_holomorphic_morphism, delta), (is_holomorphic, flat)]:
+            tracemalloc.start()
+            try:
+                held = tracemalloc.get_traced_memory()[0]
+                ok, err = check(arg, 1e-12)
+                peak = tracemalloc.get_traced_memory()[1] - held
+            finally:
+                tracemalloc.stop()
+            assert ok and err == 0.0
+            assert peak < 0.01 * grid_bytes, f"{check.__name__}: {peak / grid_bytes:.4f} grids"

@@ -5,8 +5,10 @@ from torsorcheck import (
     ComplexTorus,
     DegenerateLattice,
     IndexOutOfRange,
+    ShapeMismatch,
     TorsorcheckError,
     TorusMismatch,
+    TorusPoint,
     cycle_integral,
 )
 
@@ -43,8 +45,21 @@ class TestValidation:
         with pytest.raises(DegenerateLattice):
             ComplexTorus(np.ones((1, 3)))
 
+    @pytest.mark.parametrize("periods", [np.ones((1, 2, 2)), np.zeros((0, 0)), [1.0, 1.0j]],
+                             ids=["3-D", "0x0", "1-D"])
+    def test_periods_must_be_a_g_by_2g_matrix(self, periods):
+        with pytest.raises(DegenerateLattice):
+            ComplexTorus(periods)
+
 
 class TestPoints:
+    def test_lift_shape_is_exact(self, g2_torus):
+        # a (2, 1) lift is refused, not flattened into a point
+        with pytest.raises(ShapeMismatch):
+            g2_torus.point(np.zeros((2, 1)))
+        with pytest.raises(ShapeMismatch):
+            TorusPoint(g2_torus, np.zeros(3))
+
     def test_reduce_integer_translation(self, square_torus):
         p = square_torus.point([2.5 + 3.5j]).reduce()
         assert np.allclose(p.lift, [0.5 + 0.5j], atol=1e-12)
