@@ -9,12 +9,14 @@ spacing are exact (to rounding) on functions affine in (z, zbar).
 Functions that shift by a constant across each period (connection forms in
 an automorphy frame, chart-local torsor offsets) carry ``seam_jumps``, which
 ``GridFunction.sample`` always measures: value(c + e_d) = value(c) + jumps[d].
-``_wirtinger_fd`` is the one derivative kernel.  It reads its input through a
-slab source, one first-axis slab at a time, keeps only the slabs i-1, i and
+One stencil has two read paths, and both accumulate each direction's central
+difference through ``_accumulate``.  ``_wirtinger_fd`` reads a grid through
+a slab source, one first-axis slab at a time, keeps only the slabs i-1, i and
 i+1, and yields the output slab by slab, so it never needs the input or the
-output as a whole grid.  ``dbar_fd`` and ``dz_fd`` select its rows and gather
-its slabs into an output grid; ``dbar_slabs`` hands the slabs to a caller
-that samples per slab and consumes each output slab as it comes.
+output as a whole grid; ``dbar_fd`` and ``dz_fd`` select its rows and gather
+its slabs into an output grid.  ``wirtinger_at_points`` evaluates a function
+at c +- e_d / N around given lattice coordinates c, on the cover, so it needs
+no grid and no seam jumps; ``dbar_at_points`` selects its dzbar rows.
 """
 
 from __future__ import annotations
@@ -27,6 +29,8 @@ from .errors import ResolutionTooCoarse, ShapeMismatch
 from .torus import ComplexTorus
 
 MIN_RESOLUTION = 4
+#: how many seeded points the point-path checks evaluate at
+POINT_SAMPLES = 256
 #: relative agreement required of a period increment measured at two base points
 SEAM_TOL = 1e-9
 
@@ -160,6 +164,20 @@ def _central_difference(slab: np.ndarray, axis: int, jump, out: np.ndarray) -> N
         np.subtract(first + jump, before_last, out=o[-1:])
 
 
+def _accumulate(out: np.ndarray, rows: np.ndarray, d: int, diff: np.ndarray, scale: float,
+                term: np.ndarray) -> None:
+    """out[k] += rows[k, d] * (scale * diff) for every row k, through the buffer ``term``.
+
+    ``diff`` is scaled in place.  Each product is formed before it is added,
+    as in ``einsum("kd,d...->...k", rows, diffs)`` summed from zero in
+    direction order, which the slab path reproduces bit for bit.
+    """
+    diff *= scale
+    for k in range(rows.shape[0]):
+        np.multiply(rows[k, d], diff, out=term)
+        out[k] += term
+
+
 def _wirtinger_fd(torus: ComplexTorus, resolution: int, slab, rows: np.ndarray, jumps=None):
     """Yield sum_d rows[k, d] * (central difference along grid direction d), as axis k,
     one first-axis slab at a time, for i = 0 .. N-1.
@@ -194,10 +212,7 @@ def _wirtinger_fd(torus: ComplexTorus, resolution: int, slab, rows: np.ndarray, 
                 np.subtract(ahead, behind, out=diff)
             else:
                 _central_difference(here, d - 1, None if jumps is None else jumps[d], diff)
-            diff *= scale
-            for k in range(rows.shape[0]):
-                np.multiply(rows[k, d], diff, out=term)
-                out[k] += term
+            _accumulate(out, rows, d, diff, scale, term)
         yield out.transpose(k_last)
         if i + 1 < n:
             behind, here = here, ahead
@@ -229,10 +244,38 @@ def dz_fd(gf: GridFunction) -> GridFunction:
     return _on_grid(gf, gf.torus.dz_rows)
 
 
-def dbar_slabs(torus: ComplexTorus, resolution: int, slab):
-    """``dbar_fd`` of the values read through ``slab(i)``, yielded slab by slab.
+def wirtinger_at_points(torus: ComplexTorus, fn, coords, resolution: int,
+                        rows: np.ndarray) -> np.ndarray:
+    """sum_d rows[k, d] * (central difference along lattice direction d), at points, as axis k.
 
-    For values with no seam jumps that are cheaper to compute per slab than to
-    hold as a grid.
+    ``fn`` is vectorized over lifts, (..., g) -> (...,) + value_shape, and
+    ``coords`` holds P lattice coordinates, shape (P, 2g).  The difference
+    along d is (fn(lift(c + e_d / N)) - fn(lift(c - e_d / N))) * N / 2, the
+    grid stencil's step at resolution N, read on the cover: no point wraps
+    around the torus, so no seam jumps are needed.  Returns shape
+    (P,) + value_shape + (rows,).
     """
-    return _wirtinger_fd(torus, resolution, slab, torus.dzbar_rows)
+    if resolution < MIN_RESOLUTION:
+        raise ResolutionTooCoarse(f"resolution {resolution} < {MIN_RESOLUTION}")
+    dims = 2 * torus.genus
+    coords = np.asarray(coords, dtype=float)
+    if coords.ndim != 2 or coords.shape[1] != dims:
+        raise ShapeMismatch(f"point coordinates must have shape (P, {dims})")
+    step = np.eye(dims) / resolution
+    out = term = None
+    for d in range(dims):
+        ahead = np.asarray(fn(torus.lift_of_coords(coords + step[d])), dtype=complex)
+        diff = ahead - np.asarray(fn(torus.lift_of_coords(coords - step[d])), dtype=complex)
+        if out is None:
+            out = np.zeros((rows.shape[0],) + diff.shape, dtype=complex)
+            term = np.empty_like(diff)
+        _accumulate(out, rows, d, diff, resolution / 2.0, term)
+    return np.moveaxis(out, 0, -1)
+
+
+def dbar_at_points(torus: ComplexTorus, fn, coords, resolution: int) -> np.ndarray:
+    """dzbar-derivative coefficients of ``fn`` at lattice coordinates ``coords`` (P, 2g).
+
+    Output shape (P,) + value_shape + (g,), entry [..., k] = d(value)/dzbar_k.
+    """
+    return wirtinger_at_points(torus, fn, coords, resolution, torus.dzbar_rows)

@@ -267,11 +267,15 @@ def tau_presentation(datum: AHDatum, resolution: int, z_base=None) -> TorsorPres
     def slice_covector(x_lifts):
         return fam.theta(section.apply(x_lifts))[..., :g]
 
-    gf = GridFunction.sample(base, resolution, slice_covector)
-    pres = TorsorPresentation(base, resolution,
-                              connections.CHERN_NORMALIZATION * dbar_fd(gf).values, datum=datum)
-    # recomputed, so it can miss the constant class; sigma's is that class by construction
-    variation = float(np.max(np.abs(pres.theta_ref - trivialization_class(pres))))
+    theta = dbar_fd(GridFunction.sample(base, resolution, slice_covector)).values
+    # scaled in place, with the scalar first as in ``scalar * theta``: numpy's
+    # complex multiply is not bitwise commutative
+    np.multiply(connections.CHERN_NORMALIZATION, theta, out=theta)
+    pres = TorsorPresentation(base, resolution, theta, datum=datum)
+    # recomputed, so it can miss the constant class; sigma's is that class by
+    # construction.  Measured slab by slab, so no difference grid is formed.
+    cls = trivialization_class(pres)
+    variation = float(np.max([np.max(np.abs(slab - cls)) for slab in pres.theta_ref]))
     if variation > REFERENCE_VARIATION_TOL:
         raise ValueError(f"tau reference obstruction varies by {variation:.3e} over the grid")
     return pres

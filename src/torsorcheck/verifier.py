@@ -2,13 +2,16 @@
 
 The suite runs, in order: datum validation, the integrality anchor for the
 curvature class, translation invariance of the curvature, the
-finite-difference recomputation of the sigma obstruction, flatness of the
-slice restrictions, the restriction identity for the family curvature, the
-from-scratch tau obstruction, holomorphy of the canonical sigma-tau morphism,
-the affine identity for a perturbed reference, holomorphy of the duality maps
-with negation of the dual covectors, the trivial-bundle degenerate run (zero
-class, holomorphic references and morphism), and a convergence-order probe.  A
-crash in one check never suppresses the following ones.
+finite-difference recomputation of the sigma obstruction, flatness and the
+phi_L(x) datum of the slice restrictions, the family curvature on A x A and
+its restriction identity, the from-scratch tau obstruction, holomorphy of the
+canonical sigma-tau morphism, the affine identity for a perturbed reference,
+holomorphy of the duality maps with negation of the dual covectors, the
+trivial-bundle degenerate run (zero class, holomorphic references and
+morphism), and a convergence-order probe.  A crash in one check never
+suppresses the following ones.  The slice checks and
+the probe read the one Wirtinger stencil at seeded points; the others read it
+over the grid, whose seams they test.
 
 The checks measure only what can fail on the mathematics.  The section-action
 bookkeeping (equivariance of the canonical morphism, the duality round trip and
@@ -20,7 +23,6 @@ bitwise reproducible on one platform; only the wall-time fields vary.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 import math
@@ -32,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from . import connections
-from .bundles import AHDatum, trivial_datum
+from .bundles import AHDatum, hermitian_pairing, trivial_datum
 from .connections import (
     canonical_connection,
     check_eq_i,
@@ -42,7 +44,7 @@ from .connections import (
     slice_connection,
 )
 from .errors import ConfigInvalid, TorsorcheckError
-from .grids import GridFunction, dbar_fd, dbar_slabs, slab_coords
+from .grids import POINT_SAMPLES, GridFunction, dbar_at_points, dbar_fd, slab_coords
 from .torsors import (
     TorsorPresentation,
     canonical_morphism,
@@ -329,82 +331,65 @@ class _SuiteContext:
         return np.random.default_rng([self.cfg.seed, check_index])
 
 
-def _probe_sampler(torus: ComplexTorus, resolution: int, rng, amplitude: float):
-    """The seeded trigonometric probe sum_m coeff_m exp(2 pi i m . c), slab by slab.
+def _probe_terms(genus: int, rng, amplitude: float):
+    """Modes and coefficients of the seeded probe sum_m coeff_m exp(2 pi i m . c).
 
     The modes m are the unit vectors e_0 .. e_{2g-1} and then (1, ..., 1); each
     coefficient draws g real parts, then g imaginary parts, mode by mode.
-    Returns ``values(i)``, the g components on first-axis slab i, and
-    ``dbar(i)``, which yields (j, k, closed-form d/dzbar_k of component j)
-    there.
+    """
+    dims = 2 * genus
+    modes = [np.eye(dims, dtype=int)[d] for d in range(dims)] + [np.ones(dims, dtype=int)]
+    coeffs = [amplitude * (rng.standard_normal(genus) + 1j * rng.standard_normal(genus))
+              for _ in modes]
+    return modes, coeffs
+
+
+def _smooth_offset(torus: ComplexTorus, resolution: int, rng, amplitude: float) -> np.ndarray:
+    """The seeded probe sampled on the grid, shape (N,)*2g + (g,), one first-axis slab at a time.
 
     A unit mode's phase is a 1-D exponential broadcast (without copying) over
     the slab.  The diagonal mode's argument goes through the same ``@ ones``
     matmul as ``lattice_grid(N, 2g) @ ones``, for slab i only, which reproduces
-    those floats exactly (a broadcast sum of the axes rounds differently).
+    those floats exactly (a broadcast sum of the axes rounds differently).  The
+    sums run from 0 in mode order, each product as coefficient * phase, as in
+    a dense ``+=`` loop over the modes; numpy's complex multiply is not bitwise
+    commutative where it uses fused multiply-adds.
     """
     g = torus.genus
     dims = 2 * g
     n = resolution
-    modes = [np.eye(dims, dtype=int)[d] for d in range(dims)] + [np.ones(dims, dtype=int)]
-    coeffs = [amplitude * (rng.standard_normal(g) + 1j * rng.standard_normal(g))
-              for _ in modes]
-    # d/dzbar_k of coeff_j exp(2 pi i m . c) is exp(2 pi i m . c) coeff_j chain_k
-    outer = [np.einsum("j,k->jk", c, 2j * np.pi * (torus.dzbar_rows @ m))
-             for m, c in zip(modes, coeffs)]
+    _, coeffs = _probe_terms(g, rng, amplitude)
     shape = (n,) * (dims - 1)
     axis = np.exp(2j * np.pi * (np.arange(n) / n))
     units = [np.broadcast_to(axis.reshape((1,) * d + (n,) + (1,) * (dims - 2 - d)), shape)
              for d in range(dims - 1)]
     coords = slab_coords(n, dims)
     ones = np.ones(dims, dtype=int)
-
-    # the stencil has read slabs i-1 .. i+1 when slab i's closed form is
-    # wanted, so three cached slabs spare the closed form every exponential
-    @functools.lru_cache(maxsize=3)
-    def phases(i):
-        return [np.broadcast_to(axis[i], shape), *units, np.exp(2j * np.pi * (coords(i) @ ones))]
-
-    # The sums run from 0 in mode order, with each product's operands in the
-    # order of a dense ``+=`` loop over the modes: coefficient * phase for the
-    # values and phase * coefficient for the derivative.  numpy's complex
-    # multiply is not bitwise commutative where it uses fused multiply-adds.
-    def values(i):
-        here = phases(i)
-        out = np.empty(shape + (g,), dtype=complex)
+    out = np.empty((n,) * dims + (g,), dtype=complex)
+    for i in range(n):
+        here = [np.broadcast_to(axis[i], shape), *units, np.exp(2j * np.pi * (coords(i) @ ones))]
         for j in range(g):
-            out[..., j] = sum(c[j] * phase for phase, c in zip(here, coeffs))
-        return out
-
-    def dbar(i):
-        here = phases(i)
-        for j, k in np.ndindex(g, g):
-            yield j, k, sum(phase * mat[j, k] for phase, mat in zip(here, outer))
-
-    return values, dbar
-
-
-def _smooth_offset(torus: ComplexTorus, resolution: int, rng, amplitude: float) -> np.ndarray:
-    """Seeded trigonometric offset grid, shape (N,)*2g + (g,)."""
-    values, _ = _probe_sampler(torus, resolution, rng, amplitude)
-    out = np.empty((resolution,) * (2 * torus.genus) + (torus.genus,), dtype=complex)
-    for i in range(resolution):
-        out[i] = values(i)
+            out[i, ..., j] = sum(c[j] * phase for phase, c in zip(here, coeffs))
     return out
 
 
-def _probe_error(torus: ComplexTorus, resolution: int, rng, amplitude: float) -> float:
-    """max |dbar_fd(probe) - closed-form dbar(probe)| over the grid.
+def _point_probe_error(torus: ComplexTorus, resolution: int, coords, modes, coeffs) -> float:
+    """max |dbar_at_points(probe) - closed-form dbar(probe)| at lattice coordinates (P, 2g).
 
-    The stencil reads the probe slab by slab, and each output slab is compared
-    with the closed form as soon as it is formed, so no full grid is held.
+    d/dzbar_k of coeff_j exp(2 pi i m . c) is exp(2 pi i m . c) coeff_j
+    2 pi i (dzbar_rows @ m)_k.
     """
-    values, dbar = _probe_sampler(torus, resolution, rng, amplitude)
-    err = 0.0
-    for i, fd in enumerate(dbar_slabs(torus, resolution, values)):
-        for j, k, analytic in dbar(i):
-            err = max(err, float(np.max(np.abs(fd[..., j, k] - analytic))))
-    return err
+    modes = np.asarray(modes, dtype=float)  # (M, 2g)
+    coeffs = np.asarray(coeffs)  # (M, g)
+
+    def probe(z):
+        return np.exp(2j * np.pi * (torus.lattice_coords(z) @ modes.T)) @ coeffs
+
+    fd = dbar_at_points(torus, probe, coords, resolution)
+    chain = 2j * np.pi * (modes @ torus.dzbar_rows.T)  # (M, g)
+    outer = coeffs[:, :, None] * chain[:, None, :]  # (M, g, g)
+    analytic = np.tensordot(np.exp(2j * np.pi * (coords @ modes.T)), outer, axes=1)
+    return float(np.max(np.abs(fd - analytic)))
 
 
 # -- individual checks ---------------------------------------------------------
@@ -442,17 +427,40 @@ def _check_sigma_obstruction(ctx, rng):
 
 
 def _check_slice_flatness(ctx, rng):
+    """Each slice A x {x} of the family carries the flat datum phi_L(x) = (0, e(Im H(x, .))).
+
+    The slice covector's curvature is read at seeded points, drawn after the
+    x points; the slice datum must have zero pairing and the phases
+    exp(2 pi i Im H(x, lambda_j)).
+    """
+    g = ctx.torus.genus
+    xs = ctx.torus.random_points(rng, ctx.cfg.samples)
+    coords = rng.random((POINT_SAMPLES, 2 * g))
+    lattice = ctx.torus.periods.T  # generator j in row j
     err = 0.0
-    for x in ctx.torus.random_points(rng, ctx.cfg.samples):
+    for x in xs:
         sliced = slice_connection(ctx.family, x)
-        err = max(err, curvature(sliced, ctx.cfg.grid).max_abs())
+        err = max(err, float(np.max(np.abs(
+            dbar_at_points(ctx.torus, sliced.theta, coords, ctx.cfg.grid)))))
+        phases = np.exp(2j * np.pi * hermitian_pairing(ctx.datum.hermitian, x.lift, lattice).imag)
+        err = max(err, float(np.max(np.abs(sliced.datum.hermitian))),
+                  float(np.max(np.abs(sliced.datum.chi - phases))))
     return err, ctx.cfg.tolerance_analytic, ctx.cfg.samples
 
 
 def _check_family_restriction(ctx, rng):
+    """The family curvature on A x A, and its restriction to each parameter section, at points."""
+    g = ctx.torus.genus
+    ys = ctx.torus.random_points(rng, ctx.cfg.samples)
+    coords = rng.random((POINT_SAMPLES, 2 * g))
     err = 0.0
-    for y in ctx.torus.random_points(rng, ctx.cfg.samples):
-        err = max(err, check_eq_i(ctx.family, y, ctx.cfg.grid))
+    for y in ys:
+        err = max(err, check_eq_i(ctx.family, y, ctx.cfg.grid, coords))
+    fam = ctx.family.datum
+    product_coords = rng.random((POINT_SAMPLES, 4 * g))
+    recomputed = connections.CHERN_NORMALIZATION * dbar_at_points(
+        fam.torus, ctx.family.theta, product_coords, ctx.cfg.grid)
+    err = max(err, float(np.max(np.abs(recomputed - chern_form(fam)))))
     return err, ctx.cfg.tolerance_analytic, ctx.cfg.samples
 
 
@@ -513,8 +521,16 @@ def _check_trivial_bundle(ctx, rng):
 
 
 def _check_convergence_order(ctx, rng):
-    """Doubling the grid must cut the error of a genuinely curved probe by >= 3.5."""
-    errors = [_probe_error(ctx.torus, n, np.random.default_rng([ctx.cfg.seed, 997]), 0.1)
+    """Doubling the grid must cut the error of a genuinely curved probe by >= 3.5.
+
+    The stencil differentiates the seeded probe at ``POINT_SAMPLES`` points at
+    steps 1/N and 1/(2N); coefficients and points come from one stream, so
+    both resolutions see the same probe at the same points.
+    """
+    probe_rng = np.random.default_rng([ctx.cfg.seed, 997])
+    modes, coeffs = _probe_terms(ctx.torus.genus, probe_rng, 0.1)
+    coords = probe_rng.random((POINT_SAMPLES, 2 * ctx.torus.genus))
+    errors = [_point_probe_error(ctx.torus, n, coords, modes, coeffs)
               for n in (ctx.cfg.grid, 2 * ctx.cfg.grid)]
     return errors[1], errors[0] / 3.5, 2
 

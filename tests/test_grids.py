@@ -4,11 +4,13 @@ import pytest
 from torsorcheck import (
     GridFunction,
     ResolutionTooCoarse,
+    ShapeMismatch,
+    dbar_at_points,
     dbar_fd,
     dz_fd,
     lattice_grid,
 )
-from torsorcheck.grids import measure_seam_jumps
+from torsorcheck.grids import measure_seam_jumps, wirtinger_at_points
 from torsorcheck.torus import ComplexTorus
 
 
@@ -138,6 +140,56 @@ class TestStencilMatchesRollReference:
             gf = GridFunction(torus, values, seam_jumps=jumps)
             assert np.array_equal(dbar_fd(gf).values, roll_stencil(gf, torus.dzbar_rows))
             assert np.array_equal(dz_fd(gf).values, roll_stencil(gf, torus.dz_rows))
+
+
+class TestPointPath:
+    @pytest.mark.parametrize("case", sorted(STENCIL_CASES))
+    @pytest.mark.parametrize("resolution", [4, 16, 1024])
+    def test_exact_on_conj_z(self, case, resolution, rng):
+        torus = ComplexTorus(STENCIL_CASES[case][0])
+        g = torus.genus
+        coords = 3.0 * rng.standard_normal((64, 2 * g))  # anywhere on the cover
+        out = dbar_at_points(torus, np.conj, coords, resolution)
+        assert out.shape == (64, g, g)
+        assert np.max(np.abs(out - np.eye(g))) <= 1e-12
+
+    @pytest.mark.parametrize("case", sorted(STENCIL_CASES))
+    def test_exact_on_affine_covectors(self, case, rng):
+        torus = ComplexTorus(STENCIL_CASES[case][0])
+        g = torus.genus
+        a, b, c = (rng.standard_normal((g, g)) + 1j * rng.standard_normal((g, g))
+                   for _ in range(3))
+
+        def covector(z):  # component j is sum_l z_l a[l, j] + zbar_l b[l, j] + c[0, j]
+            return z @ a + np.conj(z) @ b + c[0]
+
+        coords = rng.random((64, 2 * g))
+        for rows, expected in ((torus.dzbar_rows, b.T), (torus.dz_rows, a.T)):
+            out = wirtinger_at_points(torus, covector, coords, 8, rows)
+            assert out.shape == (64, g, g)
+            assert np.max(np.abs(out - expected)) <= 1e-12
+
+    @pytest.mark.parametrize("case", sorted(STENCIL_CASES))
+    def test_agrees_with_dbar_fd_at_nodes(self, case):
+        periods, n = STENCIL_CASES[case]
+        torus = ComplexTorus(periods)
+        dims = 2 * torus.genus
+        modes = np.arange(1, dims + 1)
+
+        def fn(z):  # curved and periodic, plus conj(z) for constant seam jumps
+            c = torus.lattice_coords(z)
+            return np.exp(2j * np.pi * (c @ modes))[..., None] * 0.3 + np.conj(z)
+
+        grid = dbar_fd(GridFunction.sample(torus, n, fn)).values
+        nodes = lattice_grid(n, dims).reshape(-1, dims)
+        points = dbar_at_points(torus, fn, nodes, n)
+        assert np.max(np.abs(points - grid.reshape(points.shape))) <= 1e-12
+
+    def test_rejects_coarse_resolution_and_bad_coordinates(self, square_torus):
+        with pytest.raises(ResolutionTooCoarse):
+            dbar_at_points(square_torus, np.conj, np.zeros((1, 2)), 3)
+        with pytest.raises(ShapeMismatch):
+            dbar_at_points(square_torus, np.conj, np.zeros((1, 3)), 8)
 
 
 class TestGridFunction:

@@ -64,28 +64,20 @@ def family_without_dual_half(monkeypatch):
 
 def dbar_on_dz_rows(monkeypatch):
     patch_everywhere(monkeypatch, "dbar_fd", grids.dz_fd)
-    kernel = grids._wirtinger_fd
-    patch_everywhere(monkeypatch, "dbar_slabs",
-                     lambda torus, n, slab: kernel(torus, n, slab, torus.dz_rows))
+    stencil = grids.wirtinger_at_points
+    patch_everywhere(monkeypatch, "dbar_at_points",
+                     lambda torus, fn, coords, n: stencil(torus, fn, coords, n, torus.dz_rows))
 
 
 def one_sided_stencil(monkeypatch):
-    """A first-order forward difference in place of the central one."""
-    def forward_wirtinger_fd(torus, n, slab, rows, jumps=None):
-        for i in range(n):
-            here = np.asarray(slab(i), dtype=complex)
-            ahead = np.asarray(slab((i + 1) % n), dtype=complex)
-            if jumps is not None and i == n - 1:
-                ahead = ahead + jumps[0]
-            diffs = [(ahead - here) * n]
-            for d in range(1, 2 * torus.genus):
-                ahead = np.roll(here, -1, axis=d - 1)
-                if jumps is not None:
-                    ahead[(slice(None),) * (d - 1) + (n - 1,)] += jumps[d]
-                diffs.append((ahead - here) * n)
-            yield np.einsum("kd,d...->...k", rows, np.stack(diffs))
+    """A first-order forward difference in place of the central one on the point path."""
+    def forward_at_points(torus, fn, coords, n, rows):
+        here = np.asarray(fn(torus.lift_of_coords(coords)), dtype=complex)
+        diffs = [(fn(torus.lift_of_coords(coords + step)) - here) * n
+                 for step in np.eye(2 * torus.genus) / n]
+        return np.einsum("kd,d...->...k", rows, np.stack(diffs))
 
-    monkeypatch.setattr(grids, "_wirtinger_fd", forward_wirtinger_fd)
+    monkeypatch.setattr(grids, "wirtinger_at_points", forward_at_points)
 
 
 def identity_trivial_datum(monkeypatch):
@@ -95,18 +87,27 @@ def identity_trivial_datum(monkeypatch):
     patch_everywhere(monkeypatch, "trivial_datum", trivial)
 
 
+def turn_phases(data):
+    """Non-trivial generator phases: the demos' phases are 1, fixed by conj and by 1 / chi."""
+    genus = data["torus"]["genus"]
+    data["bundle"]["chi_turns"] = [0.25, 0.1] if genus == 1 else [0.3, 0.1, 0.7, 0.2]
+
+
 def dual_keeps_chi(monkeypatch):
     """``AHDatum.dual`` keeps the phases where it should conjugate them."""
     def dual(self):
         return AHDatum(self.torus, -self.hermitian, self.chi)
 
     monkeypatch.setattr(AHDatum, "dual", dual)
+    return turn_phases
 
-    # the demos' phases are 1, which conjugation fixes
-    def turn_phases(data):
-        genus = data["torus"]["genus"]
-        data["bundle"]["chi_turns"] = [0.25, 0.1] if genus == 1 else [0.3, 0.1, 0.7, 0.2]
 
+def tensor_divides_chi(monkeypatch):
+    """``AHDatum.tensor`` divides the phases where it should multiply them."""
+    def tensor(self, other):
+        return AHDatum(self.torus, self.hermitian + other.hermitian, self.chi / other.chi)
+
+    monkeypatch.setattr(AHDatum, "tensor", tensor)
     return turn_phases
 
 
@@ -126,7 +127,6 @@ MUTANTS = {
     "seam_jumps_zeroed": (zero_seam_jumps, {
         "curvature_invariance",
         "sigma_obstruction",
-        "family_curvature_restriction",
         "tau_obstruction",
         "sigma_tau_match",
         "perturbed_reference",
@@ -134,7 +134,10 @@ MUTANTS = {
     }),
     "duality_sign_plus_one": (equivariant_duality, {"duality_involution"}),
     "chern_normalization_negated": (negated_chern_normalization, {"chern_integrality"}),
-    "family_without_dual_half": (family_without_dual_half, {"slice_flatness"}),
+    "family_without_dual_half": (family_without_dual_half, {
+        "slice_flatness",
+        "family_curvature_restriction",
+    }),
     "dbar_on_dz_rows": (dbar_on_dz_rows, {
         "sigma_obstruction",
         "family_curvature_restriction",
@@ -145,7 +148,8 @@ MUTANTS = {
     }),
     "one_sided_stencil": (one_sided_stencil, {"convergence_order"}),
     "trivial_datum_identity": (identity_trivial_datum, {"trivial_bundle"}),
-    "dual_keeps_chi": (dual_keeps_chi, {"duality_involution"}),
+    "dual_keeps_chi": (dual_keeps_chi, {"duality_involution", "slice_flatness"}),
+    "tensor_divides_chi": (tensor_divides_chi, {"slice_flatness"}),
     "unchecked_non_integral_datum": (unchecked_non_integral_datum, {
         "datum_valid",
         "chern_integrality",

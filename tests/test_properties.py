@@ -5,7 +5,8 @@ upper half-space (X symmetric, Y positive definite), with H = k Y^{-1} for
 k in {1, -1, 0, 2}, so that Im H is integral on the lattice, and random
 generator phases.  The whole suite must pass on it and reproduce its report
 byte for byte; the torsor action, the canonical morphism and the duality
-maps must compose bitwise.
+maps must compose bitwise; and each slice A x {x} of the family must carry the
+flat datum (0, exp(2 pi i Im H(x, lambda_j))), the point phi_L(x) of the dual.
 """
 
 import json
@@ -21,10 +22,14 @@ from hypothesis import strategies as st  # noqa: E402
 from torsorcheck import (  # noqa: E402
     VerificationConfig,
     act,
+    build_family,
     canonical_morphism,
     duality_map,
+    hermitian_pairing,
+    pullback,
     run_suite,
     sigma_presentation,
+    slice_embedding,
     tau_presentation,
 )
 from torsorcheck.verifier import report_json  # noqa: E402
@@ -88,3 +93,17 @@ def test_action_and_duality_compose_bitwise(data, seed, exponents):
     assert back.apply(delta.apply(s)).same_section(s)
     gamma = canonical_morphism(sigma, tau_presentation(cfg.datum, cfg.grid))
     assert gamma.apply(act(zero, v)).same_section(act(gamma.apply(zero), v))
+
+
+@RUNS
+@given(data=valid_configs(),
+       coords=st.lists(st.floats(-2.0, 2.0), min_size=6, max_size=6))
+def test_slice_datum_is_phi_of_x(data, coords):
+    cfg = VerificationConfig.from_dict(data)
+    g = cfg.torus.genus
+    x = cfg.torus.point(cfg.torus.lift_of_coords(coords[: 2 * g]))  # any lift, not only [0, 1)
+    family = build_family(cfg.datum)
+    sliced = pullback(slice_embedding(x, family.torus), family)
+    pairings = hermitian_pairing(cfg.datum.hermitian, x.lift, cfg.torus.periods.T)
+    assert np.max(np.abs(sliced.hermitian)) <= 1e-12
+    assert np.max(np.abs(sliced.chi - np.exp(2j * np.pi * pairings.imag))) <= 1e-9

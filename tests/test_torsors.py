@@ -323,6 +323,20 @@ class TestTauPresentation:
         with pytest.raises(ShapeMismatch):
             tau_presentation(g2_datum, 8, z_base=[0, 0, 0])
 
+    def test_g2_peak_is_below_two_grids(self, g2_datum):
+        # the kept reference grid, the sampled covectors (half a grid) and
+        # slab temporaries; no scaled copy and no variation grid beside them
+        n = 24
+        grid_bytes = np.dtype(complex).itemsize * n**4 * 2 * 2
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            tau_presentation(g2_datum, n)
+            peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * grid_bytes, f"{peak / grid_bytes:.2f} grids at peak"
+
 
 class TestPresentationLayout:
     @pytest.mark.parametrize("shape", [(16, 1, 1, 1), (16, 8, 1, 1)], ids=str)

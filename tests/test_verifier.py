@@ -24,7 +24,8 @@ from torsorcheck.verifier import (
     CHECK_ORDER,
     _CHECK_FUNCTIONS,
     _SuiteContext,
-    _probe_error,
+    _point_probe_error,
+    _probe_terms,
     _smooth_offset,
     emit_report,
     report_json,
@@ -257,13 +258,18 @@ class TestSuite:
 class TestConvergenceProbe:
     @pytest.mark.parametrize("case", sorted(PROBE_TORI))
     def test_errors_match_dense_reference(self, case):
+        # read at grid nodes, the point probe measures the dense grid probe's
+        # error there: the two stencil paths agree up to rounding
         periods, n = PROBE_TORI[case]
         torus = ComplexTorus(periods)
+        dims = 2 * torus.genus
         for resolution in (n, 2 * n):
             values, deriv = dense_trig_offset(torus, resolution, np.random.default_rng(3), 0.1)
-            dense = float(np.max(np.abs(dbar_fd(GridFunction(torus, values)).values - deriv)))
-            streamed = _probe_error(torus, resolution, np.random.default_rng(3), 0.1)
-            assert np.array_equal(streamed, dense)
+            dense = np.abs(dbar_fd(GridFunction(torus, values)).values - deriv)
+            picked = np.random.default_rng(5).integers(resolution, size=(512, dims))
+            modes, coeffs = _probe_terms(torus.genus, np.random.default_rng(3), 0.1)
+            at_nodes = _point_probe_error(torus, resolution, picked / resolution, modes, coeffs)
+            assert abs(at_nodes - float(np.max(dense[tuple(picked.T)]))) <= 1e-12
 
     @pytest.mark.parametrize("case", sorted(PROBE_TORI))
     def test_smooth_offset_matches_dense_reference(self, case):
@@ -276,26 +282,24 @@ class TestConvergenceProbe:
         assert np.array_equal(_smooth_offset(torus, n, rng, 0.05), values)
         assert rng.random() == after_dense  # same draws, so later draws are unchanged
 
-    def test_peak_memory_is_a_few_grids(self):
-        # a dense probe holds the grid, its g x g derivative and their
-        # temporaries, about 20 complex grids at 2N; the streamed probe holds
-        # no full grid, only a window of three input slabs, one output slab
-        # and slab-sized temporaries (about 1.1 grids here, where a slab is
-        # 1/24 of the grid)
-        data = json.loads(json.dumps(VerificationConfig.demo("principal-g2").canonical))
-        data["numeric"]["grid"] = 12
+    def test_genus_3_at_grid_16_holds_no_grid(self):
+        # the grid probe would read a (2N)^{2g} = 32^6 input, 1.6 GB for the
+        # g components at 2N; the point probe evaluates 256 points per step
+        data = json.loads(Path(__file__).with_name("g3_n6.json").read_text(encoding="utf-8"))
+        data["numeric"]["grid"] = 16
         ctx = _SuiteContext(VerificationConfig.from_dict(data))
-        grid_bytes = np.dtype(complex).itemsize * (2 * 12) ** 4
+        probe = _CHECK_FUNCTIONS["convergence_order"]
+        index = CHECK_ORDER.index("convergence_order")
+        probe(ctx, ctx.rng(index))  # first-call imports and caches are not the probe's
         tracemalloc.start()
         try:
             held = tracemalloc.get_traced_memory()[0]
-            rng = ctx.rng(CHECK_ORDER.index("convergence_order"))
-            error, tolerance, _ = _CHECK_FUNCTIONS["convergence_order"](ctx, rng)
+            error, tolerance, _ = probe(ctx, ctx.rng(index))
             peak = tracemalloc.get_traced_memory()[1] - held
         finally:
             tracemalloc.stop()
         assert error <= tolerance
-        assert peak <= 2 * grid_bytes, f"peak {peak / grid_bytes:.1f} grids"
+        assert peak < 2**20, f"peak {peak / 2**20:.2f} MB"
 
 
 class TestReport:
