@@ -27,7 +27,7 @@ from .bundles import (
     slice_embedding,
     TorusHomomorphism,
 )
-from .grids import POINT_SAMPLES, GridFunction, dbar_at_points, dbar_fd
+from .grids import GridFunction, dbar_at_points, dbar_fd, seeded_coords
 from .torus import TorusPoint
 
 #: scale making cycle integrals of the curvature class integral
@@ -131,16 +131,16 @@ def check_eq_i(family_conn: ConnectionForm, y: TorusPoint, resolution: int,
 
     Pulls the family connection back along x -> (y, x), recomputes its
     curvature by central differences at step 1/``resolution`` around the
-    x-points with lattice coordinates ``coords`` (P, 2g; by default
-    ``POINT_SAMPLES`` points drawn from seed 0), scales by the Chern
-    normalization and compares against the class of the pulled-back datum,
-    whose pairing is the lower-right block of the family pairing.  The
-    covector is affine in (x, xbar), so the differences are exact to rounding
-    at any point, and translation invariance makes the result independent of y.
+    x-points with lattice coordinates ``coords`` (P, 2g; by default the
+    ``seeded_coords`` of the torus), scales by the Chern normalization and
+    compares against the class of the pulled-back datum, whose pairing is the
+    lower-right block of the family pairing.  The covector is affine in
+    (x, xbar), so the differences are exact to rounding at any point, and
+    translation invariance makes the result independent of y.
     """
     restricted = pullback_connection(parameter_section(y, family_conn.datum.torus), family_conn)
     torus = restricted.datum.torus
     if coords is None:
-        coords = np.random.default_rng(0).random((POINT_SAMPLES, 2 * torus.genus))
+        coords = seeded_coords(torus)
     recomputed = CHERN_NORMALIZATION * dbar_at_points(torus, restricted.theta, coords, resolution)
     return float(np.max(np.abs(recomputed - chern_form(restricted.datum))))

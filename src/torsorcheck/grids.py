@@ -16,7 +16,9 @@ i+1, and yields the output slab by slab, so it never needs the input or the
 output as a whole grid; ``dbar_fd`` and ``dz_fd`` select its rows and gather
 its slabs into an output grid.  ``wirtinger_at_points`` evaluates a function
 at c +- e_d / N around given lattice coordinates c, on the cover, so it needs
-no grid and no seam jumps; ``dbar_at_points`` selects its dzbar rows.
+no grid and no seam jumps; ``dbar_at_points`` selects its dzbar rows, and
+``seeded_coords`` gives the default points, ``POINT_SAMPLES`` of them from
+seed 0.
 """
 
 from __future__ import annotations
@@ -121,7 +123,9 @@ class GridFunction:
         return float(np.max(np.abs(self.values)))
 
     def max_variation(self) -> float:
-        return float(np.max(np.abs(self.values - self.mean())))
+        """max |values - mean|, taken slab by slab so no difference grid is formed."""
+        mean = self.mean()
+        return float(np.max([np.max(np.abs(slab - mean)) for slab in self.values]))
 
 
 def measure_seam_jumps(torus: ComplexTorus, fn) -> np.ndarray:
@@ -271,6 +275,11 @@ def wirtinger_at_points(torus: ComplexTorus, fn, coords, resolution: int,
             term = np.empty_like(diff)
         _accumulate(out, rows, d, diff, resolution / 2.0, term)
     return np.moveaxis(out, 0, -1)
+
+
+def seeded_coords(torus: ComplexTorus) -> np.ndarray:
+    """The default point-path lattice coordinates: ``POINT_SAMPLES`` draws from seed 0, (P, 2g)."""
+    return np.random.default_rng(0).random((POINT_SAMPLES, 2 * torus.genus))
 
 
 def dbar_at_points(torus: ComplexTorus, fn, coords, resolution: int) -> np.ndarray:

@@ -14,7 +14,8 @@ Two reference sections are built here:
 * ``tau_presentation`` - the family of flat slice restrictions of the induced
   two-variable connection, whose obstruction is recomputed from first
   principles by differentiating the product-frame slice covectors in the
-  parameter's antiholomorphic directions.
+  parameter's antiholomorphic directions at seeded points; it is constant,
+  so it too is kept as one (g, g) class.
 
 The canonical morphism matches references affinely (offset -> offset); its
 obstruction is the difference of the reference obstructions, so it is
@@ -31,10 +32,10 @@ from . import connections
 from .bundles import AHDatum, parameter_section
 from .connections import chern_form, family_connection
 from .errors import BaseMismatch, ResolutionTooCoarse, ShapeMismatch
-from .grids import MIN_RESOLUTION, GridFunction, dbar_fd
+from .grids import MIN_RESOLUTION, GridFunction, dbar_at_points, dbar_fd, seeded_coords
 from .torus import ComplexTorus
 
-#: tau's recomputed reference obstruction must be constant over the grid to this extent
+#: tau's recomputed reference obstruction must be constant over the seeded points to this extent
 REFERENCE_VARIATION_TOL = 1e-8
 
 
@@ -250,12 +251,13 @@ def sigma_presentation(datum: AHDatum, resolution: int) -> TorsorPresentation:
 def tau_presentation(datum: AHDatum, resolution: int, z_base=None) -> TorsorPresentation:
     """Presentation of the torsor of flat-slice families, obstruction from scratch.
 
-    Samples the slice covectors of the induced family connection, restricted
-    in the product frame at the base point ``z_base`` (read along
-    ``parameter_section``'s map x -> (z_base, x)), over the parameter grid
-    and differentiates them in the antiholomorphic parameter directions with
-    seam-aware central differences.  Raises ValueError when the result varies
-    over the grid by more than ``REFERENCE_VARIATION_TOL``.
+    Differentiates the slice covectors of the induced family connection,
+    restricted in the product frame at the base point ``z_base`` (read along
+    ``parameter_section``'s map x -> (z_base, x)), in the antiholomorphic
+    parameter directions at the ``seeded_coords`` points, by the central
+    differences of step 1/``resolution``.  The mean of the scaled cloud is
+    kept as one (g, g) class.  Raises ValueError when the cloud varies about
+    it by more than ``REFERENCE_VARIATION_TOL``.
     """
     base = datum.torus
     g = base.genus
@@ -267,18 +269,14 @@ def tau_presentation(datum: AHDatum, resolution: int, z_base=None) -> TorsorPres
     def slice_covector(x_lifts):
         return fam.theta(section.apply(x_lifts))[..., :g]
 
-    theta = dbar_fd(GridFunction.sample(base, resolution, slice_covector)).values
-    # scaled in place, with the scalar first as in ``scalar * theta``: numpy's
-    # complex multiply is not bitwise commutative
-    np.multiply(connections.CHERN_NORMALIZATION, theta, out=theta)
-    pres = TorsorPresentation(base, resolution, theta, datum=datum)
-    # recomputed, so it can miss the constant class; sigma's is that class by
-    # construction.  Measured slab by slab, so no difference grid is formed.
-    cls = trivialization_class(pres)
-    variation = float(np.max([np.max(np.abs(slab - cls)) for slab in pres.theta_ref]))
-    if variation > REFERENCE_VARIATION_TOL:
-        raise ValueError(f"tau reference obstruction varies by {variation:.3e} over the grid")
-    return pres
+    cloud = connections.CHERN_NORMALIZATION * dbar_at_points(
+        base, slice_covector, seeded_coords(base), resolution)
+    cls = cloud.mean(axis=0)
+    # recomputed, so it can miss the constant class; sigma's is that class by construction
+    spread = float(np.max(np.abs(cloud - cls)))
+    if not spread <= REFERENCE_VARIATION_TOL:  # a NaN spread raises too
+        raise ValueError(f"tau reference obstruction varies by {spread:.3e} over the points")
+    return TorsorPresentation(base, resolution, cls, datum=datum)
 
 
 def custom_presentation(reference_of: TorsorPresentation, extra_offset) -> TorsorPresentation:

@@ -9,9 +9,11 @@ canonical sigma-tau morphism, the affine identity for a perturbed reference,
 holomorphy of the duality maps with negation of the dual covectors, the
 trivial-bundle degenerate run (zero class, holomorphic references and
 morphism), and a convergence-order probe.  A crash in one check never
-suppresses the following ones.  The slice checks and
-the probe read the one Wirtinger stencil at seeded points; the others read it
-over the grid, whose seams they test.
+suppresses the following ones.  The slice checks, the probe and the tau
+reference, and so every check that compares tau's class, read the one
+Wirtinger stencil at seeded points.  ``curvature_invariance`` and
+``sigma_obstruction`` read it over the grid, whose seams they test, and
+``perturbed_reference`` differentiates its grid-sampled offset there.
 
 The checks measure only what can fail on the mathematics.  The section-action
 bookkeeping (equivariance of the canonical morphism, the duality round trip and
@@ -421,8 +423,10 @@ def _check_curvature_invariance(ctx, rng):
 
 
 def _check_sigma_obstruction(ctx, rng):
-    recomputed = connections.CHERN_NORMALIZATION * ctx.canonical_curvature.values
-    err = float(np.max(np.abs(recomputed - ctx.chern_matrix)))
+    # slab by slab, so no scaled or difference grid is formed
+    scale, chern = connections.CHERN_NORMALIZATION, ctx.chern_matrix
+    err = float(np.max([np.max(np.abs(scale * slab - chern))
+                        for slab in ctx.canonical_curvature.values]))
     return err, ctx.cfg.tolerance_fd, ctx.cfg.grid
 
 

@@ -124,14 +124,7 @@ def unchecked_non_integral_datum(monkeypatch):
 
 
 MUTANTS = {
-    "seam_jumps_zeroed": (zero_seam_jumps, {
-        "curvature_invariance",
-        "sigma_obstruction",
-        "tau_obstruction",
-        "sigma_tau_match",
-        "perturbed_reference",
-        "duality_involution",
-    }),
+    "seam_jumps_zeroed": (zero_seam_jumps, {"curvature_invariance", "sigma_obstruction"}),
     "duality_sign_plus_one": (equivariant_duality, {"duality_involution"}),
     "chern_normalization_negated": (negated_chern_normalization, {"chern_integrality"}),
     "family_without_dual_half": (family_without_dual_half, {
