@@ -51,7 +51,6 @@ from .torsors import (
     TorsorSection,
     act,
     canonical_morphism,
-    custom_presentation,
     duality_map,
     is_holomorphic,
     is_holomorphic_morphism,
@@ -60,7 +59,6 @@ from .torsors import (
     sigma_presentation,
     tau_presentation,
     transition,
-    trivialization_class,
 )
 from .torus import (
     ComplexTorus,
@@ -93,9 +91,8 @@ __all__ = [
     "GridFunction", "dbar_at_points", "dbar_fd", "dz_fd", "lattice_grid",
     # torsors
     "TorsorMorphism", "TorsorPresentation", "TorsorSection", "act", "canonical_morphism",
-    "custom_presentation", "duality_map", "is_holomorphic", "is_holomorphic_morphism",
-    "local_holomorphic_section", "obstruction", "sigma_presentation", "tau_presentation",
-    "transition", "trivialization_class",
+    "duality_map", "is_holomorphic", "is_holomorphic_morphism", "local_holomorphic_section",
+    "obstruction", "sigma_presentation", "tau_presentation", "transition",
     # torus
     "ComplexTorus", "TorusPoint", "cycle_integral", "product_torus",
     # verifier

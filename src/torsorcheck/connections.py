@@ -27,7 +27,7 @@ from .bundles import (
     slice_embedding,
     TorusHomomorphism,
 )
-from .grids import GridFunction, dbar_at_points, dbar_fd, seeded_coords
+from .grids import dbar_at_points, seeded_coords
 from .torus import TorusPoint
 
 #: scale making cycle integrals of the curvature class integral
@@ -102,17 +102,20 @@ def slice_connection(family_conn: ConnectionForm, x: TorusPoint) -> ConnectionFo
     return pullback_connection(f, family_conn)
 
 
-def curvature(conn: ConnectionForm, resolution: int) -> GridFunction:
-    """Grid of curvature matrices K[..., j, k] = d theta_j / dzbar_k by central differences.
+def curvature(conn: ConnectionForm, resolution: int, coords=None) -> np.ndarray:
+    """Curvature matrices K[p, j, k] = d theta_j / dzbar_k at points, by central differences.
 
-    The covector is not periodic on the torus; its constant period increments
-    (the automorphy shifts) are measured from evaluations and fed to the
-    seam-aware stencil, so the differences are exact (to rounding) whenever
-    the covector is affine in (z, zbar).
+    The covector is differentiated at step 1/``resolution`` around the points
+    with lattice coordinates ``coords`` (P, 2g; by default the
+    ``seeded_coords`` of the torus) and returned as a (P, g, g) cloud.  It is
+    read on the cover, so its period increments (the automorphy shifts) never
+    enter, and the differences are exact (to rounding) whenever the covector
+    is affine in (z, zbar).
     """
     torus = conn.datum.torus
-    gf = GridFunction.sample(torus, resolution, conn.theta)
-    return dbar_fd(gf)
+    if coords is None:
+        coords = seeded_coords(torus)
+    return dbar_at_points(torus, conn.theta, coords, resolution)
 
 
 def chern_form(datum: AHDatum) -> np.ndarray:
@@ -130,17 +133,14 @@ def check_eq_i(family_conn: ConnectionForm, y: TorusPoint, resolution: int,
     """Max deviation of the restricted family curvature from the invariant class.
 
     Pulls the family connection back along x -> (y, x), recomputes its
-    curvature by central differences at step 1/``resolution`` around the
-    x-points with lattice coordinates ``coords`` (P, 2g; by default the
-    ``seeded_coords`` of the torus), scales by the Chern normalization and
-    compares against the class of the pulled-back datum, whose pairing is the
-    lower-right block of the family pairing.  The covector is affine in
-    (x, xbar), so the differences are exact to rounding at any point, and
-    translation invariance makes the result independent of y.
+    ``curvature`` at step 1/``resolution`` around the x-points with lattice
+    coordinates ``coords`` (P, 2g; by default the ``seeded_coords`` of the
+    torus), scales by the Chern normalization and compares against the class
+    of the pulled-back datum, whose pairing is the lower-right block of the
+    family pairing.  The covector is affine in (x, xbar), so the differences
+    are exact to rounding at any point, and translation invariance makes the
+    result independent of y.
     """
     restricted = pullback_connection(parameter_section(y, family_conn.datum.torus), family_conn)
-    torus = restricted.datum.torus
-    if coords is None:
-        coords = seeded_coords(torus)
-    recomputed = CHERN_NORMALIZATION * dbar_at_points(torus, restricted.theta, coords, resolution)
+    recomputed = CHERN_NORMALIZATION * curvature(restricted, resolution, coords)
     return float(np.max(np.abs(recomputed - chern_form(restricted.datum))))

@@ -86,6 +86,8 @@ class GridFunction:
             self.seam_jumps = np.asarray(self.seam_jumps)
             if self.seam_jumps.shape != (dims,) + self.value_shape:
                 raise ShapeMismatch("seam jumps must have shape (2g,) + value_shape")
+            if not np.all(np.isfinite(self.seam_jumps)):
+                raise ValueError("seam jumps must be finite")
 
     @property
     def resolution(self) -> int:
@@ -114,25 +116,13 @@ class GridFunction:
             values[i] = fn(torus.lift_of_coords(at(i)))
         return cls(torus, values, seam_jumps=measure_seam_jumps(torus, fn))
 
-    def mean(self) -> np.ndarray:
-        """Average over the grid axes (pairwise summation, evaluation-order free)."""
-        axes = tuple(range(2 * self.torus.genus))
-        return np.mean(self.values, axis=axes)
-
-    def max_abs(self) -> float:
-        return float(np.max(np.abs(self.values)))
-
-    def max_variation(self) -> float:
-        """max |values - mean|, taken slab by slab so no difference grid is formed."""
-        mean = self.mean()
-        return float(np.max([np.max(np.abs(slab - mean)) for slab in self.values]))
-
 
 def measure_seam_jumps(torus: ComplexTorus, fn) -> np.ndarray:
     """Measure constant period increments of ``fn``: f(z + lambda_d) - f(z).
 
     The increment is measured at two base points and must agree within
-    ``SEAM_TOL``; non-constant seams are a misuse of the grid machinery.
+    ``SEAM_TOL``; non-constant or non-finite seams are a misuse of the grid
+    machinery.
     """
     dims = 2 * torus.genus
     base = np.vstack([np.zeros(dims), np.full(dims, 0.37)])
@@ -144,7 +134,10 @@ def measure_seam_jumps(torus: ComplexTorus, fn) -> np.ndarray:
         fd = np.asarray(fn(torus.lift_of_coords(shifted))) - f0
         if jumps is None:
             jumps = np.zeros((dims,) + fd.shape[1:], dtype=fd.dtype)
-        if np.max(np.abs(fd[0] - fd[1])) > SEAM_TOL * max(1.0, float(np.max(np.abs(fd)))):
+        if not np.all(np.isfinite(fd)):  # else the tolerance below reads inf, or dev NaN
+            raise ValueError(f"period increment along direction {d} is not finite")
+        dev = np.max(np.abs(fd[0] - fd[1]))
+        if not dev <= SEAM_TOL * max(1.0, float(np.max(np.abs(fd)))):
             raise ValueError(f"period increment along direction {d} is not constant")
         jumps[d] = fd[0]
     return jumps

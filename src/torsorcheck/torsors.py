@@ -2,10 +2,11 @@
 
 A torsor over the trivial bundle with fiber V = C^g (invariant (1,0)-forms) is
 presented concretely by a reference smooth section together with that
-section's obstruction (0,1)-form Theta, one (g, g) matrix or a lattice grid of
-them, with Theta[..., j, k] = component dz_j along direction dzbar_k.  Sections
-are reference + offset (one array), obstructions are Theta + dbar(offset),
-and a section is holomorphic exactly when its obstruction vanishes.
+section's constant obstruction (0,1)-form Theta, one (g, g) matrix, with
+Theta[j, k] = component dz_j along direction dzbar_k.  Sections are
+reference + offset (one array), obstructions are Theta + dbar(offset), and a
+section is holomorphic exactly when its obstruction vanishes.  Only a
+grid-sampled offset gives a grid obstruction.
 
 Two reference sections are built here:
 
@@ -18,7 +19,7 @@ Two reference sections are built here:
   so it too is kept as one (g, g) class.
 
 The canonical morphism matches references affinely (offset -> offset); its
-obstruction is the difference of the reference obstructions, so it is
+obstruction is the difference of the two (g, g) reference classes, so it is
 holomorphic precisely when those agree.  Duality flips the sign of offsets.
 """
 
@@ -41,18 +42,26 @@ REFERENCE_VARIATION_TOL = 1e-8
 
 @dataclass
 class TorsorPresentation:
-    """A torsor given by a reference section's obstruction on the N-point grid."""
+    """A torsor given by its reference section's constant obstruction class.
+
+    On a torus a constant-coefficient (0,1)-form with values in V is exact
+    only when it vanishes, so ``theta_ref`` is the obstruction class itself:
+    the torsor is trivializable exactly when it is (numerically) zero.
+    ``resolution`` is the N of the grid on which offsets are sampled.
+    """
 
     torus: ComplexTorus
     resolution: int
-    theta_ref: np.ndarray  # (g, g) or (N,)*2g + (g, g); stored finite and read-only
+    theta_ref: np.ndarray  # (g, g); stored finite and read-only
     datum: AHDatum | None = None
 
     def __post_init__(self):
         if self.resolution < MIN_RESOLUTION:
             raise ResolutionTooCoarse(f"resolution {self.resolution} < {MIN_RESOLUTION}")
         g = self.torus.genus
-        theta = _constant_or_grid(self, self.theta_ref, (g, g), "reference obstructions")
+        theta = np.asarray(self.theta_ref, dtype=complex)
+        if theta.shape != (g, g):
+            raise ShapeMismatch(f"reference obstructions must have shape {(g, g)}")
         if not np.all(np.isfinite(theta)):
             raise ValueError("reference obstruction must be finite")
         self.theta_ref = theta.view()
@@ -70,8 +79,9 @@ class TorsorSection:
     vector.  Acting on the zero section by v then w produces the same floats
     as acting by v + w.  ``seam_jumps``, when present, has shape (2g, g) and
     gives the offset's constant increment across one period in each grid
-    direction, as in ``GridFunction``: such a section is chart-local.  Jumps
-    that are all zero are stored as none, since the offset is then periodic.
+    direction, as in ``GridFunction``: such a section is chart-local.  They
+    must be finite; jumps that are all zero are stored as none, since the
+    offset is then periodic.
     """
 
     def __init__(self, presentation: TorsorPresentation, offset=None, seam_jumps=None):
@@ -83,6 +93,8 @@ class TorsorSection:
             seam_jumps = np.asarray(seam_jumps, dtype=complex)
             if seam_jumps.shape != (2 * g, g):
                 raise ShapeMismatch(f"seam jumps must have shape {(2 * g, g)}")
+            if not np.all(np.isfinite(seam_jumps)):
+                raise ValueError("seam jumps must be finite")
             if not np.any(seam_jumps):  # zero increments: the offset is periodic
                 seam_jumps = None
             elif offset.shape == (g,):
@@ -198,7 +210,7 @@ def duality_map(p: TorsorPresentation, p_dual: TorsorPresentation) -> TorsorMorp
 
 
 def is_holomorphic_morphism(m: TorsorMorphism, tol: float) -> tuple[bool, float]:
-    err = _max_abs(m.obstruction())
+    err = float(np.max(np.abs(m.obstruction())))
     return err <= tol, err
 
 
@@ -209,16 +221,6 @@ def _check_common_base(p1: TorsorPresentation, p2: TorsorPresentation):
         raise BaseMismatch("presentations are sampled at different resolutions")
 
 
-def trivialization_class(p: TorsorPresentation) -> np.ndarray:
-    """Invariant part of the reference obstruction: its grid average, or the constant.
-
-    On a torus a constant-coefficient (0,1)-form with values in V is exact
-    only when it vanishes, so the average represents the obstruction class;
-    the presentation is trivializable exactly when it is (numerically) zero.
-    """
-    return p.theta_ref.mean(axis=tuple(range(p.theta_ref.ndim - 2)))
-
-
 def local_holomorphic_section(p: TorsorPresentation) -> TorsorSection:
     """Chart-local holomorphic section for a constant-obstruction presentation.
 
@@ -227,7 +229,7 @@ def local_holomorphic_section(p: TorsorPresentation) -> TorsorSection:
     torus unless the class vanishes, so it is sampled on the grid with its
     constant period increments as seam jumps.
     """
-    t = trivialization_class(p)
+    t = p.theta_ref
 
     def offset(z):
         return -(np.conj(z) @ t.T)
@@ -277,10 +279,3 @@ def tau_presentation(datum: AHDatum, resolution: int, z_base=None) -> TorsorPres
     if not spread <= REFERENCE_VARIATION_TOL:  # a NaN spread raises too
         raise ValueError(f"tau reference obstruction varies by {spread:.3e} over the points")
     return TorsorPresentation(base, resolution, cls, datum=datum)
-
-
-def custom_presentation(reference_of: TorsorPresentation, extra_offset) -> TorsorPresentation:
-    """Presentation whose reference is the given one moved by a smooth offset."""
-    moved = act(reference_of.zero_section(), np.asarray(extra_offset, dtype=complex))
-    return TorsorPresentation(reference_of.torus, reference_of.resolution, obstruction(moved),
-                              datum=reference_of.datum)

@@ -1,7 +1,9 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from torsorcheck import AHDatum, ComplexTorus, trivial_datum
+from torsorcheck import AHDatum, ComplexTorus, VerificationConfig, trivial_datum
 
 
 @pytest.fixture
@@ -23,6 +25,12 @@ def principal_datum(square_torus):
 @pytest.fixture
 def g2_datum(g2_torus):
     return AHDatum(g2_torus, np.diag([1.0, 0.5]), np.ones(4))
+
+
+@pytest.fixture
+def g3_datum():
+    """The genus-3 datum of ``g3_n6.json``: periods [I | i diag(1, 1.5, 2)]."""
+    return VerificationConfig.from_file(Path(__file__).with_name("g3_n6.json")).datum
 
 
 @pytest.fixture

@@ -18,7 +18,6 @@ from torsorcheck import (
     chern_form,
     check_eq_i,
     curvature,
-    custom_presentation,
     cycle_integral,
     dbar_fd,
     duality_map,
@@ -33,7 +32,6 @@ from torsorcheck import (
     slice_connection,
     tau_presentation,
     trivial_datum,
-    trivialization_class,
 )
 
 SEED = 20250809
@@ -90,7 +88,7 @@ def test_criterion_2_sigma_obstruction_recomputation():
     with Timer() as t:
         errors = {}
         for n in (64, 128):
-            recomputed = CHERN_NORMALIZATION * curvature(canonical_connection(datum), n).values
+            recomputed = CHERN_NORMALIZATION * curvature(canonical_connection(datum), n)
             errors[n] = float(np.max(np.abs(recomputed - omega)))
         # the covector is affine, so both errors sit at the rounding floor;
         # demand the improvement whenever there is signal to improve
@@ -118,7 +116,7 @@ def test_criterion_3_slice_flatness():
             rng = np.random.default_rng(SEED)
             fam = family_connection(datum)
             for x in datum.torus.random_points(rng, 5):
-                worst = max(worst, curvature(slice_connection(fam, x), n).max_abs())
+                worst = max(worst, np.max(np.abs(curvature(slice_connection(fam, x), n))))
     ok = worst <= 1e-8 and t.elapsed < 10.0
     _report(3, "slice restrictions of the family connection are flat",
             ok, f"max curvature {worst:.2e}, {t.elapsed:.2f}s")
@@ -170,10 +168,9 @@ def test_criterion_6_perturbed_reference_identity():
             coeff = 0.05 * (rng.standard_normal() + 1j * rng.standard_normal())
             values += coeff * np.exp(2j * np.pi * (coords @ mode))[..., None]
         tau = tau_presentation(datum, n)
-        perturbed = custom_presentation(tau, values)
-        gamma = canonical_morphism(sigma_presentation(datum, n), perturbed)
+        moved = obstruction(act(tau.zero_section(), values))
         dbar_w = dbar_fd(GridFunction(torus, values)).values
-        dev = float(np.max(np.abs(gamma.obstruction() - dbar_w)))
+        dev = float(np.max(np.abs((moved - sigma_presentation(datum, n).theta_ref) - dbar_w)))
     ok = dev <= 2e-6
     _report(6, "comparison-map obstruction of a perturbed reference equals dbar of the perturbation",
             ok, f"max dev {dev:.2e}, {t.elapsed:.2f}s")
@@ -187,8 +184,8 @@ def test_criterion_7_trivial_bundle_degenerate_run():
         sigma = sigma_presentation(datum, 64)
         tau = tau_presentation(datum, 64)
         class_max = max(
-            float(np.max(np.abs(trivialization_class(sigma)))),
-            float(np.max(np.abs(trivialization_class(tau)))),
+            float(np.max(np.abs(sigma.theta_ref))),
+            float(np.max(np.abs(tau.theta_ref))),
         )
         sigma_holo, sigma_err = is_holomorphic(sigma.zero_section(), 1e-9)
         tau_holo, tau_err = is_holomorphic(tau.zero_section(), 1e-9)
@@ -245,7 +242,7 @@ def test_criterion_9_local_holomorphic_witness():
         sigma = sigma_presentation(datum, n)
         witness = local_holomorphic_section(sigma)
         witness_err = float(np.max(np.abs(obstruction(witness))))
-        global_class = float(np.max(np.abs(trivialization_class(sigma))))
+        global_class = float(np.max(np.abs(sigma.theta_ref)))
     ok = witness_err <= 1e-9 and global_class > 1e-3
     _report(9, "chart-local antilinear section is holomorphic while the global class persists",
             ok, f"witness {witness_err:.2e}, class {global_class:.2f}, {t.elapsed:.2f}s")

@@ -35,10 +35,26 @@ def patch_everywhere(monkeypatch, name, value):
             monkeypatch.setattr(module, name, value)
 
 
-def zero_seam_jumps(monkeypatch):
-    measure = grids.measure_seam_jumps
-    monkeypatch.setattr(grids, "measure_seam_jumps",
-                        lambda torus, fn: np.zeros_like(measure(torus, fn)))
+def non_invariant_metric(monkeypatch):
+    """The suite's canonical connection gains 0.1 exp(2 pi i c_0(z)) H.sum(0).
+
+    As for the unitary connection of a metric that is not translation
+    invariant, its curvature varies over the torus.  The bump is periodic, so
+    no seam is involved, and the dual's bump is its exact negative.
+    """
+    canonical_connection = connections.canonical_connection
+
+    def perturbed(datum):
+        base = canonical_connection(datum)
+        bump = 0.1 * datum.hermitian.sum(axis=0)
+
+        def theta(z):
+            c0 = datum.torus.lattice_coords(z)[..., :1]
+            return base.theta(z) + np.exp(2j * np.pi * c0) * bump
+
+        return connections.ConnectionForm(datum, theta)
+
+    monkeypatch.setattr(verifier, "canonical_connection", perturbed)
 
 
 def equivariant_duality(monkeypatch):
@@ -124,7 +140,7 @@ def unchecked_non_integral_datum(monkeypatch):
 
 
 MUTANTS = {
-    "seam_jumps_zeroed": (zero_seam_jumps, {"curvature_invariance", "sigma_obstruction"}),
+    "non_invariant_metric": (non_invariant_metric, {"curvature_invariance", "sigma_obstruction"}),
     "duality_sign_plus_one": (equivariant_duality, {"duality_involution"}),
     "chern_normalization_negated": (negated_chern_normalization, {"chern_integrality"}),
     "family_without_dual_half": (family_without_dual_half, {
