@@ -150,7 +150,7 @@ def obstruction(section: TorsorSection) -> np.ndarray:
     if u.ndim == 1:  # constant offsets are killed by dbar: the read-only reference itself
         return pres.theta_ref
     dbar_u = dbar_fd(GridFunction(pres.torus, u, seam_jumps=section.seam_jumps)).values
-    return pres.theta_ref + dbar_u
+    return np.add(dbar_u, pres.theta_ref, out=dbar_u)  # in place: one (g, g) grid
 
 
 def _max_abs(theta: np.ndarray) -> float:

@@ -13,7 +13,8 @@ suppresses the following ones.  Both presentations hold one (g, g) class,
 and every curvature the suite recomputes (the canonical curvature, the slice
 and family curvatures, the tau reference and the probe) is read through the
 one Wirtinger stencil at seeded points.  Only ``perturbed_reference`` samples
-an offset on the N^{2g} grid and differentiates it there.
+an offset on the N^{2g} grid, differentiates it there once and reads the
+result at seeded nodes against the point stencil.
 
 The checks measure only what can fail on the mathematics.  The section-action
 bookkeeping (equivariance of the canonical morphism, the duality round trip and
@@ -46,7 +47,7 @@ from .connections import (
     slice_connection,
 )
 from .errors import ConfigInvalid, TorsorcheckError
-from .grids import POINT_SAMPLES, GridFunction, dbar_at_points, dbar_fd, slab_coords
+from .grids import POINT_SAMPLES, dbar_at_points, slab_coords
 from .torsors import (
     TorsorPresentation,
     act,
@@ -335,20 +336,24 @@ class _SuiteContext:
 
 
 def _probe_terms(genus: int, rng, amplitude: float):
-    """Modes and coefficients of the seeded probe sum_m coeff_m exp(2 pi i m . c).
+    """Modes (M, 2g) and coefficients (M, g) of the seeded probe sum_m coeff_m exp(2 pi i m . c).
 
     The modes m are the unit vectors e_0 .. e_{2g-1} and then (1, ..., 1); each
     coefficient draws g real parts, then g imaginary parts, mode by mode.
     """
-    dims = 2 * genus
-    modes = [np.eye(dims, dtype=int)[d] for d in range(dims)] + [np.ones(dims, dtype=int)]
-    coeffs = [amplitude * (rng.standard_normal(genus) + 1j * rng.standard_normal(genus))
-              for _ in modes]
+    modes = np.vstack([np.eye(2 * genus), np.ones(2 * genus)])
+    coeffs = np.array([amplitude * (rng.standard_normal(genus) + 1j * rng.standard_normal(genus))
+                       for _ in modes])
     return modes, coeffs
 
 
-def _smooth_offset(torus: ComplexTorus, resolution: int, rng, amplitude: float) -> np.ndarray:
-    """The seeded probe sampled on the grid, shape (N,)*2g + (g,), one first-axis slab at a time.
+def _probe(torus: ComplexTorus, modes, coeffs):
+    """The probe z -> sum_m coeff_m exp(2 pi i m . c(z)), vectorized over lifts (..., g)."""
+    return lambda z: np.exp(2j * np.pi * (torus.lattice_coords(z) @ modes.T)) @ coeffs
+
+
+def _smooth_offset(torus: ComplexTorus, resolution: int, coeffs) -> np.ndarray:
+    """The probe sampled on the grid, shape (N,)*2g + (g,), one first-axis slab at a time.
 
     A unit mode's phase is a 1-D exponential broadcast (without copying) over
     the slab.  The diagonal mode's argument goes through the same ``@ ones``
@@ -361,7 +366,6 @@ def _smooth_offset(torus: ComplexTorus, resolution: int, rng, amplitude: float) 
     g = torus.genus
     dims = 2 * g
     n = resolution
-    _, coeffs = _probe_terms(g, rng, amplitude)
     shape = (n,) * (dims - 1)
     axis = np.exp(2j * np.pi * (np.arange(n) / n))
     units = [np.broadcast_to(axis.reshape((1,) * d + (n,) + (1,) * (dims - 2 - d)), shape)
@@ -382,13 +386,7 @@ def _point_probe_error(torus: ComplexTorus, resolution: int, coords, modes, coef
     d/dzbar_k of coeff_j exp(2 pi i m . c) is exp(2 pi i m . c) coeff_j
     2 pi i (dzbar_rows @ m)_k.
     """
-    modes = np.asarray(modes, dtype=float)  # (M, 2g)
-    coeffs = np.asarray(coeffs)  # (M, g)
-
-    def probe(z):
-        return np.exp(2j * np.pi * (torus.lattice_coords(z) @ modes.T)) @ coeffs
-
-    fd = dbar_at_points(torus, probe, coords, resolution)
+    fd = dbar_at_points(torus, _probe(torus, modes, coeffs), coords, resolution)
     chain = 2j * np.pi * (modes @ torus.dzbar_rows.T)  # (M, g)
     outer = coeffs[:, :, None] * chain[:, None, :]  # (M, g, g)
     analytic = np.tensordot(np.exp(2j * np.pi * (coords @ modes.T)), outer, axes=1)
@@ -412,22 +410,20 @@ def _check_chern_integrality(ctx, rng):
     omega = ctx.chern_matrix
     n = 2 * ctx.torus.genus
     target = ctx.datum.pairing_imag_int
-    err = 0.0
-    for j in range(n):
-        for k in range(n):
-            err = max(err, abs(cycle_integral(ctx.torus, omega, j, k) - target[j, k]))
-    return err, ctx.cfg.tolerance_analytic, n * n
+    err = np.max([abs(cycle_integral(ctx.torus, omega, j, k) - target[j, k])
+                  for j in range(n) for k in range(n)])
+    return float(err), ctx.cfg.tolerance_analytic, n * n
 
 
 def _check_curvature_invariance(ctx, rng):
     k = ctx.canonical_curvature
-    return float(np.max(np.abs(k - k.mean(axis=0)))), ctx.cfg.tolerance_exact, ctx.cfg.grid
+    return float(np.max(np.abs(k - k.mean(axis=0)))), ctx.cfg.tolerance_exact, POINT_SAMPLES
 
 
 def _check_sigma_obstruction(ctx, rng):
     recomputed = connections.CHERN_NORMALIZATION * ctx.canonical_curvature
     err = float(np.max(np.abs(recomputed - ctx.chern_matrix)))
-    return err, ctx.cfg.tolerance_fd, ctx.cfg.grid
+    return err, ctx.cfg.tolerance_fd, POINT_SAMPLES
 
 
 def _check_slice_flatness(ctx, rng):
@@ -441,14 +437,14 @@ def _check_slice_flatness(ctx, rng):
     xs = ctx.torus.random_points(rng, ctx.cfg.samples)
     coords = rng.random((POINT_SAMPLES, 2 * g))
     lattice = ctx.torus.periods.T  # generator j in row j
-    err = 0.0
+    terms = []
     for x in xs:
         sliced = slice_connection(ctx.family, x)
-        err = max(err, float(np.max(np.abs(curvature(sliced, ctx.cfg.grid, coords)))))
         phases = np.exp(2j * np.pi * hermitian_pairing(ctx.datum.hermitian, x.lift, lattice).imag)
-        err = max(err, float(np.max(np.abs(sliced.datum.hermitian))),
-                  float(np.max(np.abs(sliced.datum.chi - phases))))
-    return err, ctx.cfg.tolerance_analytic, ctx.cfg.samples
+        terms += [np.max(np.abs(curvature(sliced, ctx.cfg.grid, coords))),
+                  np.max(np.abs(sliced.datum.hermitian)),
+                  np.max(np.abs(sliced.datum.chi - phases))]
+    return float(np.max(terms)), ctx.cfg.tolerance_analytic, ctx.cfg.samples
 
 
 def _check_family_restriction(ctx, rng):
@@ -456,22 +452,20 @@ def _check_family_restriction(ctx, rng):
     g = ctx.torus.genus
     ys = ctx.torus.random_points(rng, ctx.cfg.samples)
     coords = rng.random((POINT_SAMPLES, 2 * g))
-    err = 0.0
-    for y in ys:
-        err = max(err, check_eq_i(ctx.family, y, ctx.cfg.grid, coords))
+    terms = [check_eq_i(ctx.family, y, ctx.cfg.grid, coords) for y in ys]
     product_coords = rng.random((POINT_SAMPLES, 4 * g))
     recomputed = connections.CHERN_NORMALIZATION * curvature(
         ctx.family, ctx.cfg.grid, product_coords)
-    err = max(err, float(np.max(np.abs(recomputed - chern_form(ctx.family.datum)))))
-    return err, ctx.cfg.tolerance_analytic, ctx.cfg.samples
+    terms.append(np.max(np.abs(recomputed - chern_form(ctx.family.datum))))
+    return float(np.max(terms)), ctx.cfg.tolerance_analytic, ctx.cfg.samples
 
 
 def _check_tau_obstruction(ctx, rng):
-    dev_product = float(np.max(np.abs(ctx.tau.theta_ref - ctx.chern_matrix)))
+    dev_product = np.max(np.abs(ctx.tau.theta_ref - ctx.chern_matrix))
     z_alt = ctx.torus.random_points(rng, 1)[0].lift
     moved = tau_presentation(ctx.datum, ctx.cfg.grid, z_base=z_alt)
-    dev_zbase = float(np.max(np.abs(moved.theta_ref - ctx.tau.theta_ref)))
-    return max(dev_product, dev_zbase), ctx.cfg.tolerance_fd, ctx.cfg.grid
+    dev_zbase = np.max(np.abs(moved.theta_ref - ctx.tau.theta_ref))
+    return float(np.max([dev_product, dev_zbase])), ctx.cfg.tolerance_fd, ctx.cfg.grid
 
 
 def _check_sigma_tau_match(ctx, rng):
@@ -480,12 +474,15 @@ def _check_sigma_tau_match(ctx, rng):
 
 
 def _check_perturbed_reference(ctx, rng):
-    # tau's reference moved by w, compared with sigma's: the difference is dbar(w)
-    w = _smooth_offset(ctx.torus, ctx.cfg.grid, rng, amplitude=0.05)
-    moved = obstruction(act(ctx.tau.zero_section(), w))
-    dbar_w = dbar_fd(GridFunction(ctx.torus, w)).values
-    err = float(np.max(np.abs((moved - ctx.sigma.theta_ref) - dbar_w)))
-    return err, 2.0 * ctx.cfg.tolerance_fd, ctx.cfg.grid
+    # tau's reference moved by w has obstruction sigma's class + dbar(w): the grid
+    # stencil's dbar(w), read at seeded nodes, against the point stencil's
+    torus, n = ctx.torus, ctx.cfg.grid
+    modes, coeffs = _probe_terms(torus.genus, rng, 0.05)
+    nodes = rng.integers(n, size=(POINT_SAMPLES, 2 * torus.genus))
+    moved = obstruction(act(ctx.tau.zero_section(), _smooth_offset(torus, n, coeffs)))
+    dbar_w = dbar_at_points(torus, _probe(torus, modes, coeffs), nodes / n, n)
+    err = float(np.max(np.abs(moved[tuple(nodes.T)] - (ctx.sigma.theta_ref + dbar_w))))
+    return err, 2.0 * ctx.cfg.tolerance_fd, POINT_SAMPLES
 
 
 def _check_duality(ctx, rng):
@@ -493,20 +490,20 @@ def _check_duality(ctx, rng):
     dual = ctx.datum.dual()
     tau_dual = tau_presentation(dual, cfg.grid)
     sigma_dual = sigma_presentation(dual, cfg.grid)
-    err = max(
+    terms = [
         is_holomorphic_morphism(duality_map(ctx.tau, tau_dual), cfg.tolerance_exact)[1],
         is_holomorphic_morphism(duality_map(ctx.sigma, sigma_dual), cfg.tolerance_exact)[1],
-    )
+    ]
     # zero-offset references map to each other: the covectors are negatives
     theta = canonical_connection(ctx.datum)
     theta_dual = canonical_connection(dual)
     z = ctx.torus.lift_of_coords(rng.random((cfg.samples, 2 * ctx.torus.genus)))
-    err = max(err, float(np.max(np.abs(theta(z) + theta_dual(z)))))
+    terms.append(np.max(np.abs(theta(z) + theta_dual(z))))
     x = ctx.torus.random_points(rng, 1)[0]
     slice_l = slice_connection(ctx.family, x)
     slice_dual = slice_connection(family_connection(dual), x)
-    err = max(err, float(np.max(np.abs(slice_l(z) + slice_dual(z)))))
-    return err, cfg.tolerance_exact, cfg.samples
+    terms.append(np.max(np.abs(slice_l(z) + slice_dual(z))))
+    return float(np.max(terms)), cfg.tolerance_exact, cfg.samples
 
 
 def _check_trivial_bundle(ctx, rng):
@@ -514,12 +511,12 @@ def _check_trivial_bundle(ctx, rng):
     flat = trivial_datum(ctx.torus)
     sigma = sigma_presentation(flat, cfg.grid)
     tau = tau_presentation(flat, cfg.grid)
-    err = float(np.max(np.abs(chern_form(flat))))
     # a zero section's obstruction is the reference class itself
-    err = max(err, is_holomorphic(sigma.zero_section(), cfg.tolerance_exact)[1])
-    err = max(err, is_holomorphic(tau.zero_section(), cfg.tolerance_exact)[1])
-    err = max(err, is_holomorphic_morphism(canonical_morphism(sigma, tau), cfg.tolerance_exact)[1])
-    return err, cfg.tolerance_exact, cfg.grid
+    terms = [np.max(np.abs(chern_form(flat))),
+             is_holomorphic(sigma.zero_section(), cfg.tolerance_exact)[1],
+             is_holomorphic(tau.zero_section(), cfg.tolerance_exact)[1],
+             is_holomorphic_morphism(canonical_morphism(sigma, tau), cfg.tolerance_exact)[1]]
+    return float(np.max(terms)), cfg.tolerance_exact, cfg.grid
 
 
 def _check_convergence_order(ctx, rng):

@@ -85,6 +85,11 @@ def dbar_on_dz_rows(monkeypatch):
                      lambda torus, fn, coords, n: stencil(torus, fn, coords, n, torus.dz_rows))
 
 
+def grid_dbar_on_dz_rows(monkeypatch):
+    """Only the grid path reads the dz rows; the point path is untouched."""
+    patch_everywhere(monkeypatch, "dbar_fd", grids.dz_fd)
+
+
 def one_sided_stencil(monkeypatch):
     """A first-order forward difference in place of the central one on the point path."""
     def forward_at_points(torus, fn, coords, n, rows):
@@ -94,6 +99,18 @@ def one_sided_stencil(monkeypatch):
         return np.einsum("kd,d...->...k", rows, np.stack(diffs))
 
     monkeypatch.setattr(grids, "wirtinger_at_points", forward_at_points)
+
+
+def nan_family_covector(monkeypatch):
+    """The family covector is NaN everywhere, built without a RuntimeWarning."""
+    family_connection = connections.family_connection
+
+    def nan_family(datum):
+        fam = family_connection(datum)
+        return connections.ConnectionForm(
+            fam.datum, lambda u: np.full_like(fam.theta(u), np.nan))
+
+    patch_everywhere(monkeypatch, "family_connection", nan_family)
 
 
 def identity_trivial_datum(monkeypatch):
@@ -155,7 +172,17 @@ MUTANTS = {
         "perturbed_reference",
         "convergence_order",
     }),
-    "one_sided_stencil": (one_sided_stencil, {"convergence_order"}),
+    "grid_dbar_on_dz_rows": (grid_dbar_on_dz_rows, {"perturbed_reference"}),
+    "one_sided_stencil": (one_sided_stencil, {"convergence_order", "perturbed_reference"}),
+    "nan_family_covector": (nan_family_covector, {
+        "slice_flatness",
+        "family_curvature_restriction",
+        "tau_obstruction",
+        "sigma_tau_match",
+        "perturbed_reference",
+        "duality_involution",
+        "trivial_bundle",
+    }),
     "trivial_datum_identity": (identity_trivial_datum, {"trivial_bundle"}),
     "dual_keeps_chi": (dual_keeps_chi, {"duality_involution", "slice_flatness"}),
     "tensor_divides_chi": (tensor_divides_chi, {"slice_flatness"}),
@@ -192,7 +219,7 @@ def test_mutant_fails_named_checks(monkeypatch, mutant, demo):
 
 
 @pytest.mark.parametrize("demo", ["principal-g1", "principal-g2"])
-@pytest.mark.parametrize("mutant", ["dbar_on_dz_rows", "one_sided_stencil"])
+@pytest.mark.parametrize("mutant", ["dbar_on_dz_rows", "grid_dbar_on_dz_rows", "one_sided_stencil"])
 def test_stencil_rows_fail_on_a_measured_error(monkeypatch, mutant, demo):
     # the defect must reach the stencil itself: each failing check measures a
     # finite error above its tolerance instead of crashing

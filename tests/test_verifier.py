@@ -16,10 +16,12 @@ from torsorcheck import (
     GridFunction,
     VerificationConfig,
     dbar_fd,
+    grids,
     lattice_grid,
     run_suite,
 )
 from torsorcheck.cli import main
+from torsorcheck.grids import POINT_SAMPLES
 from torsorcheck.verifier import (
     CHECK_ORDER,
     _CHECK_FUNCTIONS,
@@ -279,7 +281,8 @@ class TestConvergenceProbe:
         values, _ = dense_trig_offset(torus, n, rng, 0.05)
         after_dense = rng.random()
         rng = np.random.default_rng(4)
-        assert np.array_equal(_smooth_offset(torus, n, rng, 0.05), values)
+        _, coeffs = _probe_terms(torus.genus, rng, 0.05)
+        assert np.array_equal(_smooth_offset(torus, n, coeffs), values)
         assert rng.random() == after_dense  # same draws, so later draws are unchanged
 
     def test_genus_3_at_grid_16_holds_no_grid(self):
@@ -300,6 +303,50 @@ class TestConvergenceProbe:
             tracemalloc.stop()
         assert error <= tolerance
         assert peak < 2**20, f"peak {peak / 2**20:.2f} MB"
+
+
+class TestPerturbedReference:
+    def test_differentiates_the_offset_once_on_the_grid(self, monkeypatch):
+        # every grid stencil pass, dbar_fd's and dz_fd's, goes through _on_grid
+        calls = []
+        on_grid = grids._on_grid
+
+        def counted(gf, rows):
+            calls.append(gf.values.shape)
+            return on_grid(gf, rows)
+
+        monkeypatch.setattr(grids, "_on_grid", counted)
+        data = with_numeric()
+        data["checks"] = ["perturbed_reference"]
+        (check,) = run_suite(VerificationConfig.from_dict(data)).checks
+        assert check.status == "pass"
+        assert calls == [(64, 64, 1)]
+
+    def test_point_cloud_checks_report_point_samples(self):
+        report = run_suite(VerificationConfig.demo("principal-g1"))
+        by_name = {c.name: c for c in report.checks}
+        for name in ("curvature_invariance", "sigma_obstruction", "perturbed_reference"):
+            assert by_name[name].samples == POINT_SAMPLES, name
+
+    def test_g2_at_grid_24_stays_below_two_grids(self):
+        # the offset's g components (half a (g, g) grid at g = 2) beside the one
+        # obstruction grid; a second dbar(w) grid would take it past two
+        data = json.loads(json.dumps(VerificationConfig.demo("principal-g2").canonical))
+        data["numeric"]["grid"] = 24
+        ctx = _SuiteContext(VerificationConfig.from_dict(data))
+        check = _CHECK_FUNCTIONS["perturbed_reference"]
+        index = CHECK_ORDER.index("perturbed_reference")
+        check(ctx, ctx.rng(index))  # builds sigma and tau, which the check reads
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            error, tolerance, _ = check(ctx, ctx.rng(index))
+            peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        grid = 24**4 * 2 * 2 * np.dtype(complex).itemsize
+        assert error <= tolerance
+        assert peak < 2 * grid, f"peak {peak / grid:.2f} (g, g) grids"
 
 
 class TestReport:
