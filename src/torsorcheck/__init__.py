@@ -44,7 +44,7 @@ from .errors import (
     TorsorcheckError,
     TorusMismatch,
 )
-from .grids import GridFunction, dbar_at_points, dbar_fd, dz_fd, lattice_grid
+from .grids import GridFunction, dbar_at_points, dbar_fd, lattice_grid
 from .torsors import (
     TorsorMorphism,
     TorsorPresentation,
@@ -88,7 +88,7 @@ __all__ = [
     "ResolutionTooCoarse", "SemicharacterInconsistent", "ShapeMismatch", "TorsorcheckError",
     "TorusMismatch",
     # grids
-    "GridFunction", "dbar_at_points", "dbar_fd", "dz_fd", "lattice_grid",
+    "GridFunction", "dbar_at_points", "dbar_fd", "lattice_grid",
     # torsors
     "TorsorMorphism", "TorsorPresentation", "TorsorSection", "act", "canonical_morphism",
     "duality_map", "is_holomorphic", "is_holomorphic_morphism", "local_holomorphic_section",

@@ -46,7 +46,7 @@ class ShapeMismatch(TorsorcheckError):
 
 
 class BaseMismatch(TorsorcheckError):
-    """Torsor presentations live over different bases or grids."""
+    """Torsor presentations live over different bases or resolutions."""
 
 
 class ConfigInvalid(TorsorcheckError):

@@ -1,26 +1,23 @@
-"""Periodic lattice-coordinate grids and finite-difference Wirtinger derivatives.
+"""Finite-difference Wirtinger derivatives, at points and on a periodic grid.
 
-All sampling happens in lattice coordinates on [0, 1)^{2g}, mapped through the
-period matrix to complex lifts, so periodicity is exact wrap-around and the
-*dzbar* components of a derivative come from the 2g directional differences
-via the inverse chart matrix of the torus.  Central differences at the grid
-spacing are exact (to rounding) on functions affine in (z, zbar).
+Functions are evaluated in lattice coordinates mapped through the period
+matrix to complex lifts; the *dzbar* components come from the 2g directional
+central differences at step 1/N via the inverse chart matrix, exact (to
+rounding) on functions affine in (z, zbar).  Both read paths accumulate each
+direction through ``_accumulate``.  ``wirtinger_at_points`` evaluates at
+c +- e_d / N around lattice coordinates c, on the cover, so it needs no grid
+and no seam jumps; ``dbar_at_points`` selects its dzbar rows, and
+``seeded_coords`` gives ``POINT_SAMPLES`` default points from seed 0.  Every
+check and torsor section reads this path.
 
-Functions that shift by a constant across each period (connection forms in
-an automorphy frame, chart-local torsor offsets) carry ``seam_jumps``, which
-``GridFunction.sample`` always measures: value(c + e_d) = value(c) + jumps[d].
-One stencil has two read paths, and both accumulate each direction's central
-difference through ``_accumulate``.  ``_wirtinger_fd`` reads a grid through
-a slab source, one first-axis slab at a time, keeps only the slabs i-1, i and
-i+1, and yields the output slab by slab, so it never needs the input or the
-output as a whole grid; ``dbar_fd`` and ``dz_fd`` select its rows and gather
-its slabs into an output grid.  ``wirtinger_at_points`` evaluates a function
-at c +- e_d / N around given lattice coordinates c, on the cover, so it needs
-no grid and no seam jumps; ``dbar_at_points`` selects its dzbar rows, and
-``seeded_coords`` gives the default points, ``POINT_SAMPLES`` of them from
-seed 0.
+The grid path has no caller in the package: ``lattice_grid``,
+``slab_coords``, ``GridFunction`` (whose ``sample`` measures the constant
+period increments as ``seam_jumps``), ``measure_seam_jumps``, ``SEAM_TOL``,
+``_central_difference``, ``_wirtinger_fd`` (slab by slab, holding slabs i-1,
+i, i+1) and ``dbar_fd``.  It stays because five of these are layers of the
+benchmark tracer's ``LAYER_CALLS`` and the tests compare ``dbar_fd`` with the
+point stencil.
 """
-
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -218,27 +215,19 @@ def _wirtinger_fd(torus: ComplexTorus, resolution: int, slab, rows: np.ndarray, 
                 ahead = ahead + jumps[0]
 
 
-def _on_grid(gf: GridFunction, rows: np.ndarray) -> GridFunction:
-    """The kernel over the values of ``gf``, gathered into one output grid."""
+def dbar_fd(gf: GridFunction) -> GridFunction:
+    """Per-node dzbar-derivative coefficients; appends one axis of length g.
+
+    Output value_shape is value_shape + (g,), entry [..., k] = d(value)/dzbar_k;
+    the kernel's slabs are gathered into one output grid.
+    """
     vals = gf.values
+    rows = gf.torus.dzbar_rows
     out = np.empty(vals.shape + (rows.shape[0],), dtype=complex)
     slabs = _wirtinger_fd(gf.torus, gf.resolution, vals.__getitem__, rows, gf.seam_jumps)
     for i, out_slab in enumerate(slabs):
         out[i] = out_slab
     return GridFunction(gf.torus, out)
-
-
-def dbar_fd(gf: GridFunction) -> GridFunction:
-    """Per-node dzbar-derivative coefficients; appends one axis of length g.
-
-    Output value_shape is value_shape + (g,), entry [..., k] = d(value)/dzbar_k.
-    """
-    return _on_grid(gf, gf.torus.dzbar_rows)
-
-
-def dz_fd(gf: GridFunction) -> GridFunction:
-    """Per-node dz-derivative coefficients; appends one axis of length g."""
-    return _on_grid(gf, gf.torus.dz_rows)
 
 
 def wirtinger_at_points(torus: ComplexTorus, fn, coords, resolution: int,

@@ -4,9 +4,9 @@ A torsor over the trivial bundle with fiber V = C^g (invariant (1,0)-forms) is
 presented concretely by a reference smooth section together with that
 section's constant obstruction (0,1)-form Theta, one (g, g) matrix, with
 Theta[j, k] = component dz_j along direction dzbar_k.  Sections are
-reference + offset (one array), obstructions are Theta + dbar(offset), and a
-section is holomorphic exactly when its obstruction vanishes.  Only a
-grid-sampled offset gives a grid obstruction.
+reference + offset, a (g,) constant or a function on the cover; obstructions
+are Theta + dbar(offset), read at points for a function offset, and a section
+is holomorphic exactly when its obstruction vanishes.
 
 Two reference sections are built here:
 
@@ -33,7 +33,7 @@ from . import connections
 from .bundles import AHDatum, parameter_section
 from .connections import chern_form, family_connection
 from .errors import BaseMismatch, ResolutionTooCoarse, ShapeMismatch
-from .grids import MIN_RESOLUTION, GridFunction, dbar_at_points, dbar_fd, seeded_coords
+from .grids import MIN_RESOLUTION, dbar_at_points, seeded_coords
 from .torus import ComplexTorus
 
 #: tau's recomputed reference obstruction must be constant over the seeded points to this extent
@@ -47,7 +47,7 @@ class TorsorPresentation:
     On a torus a constant-coefficient (0,1)-form with values in V is exact
     only when it vanishes, so ``theta_ref`` is the obstruction class itself:
     the torsor is trivializable exactly when it is (numerically) zero.
-    ``resolution`` is the N of the grid on which offsets are sampled.
+    Function offsets are differentiated at the step 1/``resolution``.
     """
 
     torus: ComplexTorus
@@ -74,93 +74,91 @@ class TorsorPresentation:
 class TorsorSection:
     """reference + offset; the offset is a V-valued map on the base.
 
-    The offset is one array, of shape (g,) for a constant offset or
-    (N,)*2g + (g,) for a grid-sampled one; it defaults to the (g,) zero
-    vector.  Acting on the zero section by v then w produces the same floats
-    as acting by v + w.  ``seam_jumps``, when present, has shape (2g, g) and
-    gives the offset's constant increment across one period in each grid
-    direction, as in ``GridFunction``: such a section is chart-local.  They
-    must be finite; jumps that are all zero are stored as none, since the
-    offset is then periodic.
+    The offset is a (g,) constant, the zero vector by default, or a function
+    on the cover, vectorized over lifts, (..., g) -> (..., g).  A function
+    need not be periodic: a chart-local section such as
+    ``local_holomorphic_section`` is read on the cover, never across a period.
+    Two constant offsets combine as arrays, so acting on the zero section by
+    v then w produces the same floats as acting by v + w; other offsets
+    combine pointwise.
     """
 
-    def __init__(self, presentation: TorsorPresentation, offset=None, seam_jumps=None):
-        g = presentation.torus.genus
+    def __init__(self, presentation: TorsorPresentation, offset=None):
         if offset is None:
-            offset = np.zeros(g, dtype=complex)
-        offset = _constant_or_grid(presentation, offset, (g,), "offsets")
-        if seam_jumps is not None:
-            seam_jumps = np.asarray(seam_jumps, dtype=complex)
-            if seam_jumps.shape != (2 * g, g):
-                raise ShapeMismatch(f"seam jumps must have shape {(2 * g, g)}")
-            if not np.all(np.isfinite(seam_jumps)):
-                raise ValueError("seam jumps must be finite")
-            if not np.any(seam_jumps):  # zero increments: the offset is periodic
-                seam_jumps = None
-            elif offset.shape == (g,):
-                raise ShapeMismatch("seam jumps need a grid-sampled offset")
+            offset = np.zeros(presentation.torus.genus, dtype=complex)
         self.presentation = presentation
-        self.offset = offset
-        self.seam_jumps = seam_jumps
+        self.offset = _constant_or_function(presentation, offset, "offsets")
 
     def same_section(self, other: "TorsorSection") -> bool:
-        """Exact equality of sections: same presentation, seam jumps and offset values."""
-        if self.presentation is not other.presentation or not _same_jumps(self, other):
+        """Same presentation and the same offset values at the ``seeded_coords`` points."""
+        if self.presentation is not other.presentation:
             return False
-        left, right = np.broadcast_arrays(self.offset, other.offset)
+        torus = self.presentation.torus
+        z = torus.lift_of_coords(seeded_coords(torus))
+        left, right = np.broadcast_arrays(_at(self.offset, z), _at(other.offset, z))
         return bool(np.array_equal(left, right))
 
 
-def _constant_or_grid(pres: TorsorPresentation, v, value_shape: tuple, what: str) -> np.ndarray:
-    """``v`` as complex, of shape ``value_shape`` or (N,)*2g + that, else ShapeMismatch."""
+def _constant_or_function(pres: TorsorPresentation, v, what: str):
+    """``v`` if it is callable, else ``v`` as a complex (g,) array, else ShapeMismatch."""
+    if callable(v):
+        return v
     v = np.asarray(v, dtype=complex)
-    grid_shape = (pres.resolution,) * (2 * pres.torus.genus) + value_shape
-    if v.shape != value_shape and v.shape != grid_shape:
-        raise ShapeMismatch(f"{what} must have shape {value_shape} or {grid_shape}")
+    g = pres.torus.genus
+    if v.shape != (g,):
+        raise ShapeMismatch(f"{what} must have shape {(g,)} or be a function on the cover")
     return v
 
 
-def _same_jumps(s: TorsorSection, t: TorsorSection) -> bool:
-    if s.seam_jumps is None or t.seam_jumps is None:
-        return s.seam_jumps is t.seam_jumps
-    return bool(np.array_equal(s.seam_jumps, t.seam_jumps))
+def _at(u, z):
+    """Offset values at the lifts ``z``: a function evaluated, a constant as it is."""
+    return u(z) if callable(u) else u
+
+
+def _pointwise(op, *offsets):
+    """``op`` of constant offsets as arrays; of any others, the function z -> op(values at z)."""
+    if not any(callable(u) for u in offsets):
+        return op(*offsets)
+    return lambda z: op(*(_at(u, z) for u in offsets))
 
 
 def act(section: TorsorSection, v) -> TorsorSection:
     """Move the section by a V-valued offset; the torsor action."""
     # checked before adding: a wrong-shaped v can broadcast to a valid shape
-    pres = section.presentation
-    v = _constant_or_grid(pres, v, (pres.torus.genus,), "action offsets")
-    return TorsorSection(pres, section.offset + v, section.seam_jumps)
+    v = _constant_or_function(section.presentation, v, "action offsets")
+    return TorsorSection(section.presentation, _pointwise(np.add, section.offset, v))
 
 
-def transition(s: TorsorSection, t: TorsorSection) -> np.ndarray:
+def transition(s: TorsorSection, t: TorsorSection):
     """The unique offset v with act(s, v) equal to t (simple transitivity)."""
     if s.presentation is not t.presentation:
         raise BaseMismatch("sections live on different presentations")
-    if not _same_jumps(s, t):
-        raise ShapeMismatch("sections with different seam jumps differ by no periodic offset")
-    return t.offset - s.offset
+    return _pointwise(np.subtract, t.offset, s.offset)
 
 
-def obstruction(section: TorsorSection) -> np.ndarray:
-    """Obstruction of the section: reference obstruction plus dbar of the offset."""
+def obstruction(section: TorsorSection, coords=None) -> np.ndarray:
+    """Obstruction of the section: reference obstruction plus dbar of the offset.
+
+    A constant offset is killed by dbar, so its obstruction is the read-only
+    reference itself.  A function offset's is read at the lattice coordinates
+    ``coords`` (P, 2g), by default ``seeded_coords``, and returned as a
+    (P, g, g) cloud.
+    """
     pres = section.presentation
     u = section.offset
-    if u.ndim == 1:  # constant offsets are killed by dbar: the read-only reference itself
+    if not callable(u):
         return pres.theta_ref
-    dbar_u = dbar_fd(GridFunction(pres.torus, u, seam_jumps=section.seam_jumps)).values
-    return np.add(dbar_u, pres.theta_ref, out=dbar_u)  # in place: one (g, g) grid
-
-
-def _max_abs(theta: np.ndarray) -> float:
-    """max |theta|, taken slab by slab so no |theta| grid sits beside it; NaN propagates."""
-    return float(np.max([np.max(np.abs(slab)) for slab in theta]))
+    if coords is None:
+        coords = seeded_coords(pres.torus)
+    dbar_u = dbar_at_points(pres.torus, u, coords, pres.resolution)
+    if dbar_u.shape[1:] != pres.theta_ref.shape:  # a wrong-shaped cloud could broadcast
+        raise ShapeMismatch("offsets must map (..., g) lifts to (..., g) values")
+    return np.add(dbar_u, pres.theta_ref, out=dbar_u)
 
 
 def is_holomorphic(section: TorsorSection, tol: float) -> tuple[bool, float]:
     """Whether the section's obstruction vanishes to tolerance; returns (flag, max error)."""
-    err = _max_abs(obstruction(section))
+    err = float(np.max(np.abs(obstruction(section))))
     return err <= tol, err
 
 
@@ -176,9 +174,8 @@ class TorsorMorphism:
         if section.presentation is not self.source:
             raise BaseMismatch("section does not live on the morphism source")
         if self.sign == 1:
-            return TorsorSection(self.target, section.offset, section.seam_jumps)
-        jumps = None if section.seam_jumps is None else -section.seam_jumps
-        return TorsorSection(self.target, -section.offset, jumps)
+            return TorsorSection(self.target, section.offset)
+        return TorsorSection(self.target, _pointwise(np.negative, section.offset))
 
     def obstruction(self) -> np.ndarray:
         """Obstruction of the morphism as a section of the comparison torsor.
@@ -218,24 +215,18 @@ def _check_common_base(p1: TorsorPresentation, p2: TorsorPresentation):
     if not p1.torus.same_as(p2.torus):
         raise BaseMismatch("presentations live over different tori")
     if p1.resolution != p2.resolution:
-        raise BaseMismatch("presentations are sampled at different resolutions")
+        raise BaseMismatch("presentations are differentiated at different resolutions")
 
 
 def local_holomorphic_section(p: TorsorPresentation) -> TorsorSection:
     """Chart-local holomorphic section for a constant-obstruction presentation.
 
     The antilinear offset u_j(z) = - sum_k Theta_jk zbar_k solves
-    Theta + dbar(u) = 0 on any polydisc chart; it is not single-valued on the
-    torus unless the class vanishes, so it is sampled on the grid with its
-    constant period increments as seam jumps.
+    Theta + dbar(u) = 0 on the cover.  It is not single-valued on the torus
+    unless the class vanishes, so it is kept as a function on the cover.
     """
     t = p.theta_ref
-
-    def offset(z):
-        return -(np.conj(z) @ t.T)
-
-    gf = GridFunction.sample(p.torus, p.resolution, offset)
-    return TorsorSection(p, gf.values, gf.seam_jumps)
+    return TorsorSection(p, lambda z: -(np.conj(z) @ t.T))
 
 
 # -- the two canonical presentations ------------------------------------------

@@ -10,11 +10,10 @@ holomorphy of the duality maps with negation of the dual covectors, the
 trivial-bundle degenerate run (zero class, holomorphic references and
 morphism), and a convergence-order probe.  A crash in one check never
 suppresses the following ones.  Both presentations hold one (g, g) class,
-and every curvature the suite recomputes (the canonical curvature, the slice
-and family curvatures, the tau reference and the probe) is read through the
-one Wirtinger stencil at seeded points.  Only ``perturbed_reference`` samples
-an offset on the N^{2g} grid, differentiates it there once and reads the
-result at seeded nodes against the point stencil.
+and every derivative the suite takes (the canonical curvature, the slice
+and family curvatures, the tau reference, the probe and the obstructions of
+``perturbed_reference``'s function offsets) is read through the one
+Wirtinger stencil at seeded points, so no check builds an N^{2g} grid.
 
 The checks measure only what can fail on the mathematics.  The section-action
 bookkeeping (equivariance of the canonical morphism, the duality round trip and
@@ -47,7 +46,7 @@ from .connections import (
     slice_connection,
 )
 from .errors import ConfigInvalid, TorsorcheckError
-from .grids import POINT_SAMPLES, dbar_at_points, slab_coords
+from .grids import POINT_SAMPLES, dbar_at_points
 from .torsors import (
     TorsorPresentation,
     act,
@@ -55,6 +54,7 @@ from .torsors import (
     duality_map,
     is_holomorphic,
     is_holomorphic_morphism,
+    local_holomorphic_section,
     obstruction,
     sigma_presentation,
     tau_presentation,
@@ -352,34 +352,6 @@ def _probe(torus: ComplexTorus, modes, coeffs):
     return lambda z: np.exp(2j * np.pi * (torus.lattice_coords(z) @ modes.T)) @ coeffs
 
 
-def _smooth_offset(torus: ComplexTorus, resolution: int, coeffs) -> np.ndarray:
-    """The probe sampled on the grid, shape (N,)*2g + (g,), one first-axis slab at a time.
-
-    A unit mode's phase is a 1-D exponential broadcast (without copying) over
-    the slab.  The diagonal mode's argument goes through the same ``@ ones``
-    matmul as ``lattice_grid(N, 2g) @ ones``, for slab i only, which reproduces
-    those floats exactly (a broadcast sum of the axes rounds differently).  The
-    sums run from 0 in mode order, each product as coefficient * phase, as in
-    a dense ``+=`` loop over the modes; numpy's complex multiply is not bitwise
-    commutative where it uses fused multiply-adds.
-    """
-    g = torus.genus
-    dims = 2 * g
-    n = resolution
-    shape = (n,) * (dims - 1)
-    axis = np.exp(2j * np.pi * (np.arange(n) / n))
-    units = [np.broadcast_to(axis.reshape((1,) * d + (n,) + (1,) * (dims - 2 - d)), shape)
-             for d in range(dims - 1)]
-    coords = slab_coords(n, dims)
-    ones = np.ones(dims, dtype=int)
-    out = np.empty((n,) * dims + (g,), dtype=complex)
-    for i in range(n):
-        here = [np.broadcast_to(axis[i], shape), *units, np.exp(2j * np.pi * (coords(i) @ ones))]
-        for j in range(g):
-            out[i, ..., j] = sum(c[j] * phase for phase, c in zip(here, coeffs))
-    return out
-
-
 def _point_probe_error(torus: ComplexTorus, resolution: int, coords, modes, coeffs) -> float:
     """max |dbar_at_points(probe) - closed-form dbar(probe)| at lattice coordinates (P, 2g).
 
@@ -465,24 +437,29 @@ def _check_tau_obstruction(ctx, rng):
     z_alt = ctx.torus.random_points(rng, 1)[0].lift
     moved = tau_presentation(ctx.datum, ctx.cfg.grid, z_base=z_alt)
     dev_zbase = np.max(np.abs(moved.theta_ref - ctx.tau.theta_ref))
-    return float(np.max([dev_product, dev_zbase])), ctx.cfg.tolerance_fd, ctx.cfg.grid
+    return float(np.max([dev_product, dev_zbase])), ctx.cfg.tolerance_fd, POINT_SAMPLES
 
 
 def _check_sigma_tau_match(ctx, rng):
     _, err = is_holomorphic_morphism(canonical_morphism(ctx.sigma, ctx.tau), ctx.cfg.tolerance_fd)
-    return err, ctx.cfg.tolerance_fd, ctx.cfg.grid
+    return err, ctx.cfg.tolerance_fd, POINT_SAMPLES
 
 
 def _check_perturbed_reference(ctx, rng):
-    # tau's reference moved by w has obstruction sigma's class + dbar(w): the grid
-    # stencil's dbar(w), read at seeded nodes, against the point stencil's
-    torus, n = ctx.torus, ctx.cfg.grid
-    modes, coeffs = _probe_terms(torus.genus, rng, 0.05)
-    nodes = rng.integers(n, size=(POINT_SAMPLES, 2 * torus.genus))
-    moved = obstruction(act(ctx.tau.zero_section(), _smooth_offset(torus, n, coeffs)))
-    dbar_w = dbar_at_points(torus, _probe(torus, modes, coeffs), nodes / n, n)
-    err = float(np.max(np.abs(moved[tuple(nodes.T)] - (ctx.sigma.theta_ref + dbar_w))))
-    return err, 2.0 * ctx.cfg.tolerance_fd, POINT_SAMPLES
+    """Moving tau's reference by w adds dbar(w) to its obstruction, exactly at points.
+
+    w(z) = conj(z) B^T + z C^T is affine, so its dbar is B at every point, and
+    the obstruction of the moved section must be sigma's class plus B.  The
+    chart-local holomorphic section of tau must have zero obstruction.
+    """
+    g = ctx.torus.genus
+    b, c = (0.05 * (rng.standard_normal((g, g)) + 1j * rng.standard_normal((g, g)))
+            for _ in range(2))
+    coords = rng.random((POINT_SAMPLES, 2 * g))
+    moved = obstruction(act(ctx.tau.zero_section(), lambda z: np.conj(z) @ b.T + z @ c.T), coords)
+    terms = [np.max(np.abs(moved - (ctx.sigma.theta_ref + b))),
+             np.max(np.abs(obstruction(local_holomorphic_section(ctx.tau), coords)))]
+    return float(np.max(terms)), 2.0 * ctx.cfg.tolerance_fd, POINT_SAMPLES
 
 
 def _check_duality(ctx, rng):
@@ -516,7 +493,7 @@ def _check_trivial_bundle(ctx, rng):
              is_holomorphic(sigma.zero_section(), cfg.tolerance_exact)[1],
              is_holomorphic(tau.zero_section(), cfg.tolerance_exact)[1],
              is_holomorphic_morphism(canonical_morphism(sigma, tau), cfg.tolerance_exact)[1]]
-    return float(np.max(terms)), cfg.tolerance_exact, cfg.grid
+    return float(np.max(terms)), cfg.tolerance_exact, POINT_SAMPLES
 
 
 def _check_convergence_order(ctx, rng):

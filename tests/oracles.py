@@ -1,12 +1,15 @@
 """Independent oracles that only the tests use.
 
 Each one restates a piece of the mathematics from its definition, so that the
-package's own constructions can be checked against it.
+package's own constructions can be checked against it.  ``random_offset`` and
+``seeded_lifts`` give the torsor tests seeded function offsets and the points
+where they compare them.
 """
 
 import numpy as np
 
 from torsorcheck import TorusHomomorphism, TorusMismatch, hermitian_pairing
+from torsorcheck.grids import seeded_coords
 
 
 def translation_map(x) -> TorusHomomorphism:
@@ -56,3 +59,16 @@ def is_topologically_trivial(datum) -> bool:
         np.max(np.abs(datum.pairing_imag)) < 0.5
         and np.max(np.abs(datum.hermitian)) <= 1e-10
     )
+
+
+def random_offset(torus, rng, scale=1.0):
+    """A seeded offset on the cover, z -> scale * (z A + conj(z) B), (..., g) -> (..., g)."""
+    g = torus.genus
+    a, b = (scale * (rng.standard_normal((g, g)) + 1j * rng.standard_normal((g, g)))
+            for _ in range(2))
+    return lambda z: z @ a + np.conj(z) @ b
+
+
+def seeded_lifts(torus):
+    """Lifts of the ``seeded_coords`` points, where function offsets are compared."""
+    return torus.lift_of_coords(seeded_coords(torus))

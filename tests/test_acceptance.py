@@ -19,6 +19,7 @@ from torsorcheck import (
     check_eq_i,
     curvature,
     cycle_integral,
+    dbar_at_points,
     dbar_fd,
     duality_map,
     family_connection,
@@ -33,6 +34,9 @@ from torsorcheck import (
     tau_presentation,
     trivial_datum,
 )
+from torsorcheck.grids import seeded_coords
+
+from oracles import random_offset
 
 SEED = 20250809
 
@@ -162,14 +166,16 @@ def test_criterion_6_perturbed_reference_identity():
     with Timer() as t:
         torus = datum.torus
         rng = np.random.default_rng(SEED + 2)
-        coords = lattice_grid(n, 2)
-        values = np.zeros((n, n, 1), dtype=complex)
-        for mode in (np.array([1, 0]), np.array([0, 1]), np.array([1, 1])):
-            coeff = 0.05 * (rng.standard_normal() + 1j * rng.standard_normal())
-            values += coeff * np.exp(2j * np.pi * (coords @ mode))[..., None]
+        modes = np.array([[1, 0], [0, 1], [1, 1]])
+        coeffs = 0.05 * (rng.standard_normal(3) + 1j * rng.standard_normal(3))
+
+        def w(z):
+            return (np.exp(2j * np.pi * (torus.lattice_coords(z) @ modes.T)) @ coeffs)[..., None]
+
+        coords = seeded_coords(torus)
         tau = tau_presentation(datum, n)
-        moved = obstruction(act(tau.zero_section(), values))
-        dbar_w = dbar_fd(GridFunction(torus, values)).values
+        moved = obstruction(act(tau.zero_section(), w), coords)
+        dbar_w = dbar_at_points(torus, w, coords, n)
         dev = float(np.max(np.abs((moved - sigma_presentation(datum, n).theta_ref) - dbar_w)))
     ok = dev <= 2e-6
     _report(6, "comparison-map obstruction of a perturbed reference equals dbar of the perturbation",
@@ -219,12 +225,10 @@ def test_criterion_8_duality_involution():
         back = duality_map(tau_dual, tau)
         bit_exact = True
         for _ in range(5):
-            shape = (n, n, 1)
-            v = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-            w = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            v, w = random_offset(datum.torus, rng), random_offset(datum.torus, rng)
             s = act(tau.zero_section(), v)
             bit_exact &= back.apply(fwd.apply(s)).same_section(s)
-            bit_exact &= fwd.apply(act(s, w)).same_section(act(fwd.apply(s), -w))
+            bit_exact &= fwd.apply(act(s, w)).same_section(act(fwd.apply(s), lambda z: -w(z)))
         image = fwd.apply(tau.zero_section())
         zero_map_err = float(np.max(np.abs(image.offset)))
         theta = canonical_connection(datum)

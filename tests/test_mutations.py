@@ -79,15 +79,9 @@ def family_without_dual_half(monkeypatch):
 
 
 def dbar_on_dz_rows(monkeypatch):
-    patch_everywhere(monkeypatch, "dbar_fd", grids.dz_fd)
     stencil = grids.wirtinger_at_points
     patch_everywhere(monkeypatch, "dbar_at_points",
                      lambda torus, fn, coords, n: stencil(torus, fn, coords, n, torus.dz_rows))
-
-
-def grid_dbar_on_dz_rows(monkeypatch):
-    """Only the grid path reads the dz rows; the point path is untouched."""
-    patch_everywhere(monkeypatch, "dbar_fd", grids.dz_fd)
 
 
 def one_sided_stencil(monkeypatch):
@@ -99,6 +93,15 @@ def one_sided_stencil(monkeypatch):
         return np.einsum("kd,d...->...k", rows, np.stack(diffs))
 
     monkeypatch.setattr(grids, "wirtinger_at_points", forward_at_points)
+
+
+def local_section_sign_flipped(monkeypatch):
+    """The chart-local section's offset is +conj(z) Theta^T, whose dbar adds Theta again."""
+    def flipped(p):
+        t = p.theta_ref
+        return torsors.TorsorSection(p, lambda z: np.conj(z) @ t.T)
+
+    patch_everywhere(monkeypatch, "local_holomorphic_section", flipped)
 
 
 def nan_family_covector(monkeypatch):
@@ -172,8 +175,8 @@ MUTANTS = {
         "perturbed_reference",
         "convergence_order",
     }),
-    "grid_dbar_on_dz_rows": (grid_dbar_on_dz_rows, {"perturbed_reference"}),
-    "one_sided_stencil": (one_sided_stencil, {"convergence_order", "perturbed_reference"}),
+    "one_sided_stencil": (one_sided_stencil, {"convergence_order"}),
+    "local_section_sign_flipped": (local_section_sign_flipped, {"perturbed_reference"}),
     "nan_family_covector": (nan_family_covector, {
         "slice_flatness",
         "family_curvature_restriction",
@@ -219,7 +222,8 @@ def test_mutant_fails_named_checks(monkeypatch, mutant, demo):
 
 
 @pytest.mark.parametrize("demo", ["principal-g1", "principal-g2"])
-@pytest.mark.parametrize("mutant", ["dbar_on_dz_rows", "grid_dbar_on_dz_rows", "one_sided_stencil"])
+@pytest.mark.parametrize("mutant", ["dbar_on_dz_rows", "one_sided_stencil",
+                                    "local_section_sign_flipped"])
 def test_stencil_rows_fail_on_a_measured_error(monkeypatch, mutant, demo):
     # the defect must reach the stencil itself: each failing check measures a
     # finite error above its tolerance instead of crashing

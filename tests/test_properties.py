@@ -34,6 +34,8 @@ from torsorcheck import (  # noqa: E402
 )
 from torsorcheck.verifier import report_json  # noqa: E402
 
+from oracles import random_offset, seeded_lifts  # noqa: E402
+
 RUNS = settings(max_examples=25, deadline=None, derandomize=True, database=None)
 
 
@@ -83,13 +85,12 @@ def test_action_and_duality_compose_bitwise(data, seed, exponents):
     delta = duality_map(sigma, sigma_dual)
     back = duality_map(sigma_dual, sigma)
     rng = np.random.default_rng(seed)
-    shape = (cfg.grid,) * (2 * cfg.torus.genus) + (cfg.torus.genus,)
-    v, w = (10.0**e * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-            for e in exponents)
+    v, w = (random_offset(cfg.torus, rng, 10.0**e) for e in exponents)
     zero = sigma.zero_section()
     s = act(zero, v)
-    assert np.array_equal(act(s, w).offset, act(zero, v + w).offset)
-    assert delta.apply(act(s, w)).same_section(act(delta.apply(s), -w))
+    z = seeded_lifts(cfg.torus)
+    assert np.array_equal(act(s, w).offset(z), act(zero, lambda u: v(u) + w(u)).offset(z))
+    assert delta.apply(act(s, w)).same_section(act(delta.apply(s), lambda u: -w(u)))
     assert back.apply(delta.apply(s)).same_section(s)
     gamma = canonical_morphism(sigma, tau_presentation(cfg.datum, cfg.grid))
     assert gamma.apply(act(zero, v)).same_section(act(gamma.apply(zero), v))

@@ -11,11 +11,11 @@ from torsorcheck import (
     ResolutionTooCoarse,
     ShapeMismatch,
     TorsorPresentation,
-    TorsorSection,
     act,
     canonical_morphism,
     chern_form,
     dbar_fd,
+    dbar_at_points,
     duality_map,
     is_holomorphic,
     is_holomorphic_morphism,
@@ -28,6 +28,9 @@ from torsorcheck import (
     transition,
     trivial_datum,
 )
+from torsorcheck.grids import seeded_coords
+
+from oracles import random_offset, seeded_lifts
 
 N_G1 = 64
 
@@ -43,16 +46,24 @@ def patch_family_covector(monkeypatch, change):
     monkeypatch.setattr(torsors, "family_connection", patched)
 
 
-def trig_offset(torus, resolution, amplitude, mode):
-    """Single-mode periodic offset and its closed-form dzbar derivative."""
+def trig_offset(torus, amplitude, mode):
+    """Single-mode periodic offset on the cover and its closed-form dzbar derivative.
+
+    The offset maps lifts (..., g) to (..., g); the derivative takes lattice
+    coordinates (..., 2g) to (..., g, g).
+    """
     g = torus.genus
-    coords = lattice_grid(resolution, 2 * g)
     coeff = amplitude * (1.0 + 0.5j) * (1 + np.arange(g))
-    phase = np.exp(2j * np.pi * (coords @ mode))
-    values = coeff * phase[..., None]
     chain = 2j * np.pi * (torus.dzbar_rows @ mode)
-    deriv = phase[..., None, None] * np.einsum("j,k->jk", coeff, chain)
-    return values, deriv
+
+    def offset(z):
+        return coeff * np.exp(2j * np.pi * (torus.lattice_coords(z) @ mode))[..., None]
+
+    def deriv(coords):
+        phase = np.exp(2j * np.pi * (coords @ mode))
+        return phase[..., None, None] * np.einsum("j,k->jk", coeff, chain)
+
+    return offset, deriv
 
 
 @pytest.fixture
@@ -72,26 +83,32 @@ class TestAction:
 
     def test_act_then_undo(self, sigma_g1, rng):
         s = sigma_g1.zero_section()
-        v = rng.standard_normal((N_G1, N_G1, 1)) + 1j * rng.standard_normal((N_G1, N_G1, 1))
-        assert act(act(s, v), -v).same_section(s)
+        v = random_offset(sigma_g1.torus, rng)
+        assert act(act(s, v), lambda z: -v(z)).same_section(s)
 
     def test_composition_axiom_bitwise(self, sigma_g1, rng):
         s = sigma_g1.zero_section()
-        shape = (N_G1, N_G1, 1)
-        v = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        w = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        assert np.array_equal(act(act(s, v), w).offset, act(s, v + w).offset)
+        v = random_offset(sigma_g1.torus, rng)
+        w = random_offset(sigma_g1.torus, rng)
+        z = seeded_lifts(sigma_g1.torus)
+        assert np.array_equal(act(act(s, v), w).offset(z),
+                              act(s, lambda u: v(u) + w(u)).offset(z))
 
     def test_transition_is_unique_offset(self, sigma_g1, rng):
-        shape = (N_G1, N_G1, 1)
-        s = act(sigma_g1.zero_section(), rng.standard_normal(shape) + 0j)
-        t = act(sigma_g1.zero_section(), rng.standard_normal(shape) + 0j)
+        s = act(sigma_g1.zero_section(), random_offset(sigma_g1.torus, rng))
+        t = act(sigma_g1.zero_section(), random_offset(sigma_g1.torus, rng))
         v = transition(s, t)
-        assert np.allclose(act(s, v).offset, t.offset)
+        z = seeded_lifts(sigma_g1.torus)
+        assert np.allclose(act(s, v).offset(z), t.offset(z))
 
     def test_shape_checked(self, sigma_g1):
+        # an offset is a (g,) constant or a function; a sampled grid is neither
+        for offset in (np.zeros((3, 3, 1)), np.zeros((N_G1, N_G1, 1))):
+            with pytest.raises(ShapeMismatch):
+                act(sigma_g1.zero_section(), offset.astype(complex))
+        # a function without the value axis would broadcast against the (g, g) class
         with pytest.raises(ShapeMismatch):
-            act(sigma_g1.zero_section(), np.zeros((3, 3, 1), dtype=complex))
+            obstruction(act(sigma_g1.zero_section(), lambda z: z[..., 0]))
 
 
 class TestObstruction:
@@ -106,20 +123,22 @@ class TestObstruction:
         assert np.array_equal(obstruction(moved), sigma_g1.theta_ref)
 
     def test_affine_in_offset(self, principal_datum, tau_g1):
-        values, _ = trig_offset(principal_datum.torus, N_G1, 0.3, np.array([1, 0]))
-        moved = act(tau_g1.zero_section(), values)
-        expected = tau_g1.theta_ref + dbar_fd(
-            GridFunction(principal_datum.torus, values)
-        ).values
-        assert np.max(np.abs(obstruction(moved) - expected)) <= 1e-10
+        torus = principal_datum.torus
+        w, _ = trig_offset(torus, 0.3, np.array([1, 0]))
+        moved = act(tau_g1.zero_section(), w)
+        coords = seeded_coords(torus)
+        expected = tau_g1.theta_ref + dbar_at_points(torus, w, coords, N_G1)
+        assert np.max(np.abs(obstruction(moved, coords) - expected)) <= 1e-10
 
     def test_fd_derivative_matches_closed_form(self, principal_datum):
         # the operator itself, against the analytic derivative of the probe;
         # the probe is curved, so the error budget is the h^2 truncation term
         torus = principal_datum.torus
         amplitude, mode = 0.3, np.array([1, 0])
-        values, analytic = trig_offset(torus, N_G1, amplitude, mode)
-        fd = dbar_fd(GridFunction(torus, values)).values
+        offset, deriv = trig_offset(torus, amplitude, mode)
+        nodes = lattice_grid(N_G1, 2)
+        analytic = deriv(nodes)
+        fd = dbar_fd(GridFunction(torus, offset(torus.lift_of_coords(nodes)))).values
         budget = amplitude * 2 * (2 * np.pi) ** 3 / (6 * N_G1**2)
         assert np.max(np.abs(fd - analytic)) <= budget
 
@@ -134,50 +153,11 @@ class TestObstruction:
 class TestChartLocalSection:
     def test_antilinear_witness_is_holomorphic(self, sigma_g1):
         witness = local_holomorphic_section(sigma_g1)
-        assert np.max(np.abs(witness.seam_jumps)) > 0
         assert np.max(np.abs(obstruction(witness))) <= 1e-9
 
     def test_g2_antilinear_witness_is_holomorphic(self, g2_datum):
         witness = local_holomorphic_section(sigma_presentation(g2_datum, 16))
-        assert np.max(np.abs(witness.seam_jumps)) > 0
         assert np.max(np.abs(obstruction(witness))) <= 1e-9
-
-    def test_jumps_are_carried_and_compared(self, principal_datum, sigma_g1, rng):
-        witness = local_holomorphic_section(sigma_g1)
-        v = rng.standard_normal((N_G1, N_G1, 1)) + 0j
-        moved = act(witness, v)
-        assert np.array_equal(moved.seam_jumps, witness.seam_jumps)
-        assert np.allclose(transition(witness, moved), v)
-        # the same values without the period increments are another section
-        unwrapped = TorsorSection(sigma_g1, witness.offset)
-        assert not unwrapped.same_section(witness)
-        with pytest.raises(ShapeMismatch):
-            transition(unwrapped, witness)
-        with pytest.raises(ShapeMismatch):  # increments of no sampled offset
-            TorsorSection(sigma_g1, None, witness.seam_jumps)
-        # duality negates offset and jumps alike, so the image stays holomorphic
-        sigma_dual = sigma_presentation(principal_datum.dual(), N_G1)
-        image = duality_map(sigma_g1, sigma_dual).apply(witness)
-        assert np.array_equal(image.seam_jumps, -witness.seam_jumps)
-        assert np.max(np.abs(obstruction(image))) <= 1e-9
-
-    @pytest.mark.parametrize("jump", [np.inf, np.nan])
-    def test_non_finite_jumps_rejected(self, sigma_g1, jump):
-        jumps = np.zeros((2, 1), dtype=complex)
-        jumps[0, 0] = jump
-        offset = np.zeros((N_G1, N_G1, 1), dtype=complex)
-        with pytest.raises(ValueError, match="seam jumps must be finite"):
-            TorsorSection(sigma_g1, offset, jumps)
-
-    def test_zero_jumps_are_no_jumps(self, flat_datum):
-        # the trivial bundle's witness has a zero offset with zero increments,
-        # so it is the zero section moved by a zero grid
-        sigma = sigma_presentation(flat_datum, 16)
-        witness = local_holomorphic_section(sigma)
-        zero = act(sigma.zero_section(), np.zeros((16, 16, 1), dtype=complex))
-        assert witness.seam_jumps is None
-        assert witness.same_section(zero)
-        assert np.array_equal(transition(zero, witness), np.zeros((16, 16, 1)))
 
 
 class TestCanonicalMorphism:
@@ -188,10 +168,10 @@ class TestCanonicalMorphism:
 
     def test_equivariance_bitwise(self, sigma_g1, tau_g1, rng):
         gamma = canonical_morphism(sigma_g1, tau_g1)
-        shape = (N_G1, N_G1, 1)
-        v = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        left = gamma.apply(act(sigma_g1.zero_section(), v)).offset
-        right = act(gamma.apply(sigma_g1.zero_section()), v).offset
+        v = random_offset(sigma_g1.torus, rng)
+        z = seeded_lifts(sigma_g1.torus)
+        left = gamma.apply(act(sigma_g1.zero_section(), v)).offset(z)
+        right = act(gamma.apply(sigma_g1.zero_section()), v).offset(z)
         assert np.array_equal(left, right)
 
     def test_sigma_tau_morphism_holomorphic(self, sigma_g1, tau_g1):
@@ -223,9 +203,10 @@ class TestCanonicalMorphism:
 
     def test_perturbed_reference_identity(self, principal_datum, sigma_g1, tau_g1):
         torus = principal_datum.torus
-        w, _ = trig_offset(torus, N_G1, 0.05, np.array([0, 1]))
-        moved = obstruction(act(tau_g1.zero_section(), w))
-        dbar_w = dbar_fd(GridFunction(torus, w)).values
+        w, _ = trig_offset(torus, 0.05, np.array([0, 1]))
+        coords = seeded_coords(torus)
+        moved = obstruction(act(tau_g1.zero_section(), w), coords)
+        dbar_w = dbar_at_points(torus, w, coords, N_G1)
         assert np.max(np.abs((moved - sigma_g1.theta_ref) - dbar_w)) <= 2e-6
 
     def test_close_references_give_small_obstruction(self, tau_g1, rng):
@@ -249,11 +230,12 @@ class TestTrivializationClass:
         assert abs(abs(cls[0, 0]) - 0.5) <= 1e-12  # |i/(2 pi) * pi * H| = 0.5
 
     def test_exact_form_has_zero_class(self, principal_datum, tau_g1):
-        values, _ = trig_offset(principal_datum.torus, N_G1, 0.4, np.array([1, 1]))
-        moved = act(tau_g1.zero_section(), values)
-        # dbar of a periodic offset averages to zero over the grid: it adds no class
-        exact = obstruction(moved) - tau_g1.theta_ref
-        assert np.max(np.abs(exact.mean(axis=(0, 1)))) <= 1e-8
+        w, _ = trig_offset(principal_datum.torus, 0.4, np.array([1, 1]))
+        moved = act(tau_g1.zero_section(), w)
+        # dbar of a periodic offset averages to zero over the grid nodes: it adds no class
+        nodes = lattice_grid(N_G1, 2).reshape(-1, 2)
+        exact = obstruction(moved, nodes) - tau_g1.theta_ref
+        assert np.max(np.abs(exact.mean(axis=0))) <= 1e-8
 
 
 class TestDuality:
@@ -261,20 +243,19 @@ class TestDuality:
         tau_dual = tau_presentation(principal_datum.dual(), N_G1)
         fwd = duality_map(tau_g1, tau_dual)
         back = duality_map(tau_dual, tau_g1)
-        shape = (N_G1, N_G1, 1)
+        z = seeded_lifts(tau_g1.torus)
         for _ in range(5):
-            v = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-            s = act(tau_g1.zero_section(), v)
-            assert np.array_equal(back.apply(fwd.apply(s)).offset, s.offset)
+            s = act(tau_g1.zero_section(), random_offset(tau_g1.torus, rng))
+            assert np.array_equal(back.apply(fwd.apply(s)).offset(z), s.offset(z))
 
     def test_anti_equivariance_bitwise(self, principal_datum, tau_g1, rng):
         tau_dual = tau_presentation(principal_datum.dual(), N_G1)
         delta = duality_map(tau_g1, tau_dual)
-        shape = (N_G1, N_G1, 1)
-        s = act(tau_g1.zero_section(), rng.standard_normal(shape) + 0j)
-        v = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        s = act(tau_g1.zero_section(), random_offset(tau_g1.torus, rng))
+        v = random_offset(tau_g1.torus, rng)
+        z = seeded_lifts(tau_g1.torus)
         assert np.array_equal(
-            delta.apply(act(s, v)).offset, act(delta.apply(s), -v).offset
+            delta.apply(act(s, v)).offset(z), act(delta.apply(s), lambda u: -v(u)).offset(z)
         )
 
     def test_zero_section_maps_to_zero_section(self, principal_datum, tau_g1):
