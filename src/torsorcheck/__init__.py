@@ -44,7 +44,7 @@ from .errors import (
     TorsorcheckError,
     TorusMismatch,
 )
-from .grids import GridFunction, dbar_at_points, dbar_fd, lattice_grid
+from .grids import dbar_at_points
 from .torsors import (
     TorsorMorphism,
     TorsorPresentation,
@@ -62,7 +62,6 @@ from .torsors import (
 )
 from .torus import (
     ComplexTorus,
-    TorusPoint,
     cycle_integral,
     product_torus,
 )
@@ -88,13 +87,13 @@ __all__ = [
     "ResolutionTooCoarse", "SemicharacterInconsistent", "ShapeMismatch", "TorsorcheckError",
     "TorusMismatch",
     # grids
-    "GridFunction", "dbar_at_points", "dbar_fd", "lattice_grid",
+    "dbar_at_points",
     # torsors
     "TorsorMorphism", "TorsorPresentation", "TorsorSection", "act", "canonical_morphism",
     "duality_map", "is_holomorphic", "is_holomorphic_morphism", "local_holomorphic_section",
     "obstruction", "sigma_presentation", "tau_presentation", "transition",
     # torus
-    "ComplexTorus", "TorusPoint", "cycle_integral", "product_torus",
+    "ComplexTorus", "cycle_integral", "product_torus",
     # verifier
     "DEMO_CONFIGS", "VerificationConfig", "VerificationReport", "emit_report", "run_suite",
 ]

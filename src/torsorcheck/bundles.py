@@ -30,7 +30,7 @@ from .errors import (
     ShapeMismatch,
     TorusMismatch,
 )
-from .torus import ComplexTorus, TorusPoint, _complex_of_shape, product_torus
+from .torus import ComplexTorus, _complex_of_shape, product_torus
 
 HERMITIAN_TOL = 1e-12
 INTEGRAL_TOL = 1e-8
@@ -192,20 +192,22 @@ def first_projection(prod: ComplexTorus) -> TorusHomomorphism:
     return TorusHomomorphism(prod, left, np.hstack([np.eye(g), np.zeros((g, g))]))
 
 
-def slice_embedding(x: TorusPoint, prod: ComplexTorus) -> TorusHomomorphism:
-    """z -> (z, x): the slice A x {x} of the product."""
-    g = x.torus.genus
-    matrix = np.vstack([np.eye(g), np.zeros((g, g))])
-    translation = np.concatenate([np.zeros(g), x.lift])
-    return TorusHomomorphism(x.torus, prod, matrix, translation)
+def slice_embedding(x, prod: ComplexTorus) -> TorusHomomorphism:
+    """z -> (z, x): the slice A x {x} of the product, for a lift x (g,) of a point of A."""
+    left, right = _split_factors(prod)
+    x = _complex_of_shape(x, (right.genus,), "point lifts")
+    matrix = np.vstack([np.eye(left.genus), np.zeros((right.genus, left.genus))])
+    translation = np.concatenate([np.zeros(left.genus), x])
+    return TorusHomomorphism(left, prod, matrix, translation)
 
 
-def parameter_section(y: TorusPoint, prod: ComplexTorus) -> TorusHomomorphism:
-    """x -> (y, x): the section of the second projection through y."""
-    g = y.torus.genus
-    matrix = np.vstack([np.zeros((g, g)), np.eye(g)])
-    translation = np.concatenate([y.lift, np.zeros(g)])
-    return TorusHomomorphism(y.torus, prod, matrix, translation)
+def parameter_section(y, prod: ComplexTorus) -> TorusHomomorphism:
+    """x -> (y, x): the section of the second projection through a lift y (g,) of a point of A."""
+    left, right = _split_factors(prod)
+    y = _complex_of_shape(y, (left.genus,), "point lifts")
+    matrix = np.vstack([np.zeros((left.genus, right.genus)), np.eye(right.genus)])
+    translation = np.concatenate([y, np.zeros(right.genus)])
+    return TorusHomomorphism(right, prod, matrix, translation)
 
 
 def _split_factors(prod: ComplexTorus) -> tuple[ComplexTorus, ComplexTorus]:

@@ -28,7 +28,6 @@ from .bundles import (
     TorusHomomorphism,
 )
 from .grids import dbar_at_points, seeded_coords
-from .torus import TorusPoint
 
 #: scale making cycle integrals of the curvature class integral
 CHERN_NORMALIZATION = 1j / (2.0 * np.pi)
@@ -92,8 +91,8 @@ def family_connection(datum: AHDatum) -> ConnectionForm:
     return ConnectionForm(fam_datum, theta)
 
 
-def slice_connection(family_conn: ConnectionForm, x: TorusPoint) -> ConnectionForm:
-    """Restriction of the family connection to the slice A x {x}.
+def slice_connection(family_conn: ConnectionForm, x) -> ConnectionForm:
+    """Restriction of the family connection to the slice A x {x}, for a lift x (g,).
 
     The covector is read in the restriction of the product automorphy frame;
     it is constant in z, so the restriction is flat.
@@ -128,16 +127,15 @@ def chern_form(datum: AHDatum) -> np.ndarray:
     return CHERN_NORMALIZATION * (-np.pi) * datum.hermitian
 
 
-def check_eq_i(family_conn: ConnectionForm, y: TorusPoint, resolution: int,
-               coords=None) -> float:
+def check_eq_i(family_conn: ConnectionForm, y, resolution: int, coords=None) -> float:
     """Max deviation of the restricted family curvature from the invariant class.
 
-    Pulls the family connection back along x -> (y, x), recomputes its
-    ``curvature`` at step 1/``resolution`` around the x-points with lattice
-    coordinates ``coords`` (P, 2g; by default the ``seeded_coords`` of the
-    torus), scales by the Chern normalization and compares against the class
-    of the pulled-back datum, whose pairing is the lower-right block of the
-    family pairing.  The covector is affine in (x, xbar), so the differences
+    Pulls the family connection back along x -> (y, x), for a lift y (g,) of
+    a point of A, recomputes its ``curvature`` at step 1/``resolution`` around
+    the x-points with lattice coordinates ``coords`` (P, 2g; by default the
+    ``seeded_coords`` of the torus), scales by the Chern normalization and
+    compares against the class of the pulled-back datum, whose pairing is the
+    lower-right block of the family pairing.  The covector is affine in (x, xbar), so the differences
     are exact to rounding at any point, and translation invariance makes the
     result independent of y.
     """

@@ -257,7 +257,7 @@ def tau_presentation(datum: AHDatum, resolution: int, z_base=None) -> TorsorPres
     fam = family_connection(datum)
     if z_base is None:
         z_base = np.zeros(g, dtype=complex)
-    section = parameter_section(base.point(z_base), fam.datum.torus)
+    section = parameter_section(z_base, fam.datum.torus)
 
     def slice_covector(x_lifts):
         return fam.theta(section.apply(x_lifts))[..., :g]

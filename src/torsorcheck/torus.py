@@ -1,4 +1,4 @@
-"""Compact complex tori: lattices, point arithmetic, cycle pairings.
+"""Compact complex tori: lattices, lattice charts, cycle pairings.
 
 Conventions used everywhere in this package:
 
@@ -6,7 +6,7 @@ Conventions used everywhere in this package:
   generate the lattice.
 * Lattice coordinates of a lift z are the real solution c of
   ``[Re z; Im z] = P c`` with P the stacked 2g x 2g real period matrix.
-  The canonical representative of a point has c in [0, 1)^{2g}.
+  A point of the torus is passed as one of its lifts, a complex (g,) array.
 * Hermitian pairings are linear in the first argument and conjugate-linear
   in the second.
 * The only invariant forms used are (1,1)-forms, stored as a (g, g) matrix T
@@ -23,11 +23,7 @@ from .errors import (
     IndexOutOfRange,
     ShapeMismatch,
     TorsorcheckError,
-    TorusMismatch,
 )
-
-#: tolerance for deciding torus-point equality, in lattice coordinates
-POINT_TOL = 1e-9
 
 
 def _complex_of_shape(x, shape: tuple, what: str) -> np.ndarray:
@@ -82,29 +78,14 @@ class ComplexTorus:
         c = np.asarray(c, dtype=float)
         return c @ self.periods.T
 
-    def reduce_coords(self, c) -> np.ndarray:
-        c = np.mod(np.asarray(c, dtype=float), 1.0)
-        # np.mod can return exactly 1.0 for tiny negative inputs
-        c[c >= 1.0] -= 1.0
-        return c
-
     def lattice_vector(self, j: int) -> np.ndarray:
         if not 0 <= j < 2 * self.genus:
             raise IndexOutOfRange(f"generator index {j} outside 0..{2 * self.genus - 1}")
         return self.periods[:, j]
 
-    # -- points ------------------------------------------------------------
-
-    def point(self, lift) -> "TorusPoint":
-        return TorusPoint(self, lift)
-
-    def zero(self) -> "TorusPoint":
-        return TorusPoint(self, np.zeros(self.genus, dtype=complex))
-
-    def random_points(self, rng: np.random.Generator, count: int) -> list["TorusPoint"]:
-        coords = rng.random((count, 2 * self.genus))
-        lifts = self.lift_of_coords(coords)
-        return [TorusPoint(self, lifts[i]) for i in range(count)]
+    def random_points(self, rng: np.random.Generator, count: int) -> np.ndarray:
+        """Lifts (count, g) of points with uniform lattice coordinates in [0, 1)^{2g}."""
+        return self.lift_of_coords(rng.random((count, 2 * self.genus)))
 
     # -- comparisons -------------------------------------------------------
 
@@ -123,38 +104,6 @@ def product_torus(left: ComplexTorus, right: ComplexTorus) -> ComplexTorus:
     periods[gl:, 2 * gl :] = right.periods
     kappa = max(left.kappa_max, right.kappa_max)
     return ComplexTorus(periods, kappa_max=kappa, factors=(left, right))
-
-
-class TorusPoint:
-    """A torus point carried by an explicit lift in C^g."""
-
-    __slots__ = ("torus", "lift")
-
-    def __init__(self, torus: ComplexTorus, lift):
-        self.torus = torus
-        self.lift = _complex_of_shape(lift, (torus.genus,), "point lifts")
-
-    def reduce(self) -> "TorusPoint":
-        """Canonical representative: lattice coordinates in [0, 1)^{2g}."""
-        c = self.torus.reduce_coords(self.torus.lattice_coords(self.lift))
-        return TorusPoint(self.torus, self.torus.lift_of_coords(c))
-
-    def __add__(self, other: "TorusPoint") -> "TorusPoint":
-        if not self.torus.same_as(other.torus):
-            raise TorusMismatch("cannot add points of different tori")
-        return TorusPoint(self.torus, self.lift + other.lift).reduce()
-
-    def __neg__(self) -> "TorusPoint":
-        return TorusPoint(self.torus, -self.lift).reduce()
-
-    def same_point(self, other: "TorusPoint", tol: float = POINT_TOL) -> bool:
-        if not self.torus.same_as(other.torus):
-            raise TorusMismatch("points of different tori are never equal")
-        c = self.torus.lattice_coords(self.lift - other.lift)
-        return bool(np.max(np.abs(c - np.round(c))) <= tol)
-
-    def __repr__(self):
-        return f"TorusPoint({self.lift})"
 
 
 def cycle_integral(torus: ComplexTorus, coefficients, j: int, k: int) -> complex:

@@ -98,6 +98,9 @@ _NUMERIC_DEFAULTS = {
 }
 #: the integer numeric fields and the least value each may take
 _INTEGER_LEAST = {"grid": 4, "seed": 0, "samples": 1}
+#: from this grid on 1.0 + 1/(2N) == 1.0, so the probe's finer step moves no
+#: coordinate and every difference reads 0
+_GRID_BOUND = 2**52
 
 
 def _parse_array(nested, shape, where: str) -> np.ndarray:
@@ -218,6 +221,9 @@ class VerificationConfig:
             if not _is_int(numeric[name]) or numeric[name] < least:
                 raise ConfigInvalid(f"numeric.{name}: integer >= {least} required")
             parsed[name] = numeric[name]
+        if parsed["grid"] >= _GRID_BOUND:  # an int comparison: 1/(2 * 10**400) overflows
+            raise ConfigInvalid("numeric.grid: integer < 2**52 required, so that the "
+                                "stencil step 1/(2N) moves a coordinate")
         for name in ("tolerance_analytic", "tolerance_fd", "tolerance_exact"):
             parsed[name] = _tolerance(numeric, name)
         checks = data.get("checks")
@@ -412,7 +418,7 @@ def _check_slice_flatness(ctx, rng):
     terms = []
     for x in xs:
         sliced = slice_connection(ctx.family, x)
-        phases = np.exp(2j * np.pi * hermitian_pairing(ctx.datum.hermitian, x.lift, lattice).imag)
+        phases = np.exp(2j * np.pi * hermitian_pairing(ctx.datum.hermitian, x, lattice).imag)
         terms += [np.max(np.abs(curvature(sliced, ctx.cfg.grid, coords))),
                   np.max(np.abs(sliced.datum.hermitian)),
                   np.max(np.abs(sliced.datum.chi - phases))]
@@ -434,7 +440,7 @@ def _check_family_restriction(ctx, rng):
 
 def _check_tau_obstruction(ctx, rng):
     dev_product = np.max(np.abs(ctx.tau.theta_ref - ctx.chern_matrix))
-    z_alt = ctx.torus.random_points(rng, 1)[0].lift
+    z_alt = ctx.torus.random_points(rng, 1)[0]
     moved = tau_presentation(ctx.datum, ctx.cfg.grid, z_base=z_alt)
     dev_zbase = np.max(np.abs(moved.theta_ref - ctx.tau.theta_ref))
     return float(np.max([dev_product, dev_zbase])), ctx.cfg.tolerance_fd, POINT_SAMPLES
@@ -488,9 +494,8 @@ def _check_trivial_bundle(ctx, rng):
     flat = trivial_datum(ctx.torus)
     sigma = sigma_presentation(flat, cfg.grid)
     tau = tau_presentation(flat, cfg.grid)
-    # a zero section's obstruction is the reference class itself
-    terms = [np.max(np.abs(chern_form(flat))),
-             is_holomorphic(sigma.zero_section(), cfg.tolerance_exact)[1],
+    # a zero section's obstruction is the reference class itself, sigma's being chern_form(flat)
+    terms = [is_holomorphic(sigma.zero_section(), cfg.tolerance_exact)[1],
              is_holomorphic(tau.zero_section(), cfg.tolerance_exact)[1],
              is_holomorphic_morphism(canonical_morphism(sigma, tau), cfg.tolerance_exact)[1]]
     return float(np.max(terms)), cfg.tolerance_exact, POINT_SAMPLES

@@ -12,10 +12,9 @@ from torsorcheck import TorusHomomorphism, TorusMismatch, hermitian_pairing
 from torsorcheck.grids import seeded_coords
 
 
-def translation_map(x) -> TorusHomomorphism:
-    """z -> z + x on the torus of the point x."""
-    g = x.torus.genus
-    return TorusHomomorphism(x.torus, x.torus, np.eye(g), x.lift)
+def translation_map(torus, x) -> TorusHomomorphism:
+    """z -> z + x on ``torus``, for a lift x (g,)."""
+    return TorusHomomorphism(torus, torus, np.eye(torus.genus), x)
 
 
 def compose(outer: TorusHomomorphism, inner: TorusHomomorphism) -> TorusHomomorphism:

@@ -12,7 +12,6 @@ from torsorcheck import (
     CHERN_NORMALIZATION,
     AHDatum,
     ComplexTorus,
-    GridFunction,
     canonical_connection,
     canonical_morphism,
     chern_form,
@@ -20,12 +19,10 @@ from torsorcheck import (
     curvature,
     cycle_integral,
     dbar_at_points,
-    dbar_fd,
     duality_map,
     family_connection,
     is_holomorphic,
     is_holomorphic_morphism,
-    lattice_grid,
     local_holomorphic_section,
     obstruction,
     act,
@@ -34,7 +31,7 @@ from torsorcheck import (
     tau_presentation,
     trivial_datum,
 )
-from torsorcheck.grids import seeded_coords
+from torsorcheck.grids import GridFunction, dbar_fd, lattice_grid, seeded_coords
 
 from oracles import random_offset
 

@@ -1,15 +1,14 @@
 import numpy as np
 import pytest
 
-from torsorcheck import (
+from torsorcheck import ResolutionTooCoarse, ShapeMismatch, dbar_at_points
+from torsorcheck.grids import (
     GridFunction,
-    ResolutionTooCoarse,
-    ShapeMismatch,
-    dbar_at_points,
     dbar_fd,
     lattice_grid,
+    measure_seam_jumps,
+    wirtinger_at_points,
 )
-from torsorcheck.grids import measure_seam_jumps, wirtinger_at_points
 from torsorcheck.torus import ComplexTorus
 
 

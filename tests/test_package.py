@@ -26,7 +26,7 @@ def test_submodules_still_import_by_name():
     from torsorcheck import connections, grids
 
     assert connections.CHERN_NORMALIZATION == torsorcheck.CHERN_NORMALIZATION
-    assert grids.dbar_fd is torsorcheck.dbar_fd
+    assert grids.dbar_at_points is torsorcheck.dbar_at_points
 
 
 def _imported_names(tree: ast.Module) -> set:

@@ -102,9 +102,9 @@ def test_action_and_duality_compose_bitwise(data, seed, exponents):
 def test_slice_datum_is_phi_of_x(data, coords):
     cfg = VerificationConfig.from_dict(data)
     g = cfg.torus.genus
-    x = cfg.torus.point(cfg.torus.lift_of_coords(coords[: 2 * g]))  # any lift, not only [0, 1)
+    x = cfg.torus.lift_of_coords(coords[: 2 * g])  # any lift, not only [0, 1)
     family = build_family(cfg.datum)
     sliced = pullback(slice_embedding(x, family.torus), family)
-    pairings = hermitian_pairing(cfg.datum.hermitian, x.lift, cfg.torus.periods.T)
+    pairings = hermitian_pairing(cfg.datum.hermitian, x, cfg.torus.periods.T)
     assert np.max(np.abs(sliced.hermitian)) <= 1e-12
     assert np.max(np.abs(sliced.chi - np.exp(2j * np.pi * pairings.imag))) <= 1e-9

@@ -7,19 +7,16 @@ from torsorcheck import (
     AHDatum,
     BaseMismatch,
     ConnectionForm,
-    GridFunction,
     ResolutionTooCoarse,
     ShapeMismatch,
     TorsorPresentation,
     act,
     canonical_morphism,
     chern_form,
-    dbar_fd,
     dbar_at_points,
     duality_map,
     is_holomorphic,
     is_holomorphic_morphism,
-    lattice_grid,
     local_holomorphic_section,
     obstruction,
     sigma_presentation,
@@ -28,7 +25,7 @@ from torsorcheck import (
     transition,
     trivial_datum,
 )
-from torsorcheck.grids import seeded_coords
+from torsorcheck.grids import GridFunction, dbar_fd, lattice_grid, seeded_coords
 
 from oracles import random_offset, seeded_lifts
 

@@ -7,9 +7,10 @@ from torsorcheck import (
     IndexOutOfRange,
     ShapeMismatch,
     TorsorcheckError,
-    TorusMismatch,
-    TorusPoint,
     cycle_integral,
+    parameter_section,
+    product_torus,
+    slice_embedding,
 )
 
 
@@ -53,70 +54,22 @@ class TestValidation:
 
 
 class TestPoints:
+    """A point of the torus is passed as its lift, a complex (g,) array."""
+
     def test_lift_shape_is_exact(self, g2_torus):
         # a (2, 1) lift is refused, not flattened into a point
-        with pytest.raises(ShapeMismatch):
-            g2_torus.point(np.zeros((2, 1)))
-        with pytest.raises(ShapeMismatch):
-            TorusPoint(g2_torus, np.zeros(3))
+        prod = product_torus(g2_torus, g2_torus)
+        for take_point in (slice_embedding, parameter_section):
+            with pytest.raises(ShapeMismatch):
+                take_point(np.zeros((2, 1)), prod)
+            with pytest.raises(ShapeMismatch):
+                take_point(np.zeros(3), prod)
 
-    def test_reduce_integer_translation(self, square_torus):
-        p = square_torus.point([2.5 + 3.5j]).reduce()
-        assert np.allclose(p.lift, [0.5 + 0.5j], atol=1e-12)
-
-    def test_reduce_zero(self, square_torus):
-        p = square_torus.zero().reduce()
-        assert np.allclose(p.lift, [0.0], atol=0)
-
-    def test_reduce_idempotent(self, square_torus, rng):
-        for p in square_torus.random_points(rng, 10):
-            q = square_torus.point(p.lift * 7.3 - 2.1)
-            once = q.reduce()
-            assert np.array_equal(once.lift, once.reduce().lift)
-
-    def test_reduce_g2_random(self, g2_torus, rng):
-        lifts = rng.standard_normal((20, 2)) * 5 + 1j * rng.standard_normal((20, 2)) * 5
-        stack = np.vstack([g2_torus.periods.real, g2_torus.periods.imag])
-        for lift in lifts:
-            reduced = g2_torus.point(lift).reduce()
-            # oracle: solve the stacked real system for the coordinates
-            coords = np.linalg.solve(
-                stack, np.concatenate([reduced.lift.real, reduced.lift.imag])
-            )
-            assert np.all(coords >= 0) and np.all(coords < 1)
-            diff = np.linalg.solve(
-                stack, np.concatenate([(lift - reduced.lift).real, (lift - reduced.lift).imag])
-            )
-            assert np.max(np.abs(diff - np.round(diff))) <= 1e-9
-
-    def test_add_identity(self, square_torus, rng):
-        for p in square_torus.random_points(rng, 5):
-            assert (p + square_torus.zero()).same_point(p)
-
-    def test_add_wraparound(self, square_torus):
-        total = square_torus.point([0.7]) + square_torus.point([0.6])
-        assert total.same_point(square_torus.point([0.3]))
-
-    def test_add_inverse(self, square_torus, rng):
-        for p in square_torus.random_points(rng, 5):
-            assert (p + (-p)).same_point(square_torus.zero())
-
-    def test_group_laws_random(self, g2_torus, rng):
-        pts = g2_torus.random_points(rng, 9)
-        for p, q, r in zip(pts[:3], pts[3:6], pts[6:]):
-            assert (p + q).same_point(q + p)
-            assert ((p + q) + r).same_point(p + (q + r))
-
-    def test_mismatched_tori_rejected(self, square_torus, g2_torus):
-        with pytest.raises(TorusMismatch):
-            square_torus.point([0.1]) + ComplexTorus([[1.0, 2.0j]]).point([0.1])
-
-    def test_equality_tolerance(self, square_torus):
-        p = square_torus.point([0.25 + 0.25j])
-        q = square_torus.point([0.25 + 0.25j + 1e-12])
-        far = square_torus.point([0.25 + 0.26j])
-        assert p.same_point(q)
-        assert not p.same_point(far)
+    def test_random_points_are_lifts_of_uniform_coords(self, g2_torus):
+        points = g2_torus.random_points(np.random.default_rng(5), 7)
+        expected = g2_torus.lift_of_coords(np.random.default_rng(5).random((7, 4)))
+        assert points.shape == (7, 2)
+        assert np.array_equal(points, expected)
 
 
 class TestInvariantForms:

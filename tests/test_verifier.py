@@ -13,14 +13,11 @@ import pytest
 from torsorcheck import (
     ComplexTorus,
     ConfigInvalid,
-    GridFunction,
     VerificationConfig,
-    dbar_fd,
-    lattice_grid,
     run_suite,
 )
 from torsorcheck.cli import main
-from torsorcheck.grids import POINT_SAMPLES
+from torsorcheck.grids import POINT_SAMPLES, GridFunction, dbar_fd, lattice_grid
 from torsorcheck.verifier import (
     CHECK_ORDER,
     _CHECK_FUNCTIONS,
@@ -134,6 +131,17 @@ class TestConfig:
     def test_samples_below_one_rejected(self, samples):
         with pytest.raises(ConfigInvalid, match="numeric.samples"):
             VerificationConfig.from_dict(with_numeric(samples=samples))
+
+    @pytest.mark.parametrize("grid", [2**52, 10**400], ids=["2**52", "10**400"])
+    def test_grid_whose_step_moves_nothing_rejected(self, grid):
+        # 1.0 + 1/(2N) == 1.0 here, so every difference would read 0; 1/(2N)
+        # at N = 10**400 would overflow the float conversion
+        with pytest.raises(ConfigInvalid, match="numeric.grid"):
+            VerificationConfig.from_dict(with_numeric(grid=grid))
+
+    def test_largest_grid_whose_step_moves_a_coordinate_loads(self):
+        assert 1.0 + 1.0 / (2 * 2**51) != 1.0
+        assert VerificationConfig.from_dict(with_numeric(grid=2**51)).grid == 2**51
 
     def test_negative_seed_rejected(self):
         # numpy's seed sequences take non-negative entries only, so every check would crash
@@ -448,6 +456,10 @@ class TestCli:
         data = json.loads(out.read_text())
         assert data["seed"] == 7
         assert [c["name"] for c in data["checks"]] == ["datum_valid", "chern_integrality"]
+
+    def test_grid_override_whose_step_moves_nothing_exit_two(self, capsys):
+        assert main(["--demo", "principal-g1", "--grid", str(2**52)]) == 2
+        assert "numeric.grid" in capsys.readouterr().err
 
     def test_empty_check_selection_exit_two(self, capsys):
         assert main(["--demo", "trivial", "--checks", ","]) == 2
