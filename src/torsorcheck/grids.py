@@ -6,9 +6,10 @@ central differences at step 1/N via the inverse chart matrix, exact (to
 rounding) on functions affine in (z, zbar).  Both read paths accumulate each
 direction through ``_accumulate``.  ``wirtinger_at_points`` evaluates at
 c +- e_d / N around lattice coordinates c, on the cover, so it needs no grid
-and no seam jumps; ``dbar_at_points`` selects its dzbar rows, and
-``seeded_coords`` gives ``POINT_SAMPLES`` default points from seed 0.  Every
-check and torsor section reads this path.
+and no seam jumps, with one call per direction on the + and - points stacked;
+``dbar_at_points`` selects its dzbar rows, and ``seeded_coords`` gives
+``POINT_SAMPLES`` default points from seed 0.  Every check and torsor section
+reads this path.
 
 The grid path has no caller in the package: ``lattice_grid``,
 ``slab_coords``, ``GridFunction`` (whose ``sample`` measures the constant
@@ -238,8 +239,9 @@ def wirtinger_at_points(torus: ComplexTorus, fn, coords, resolution: int,
     ``coords`` holds P lattice coordinates, shape (P, 2g).  The difference
     along d is (fn(lift(c + e_d / N)) - fn(lift(c - e_d / N))) * N / 2, the
     grid stencil's step at resolution N, read on the cover: no point wraps
-    around the torus, so no seam jumps are needed.  Returns shape
-    (P,) + value_shape + (rows,).
+    around the torus, so no seam jumps are needed.  ``fn`` is called once per
+    direction, on the (2, P, g) stacked lifts of c + e_d / N and c - e_d / N.
+    Returns shape (P,) + value_shape + (rows,).
     """
     if resolution < MIN_RESOLUTION:
         raise ResolutionTooCoarse(f"resolution {resolution} < {MIN_RESOLUTION}")
@@ -250,8 +252,9 @@ def wirtinger_at_points(torus: ComplexTorus, fn, coords, resolution: int,
     step = np.eye(dims) / resolution
     out = term = None
     for d in range(dims):
-        ahead = np.asarray(fn(torus.lift_of_coords(coords + step[d])), dtype=complex)
-        diff = ahead - np.asarray(fn(torus.lift_of_coords(coords - step[d])), dtype=complex)
+        ahead_behind = np.stack([coords + step[d], coords - step[d]])
+        both = np.asarray(fn(torus.lift_of_coords(ahead_behind)), dtype=complex)
+        diff = both[0] - both[1]
         if out is None:
             out = np.zeros((rows.shape[0],) + diff.shape, dtype=complex)
             term = np.empty_like(diff)

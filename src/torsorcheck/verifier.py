@@ -264,7 +264,7 @@ class VerificationConfig:
             raise ConfigInvalid(f"config file {str(path)!r} cannot be read: {exc}") from None
         try:
             data = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # a JSONDecodeError, or an integer past the digit limit
             raise ConfigInvalid(f"config file is not valid JSON: {exc}") from None
         return cls.from_dict(data)
 

@@ -3,13 +3,15 @@
 Each one restates a piece of the mathematics from its definition, so that the
 package's own constructions can be checked against it.  ``random_offset`` and
 ``seeded_lifts`` give the torsor tests seeded function offsets and the points
-where they compare them.
+where they compare them.  ``pullback_phases_per_generator`` and
+``stencil_two_calls`` are the one-at-a-time loops that the batched
+``pullback`` and ``wirtinger_at_points`` are compared with.
 """
 
 import numpy as np
 
 from torsorcheck import TorusHomomorphism, TorusMismatch, hermitian_pairing
-from torsorcheck.grids import seeded_coords
+from torsorcheck.grids import _accumulate, seeded_coords
 
 
 def translation_map(torus, x) -> TorusHomomorphism:
@@ -71,3 +73,32 @@ def random_offset(torus, rng, scale=1.0):
 def seeded_lifts(torus):
     """Lifts of the ``seeded_coords`` points, where function offsets are compared."""
     return torus.lift_of_coords(seeded_coords(torus))
+
+
+def pullback_phases_per_generator(f: TorusHomomorphism, datum) -> np.ndarray:
+    """Pulled-back generator phases, one ``factor`` call per source generator."""
+    h_pull = f.matrix.T @ datum.hermitian @ np.conj(f.matrix)
+    src = f.source
+    chi = np.empty(2 * src.genus, dtype=complex)
+    for j in range(2 * src.genus):
+        lam = src.lattice_vector(j)
+        mlam = f.matrix @ lam
+        quad = 0.5 * hermitian_pairing(h_pull, lam, lam).real
+        frame_gap = hermitian_pairing(datum.hermitian, mlam, f.translation)
+        value = datum.factor(mlam, f.translation) * np.exp(-np.pi * (quad + frame_gap))
+        chi[j] = value / abs(value)
+    return chi
+
+
+def stencil_two_calls(torus, fn, coords, resolution, rows) -> np.ndarray:
+    """The point stencil with ``fn`` called separately at c + e_d / N and at c - e_d / N."""
+    step = np.eye(2 * torus.genus) / resolution
+    out = term = None
+    for d in range(step.shape[0]):
+        ahead = np.asarray(fn(torus.lift_of_coords(coords + step[d])), dtype=complex)
+        diff = ahead - np.asarray(fn(torus.lift_of_coords(coords - step[d])), dtype=complex)
+        if out is None:
+            out = np.zeros((rows.shape[0],) + diff.shape, dtype=complex)
+            term = np.empty_like(diff)
+        _accumulate(out, rows, d, diff, resolution / 2.0, term)
+    return np.moveaxis(out, 0, -1)

@@ -12,6 +12,7 @@ from torsorcheck import (
     ShapeMismatch,
     TorusHomomorphism,
     TorusMismatch,
+    VerificationConfig,
     addition_map,
     build_family,
     first_projection,
@@ -22,7 +23,28 @@ from torsorcheck import (
 )
 from torsorcheck.torus import product_torus
 
-from oracles import compose, is_topologically_trivial, pullback_frame_log, translation_map
+from oracles import (
+    compose,
+    is_topologically_trivial,
+    pullback_frame_log,
+    pullback_phases_per_generator,
+    translation_map,
+)
+
+
+def same_bits(a, b) -> bool:
+    """Equal shape, dtype and bytes: stricter than ==, which takes -0.0 for 0.0."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def phased_g2_datum(g2_torus, rng):
+    """``g2_datum``'s pairing with seeded unit phases, so every chi_j**n_j counts."""
+    return AHDatum(g2_torus, np.diag([1.0, 0.5]), np.exp(2j * np.pi * rng.random(4)))
+
+
+#: a tolerance of a few rounding steps of a unit-size complex product
+ULPS = 4 * np.finfo(float).eps
 
 
 class TestValidation:
@@ -91,6 +113,18 @@ class TestValidation:
     def test_shapes_must_be_exact(self, g2_torus, hermitian, chi):
         with pytest.raises(ShapeMismatch, match="shape"):
             AHDatum(g2_torus, hermitian, chi)
+
+    def test_first_inconsistent_pair_named_in_row_major_order(self):
+        # H = [[0, c], [c, 0]] on [I | i I] gives E = -c on the pairs (0, 3) and (1, 2)
+        # only; at c = 1e10, 2 pi c rounds far outside SEMICHARACTER_TOL of a whole
+        # turn, so both pairs fail.  Row-major order names (0, 3), column-major (1, 2).
+        torus = ComplexTorus(np.hstack([np.eye(2), 1j * np.eye(2)]))
+        c = 1e10
+        with pytest.raises(SemicharacterInconsistent, match=r"generators \(0, 3\) "):
+            AHDatum(torus, [[0.0, c], [c, 0.0]], np.ones(4))
+        # one bad pair (1, 3) alone is still found
+        with pytest.raises(SemicharacterInconsistent, match=r"generators \(1, 3\) "):
+            AHDatum(torus, np.diag([0.0, c]), np.ones(4))
 
     def test_g2_diag_datum(self, g2_datum):
         e = g2_datum.pairing_imag_int
@@ -185,6 +219,59 @@ class TestFactor:
 
     def test_int64_edge_coordinate_accepted(self, principal_datum):
         assert principal_datum.chi_on([-(2.0**63), 0]) == 1.0
+
+
+class TestBatchedLatticeAlgebra:
+    MIXED = [[1, 0, 1, 0], [0, 1, 0, 1], [1, 1, 1, 0], [1, 1, 1, 1], [-2, 3, 1, -1],
+             [0, 0, 0, 0]]
+
+    def test_mixed_rows_include_odd_parity(self, g2_datum):
+        # with unit phases chi_on is the sign (-1)^parity alone
+        signs = g2_datum.chi_on(np.array(self.MIXED, dtype=float))
+        assert np.array_equal(signs, [-1, -1, -1, 1, -1, 1])
+
+    def test_chi_on_rows_bitwise(self, g2_torus, rng):
+        datum = phased_g2_datum(g2_torus, rng)
+        n = np.vstack([self.MIXED, rng.integers(-4, 5, size=(40, 4))]).astype(float)
+        batched = datum.chi_on(n)
+        assert batched.shape == (len(n),)
+        assert same_bits(batched, np.array([datum.chi_on(row) for row in n]))
+        stacked = datum.chi_on(n.reshape(2, -1, 4))
+        assert same_bits(stacked, batched.reshape(2, -1))
+
+    def lattice_vectors_and_lifts(self, torus, rng):
+        n = np.vstack([self.MIXED, rng.integers(-3, 4, size=(30, 4))]).astype(float)
+        zs = rng.standard_normal((len(n), 2)) + 1j * rng.standard_normal((len(n), 2))
+        return torus.lift_of_coords(n), zs
+
+    def test_factor_rows_bitwise(self, g2_datum, rng):
+        # unit phases: chi_on is the exact sign (-1)^parity, odd on some MIXED rows
+        lams, zs = self.lattice_vectors_and_lifts(g2_datum.torus, rng)
+        batched = g2_datum.factor(lams, zs)
+        assert same_bits(batched, np.array([g2_datum.factor(l, z) for l, z in zip(lams, zs)]))
+        # one z broadcast against every lattice vector
+        at_one = g2_datum.factor(lams, zs[0])
+        assert same_bits(at_one, np.array([g2_datum.factor(l, zs[0]) for l in lams]))
+
+    def test_factor_rows_with_phases_agree_to_rounding(self, g2_torus, rng):
+        # numpy's array loop for a complex product may fuse a multiply-add that
+        # the scalar product rounds twice, so general phases agree to a few ulps
+        datum = phased_g2_datum(g2_torus, rng)
+        lams, zs = self.lattice_vectors_and_lifts(g2_torus, rng)
+        rows = np.array([datum.factor(l, z) for l, z in zip(lams, zs)])
+        assert np.all(np.abs(datum.factor(lams, zs) - rows) <= ULPS * np.abs(rows))
+
+    @pytest.mark.parametrize("bad, match", [
+        (np.nan, "finite"), (np.inf, "finite"), (0.5, "finite integers"), (2.0**63, "int64"),
+    ])
+    def test_one_bad_row_rejects_the_batch(self, principal_datum, bad, match):
+        with pytest.raises(NotLatticeVector, match=match):
+            principal_datum.chi_on([[1.0, 0.0], [bad, 0.0]])
+
+    @pytest.mark.parametrize("bad", [np.nan, 0.5])
+    def test_one_bad_lattice_vector_rejects_the_batch(self, principal_datum, bad):
+        with pytest.raises(NotLatticeVector):
+            principal_datum.factor([[1.0], [bad]], np.zeros(1))
 
 
 class TestAlgebra:
@@ -302,6 +389,44 @@ class TestPullback:
         twice = pullback(g, pullback(f, principal_datum))
         assert np.max(np.abs(once.hermitian - twice.hermitian)) <= 1e-10
         assert np.max(np.abs(once.chi - twice.chi)) <= 1e-10
+
+
+def one_plus_i_and_phased_datum(square_torus):
+    """z -> (1 + i) z, which sends the generator i to -1 + i, and a datum with phases."""
+    datum = AHDatum(square_torus, [[1.0]], np.exp(2j * np.pi * np.array([0.3, 0.7])))
+    return TorusHomomorphism(square_torus, square_torus, [[1.0 + 1.0j]]), datum
+
+
+class TestPullbackMatchesPerGeneratorLoop:
+    @pytest.mark.parametrize("demo", ["principal-g1", "principal-g2", "g3"])
+    def test_family_pullbacks_bitwise(self, demo, g3_datum):
+        datum = g3_datum if demo == "g3" else VerificationConfig.demo(demo).datum
+        prod = product_torus(datum.torus, datum.torus)
+        for f, d in ((first_projection(prod), datum.dual()), (addition_map(prod), datum)):
+            assert same_bits(pullback(f, d).chi, pullback_phases_per_generator(f, d))
+        # a slice off zero translates, so each phase multiplies complex numbers with
+        # nonzero imaginary parts, where numpy's array loop may fuse a multiply-add
+        fam = build_family(datum)
+        x = datum.torus.lift_of_coords(np.full(2 * datum.torus.genus, 0.37))
+        for y in (np.zeros(datum.torus.genus), x):
+            f = slice_embedding(y, fam.torus)
+            batched, looped = pullback(f, fam).chi, pullback_phases_per_generator(f, fam)
+            assert np.max(np.abs(batched - looped)) <= ULPS
+
+    def test_one_plus_i_bitwise(self, square_torus):
+        f, datum = one_plus_i_and_phased_datum(square_torus)
+        assert same_bits(pullback(f, datum).chi, pullback_phases_per_generator(f, datum))
+
+    def test_one_plus_i_factor_comparison(self, square_torus, rng):
+        # no translation, so no frame change: a(M lam, M z) = a_pull(lam, z)
+        f, datum = one_plus_i_and_phased_datum(square_torus)
+        pulled = pullback(f, datum)
+        assert np.allclose(pulled.hermitian, [[2.0]])
+        for _ in range(20):
+            lam = square_torus.lift_of_coords(rng.integers(-2, 3, size=2).astype(float))
+            z = rng.standard_normal(1) + 1j * rng.standard_normal(1)
+            lhs = datum.factor(f.matrix @ lam, f.apply(z))
+            assert np.max(np.abs(lhs - pulled.factor(lam, z)) / np.abs(lhs)) <= 1e-9
 
 
 def shift_and_double(torus, lift):

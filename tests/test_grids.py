@@ -1,15 +1,19 @@
 import numpy as np
 import pytest
 
-from torsorcheck import ResolutionTooCoarse, ShapeMismatch, dbar_at_points
+from torsorcheck import ResolutionTooCoarse, ShapeMismatch, VerificationConfig, dbar_at_points
+from torsorcheck.connections import canonical_connection, family_connection
 from torsorcheck.grids import (
     GridFunction,
     dbar_fd,
     lattice_grid,
     measure_seam_jumps,
+    seeded_coords,
     wirtinger_at_points,
 )
 from torsorcheck.torus import ComplexTorus
+
+from oracles import stencil_two_calls
 
 
 def roll_stencil(gf, rows):
@@ -198,6 +202,38 @@ class TestPointPath:
         nodes = lattice_grid(n, dims).reshape(-1, dims)
         points = dbar_at_points(torus, fn, nodes, n)
         assert np.max(np.abs(points - grid.reshape(points.shape))) <= 1e-12
+
+    @pytest.mark.parametrize("case", sorted(STENCIL_CASES))
+    def test_one_call_per_direction_on_stacked_points(self, case, rng):
+        torus = ComplexTorus(STENCIL_CASES[case][0])
+        g = torus.genus
+        shapes = []
+
+        def counting(z):
+            shapes.append(z.shape)
+            return np.conj(z)
+
+        wirtinger_at_points(torus, counting, rng.random((7, 2 * g)), 8, torus.dzbar_rows)
+        assert shapes == [(2, 7, g)] * (2 * g)
+
+    @pytest.mark.parametrize("demo", ["principal-g1", "principal-g2", "g3"])
+    @pytest.mark.parametrize("resolution", [6, 16])
+    def test_matches_two_call_reference_bitwise(self, demo, resolution, g3_datum):
+        datum = g3_datum if demo == "g3" else VerificationConfig.demo(demo).datum
+        h = datum.hermitian
+        family = family_connection(datum)
+
+        def curved(z):  # not affine, so every rounding of the difference shows
+            return np.exp(1j * z) @ h + np.conj(z) ** 2
+
+        for torus, fn in ((datum.torus, canonical_connection(datum).theta),
+                          (datum.torus, curved), (family.datum.torus, family.theta)):
+            coords = seeded_coords(torus)
+            for rows in (torus.dzbar_rows, torus.dz_rows):
+                stacked = wirtinger_at_points(torus, fn, coords, resolution, rows)
+                reference = stencil_two_calls(torus, fn, coords, resolution, rows)
+                assert stacked.shape == reference.shape
+                assert stacked.tobytes() == reference.tobytes()
 
     def test_rejects_coarse_resolution_and_bad_coordinates(self, square_torus):
         with pytest.raises(ResolutionTooCoarse):

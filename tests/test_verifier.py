@@ -425,6 +425,16 @@ class TestCli:
         assert main(["--config", str(cfg_path)]) == 2
         assert str(cfg_path) in capsys.readouterr().err
 
+    def test_integer_literal_past_digit_limit_exit_two(self, tmp_path, capsys):
+        # json.loads raises a plain ValueError, not a JSONDecodeError, for an
+        # integer literal longer than Python's int-string conversion limit
+        text = json.dumps(with_numeric(seed=0))
+        assert text.count('"seed": 0') == 1
+        cfg_path = tmp_path / "long_seed.json"
+        cfg_path.write_text(text.replace('"seed": 0', '"seed": 1' + "0" * 5000))
+        assert main(["--config", str(cfg_path)]) == 2
+        assert "not valid JSON" in capsys.readouterr().err
+
     def test_overflowing_phase_exit_two_under_warnings_as_errors(self, tmp_path):
         # 2 pi * 1e308 overflows; the load must still end in ConfigInvalid, not a traceback
         data = with_numeric()
