@@ -37,12 +37,14 @@ class ConnectionForm:
     """A (1,0)-form-valued map on the cover, attached to a bundle datum.
 
     ``theta`` is vectorized: lifts of shape (..., g) map to covectors of the
-    same shape.
+    same shape.  ``base`` is the datum on A that a family form on A x A was
+    induced from, and None for every other form.
     """
 
-    def __init__(self, datum: AHDatum, theta):
+    def __init__(self, datum: AHDatum, theta, base: AHDatum | None = None):
         self.datum = datum
         self.theta = theta
+        self.base = base
 
     def __call__(self, z) -> np.ndarray:
         return np.asarray(self.theta(np.asarray(z, dtype=complex)), dtype=complex)
@@ -74,7 +76,14 @@ def pullback_connection(f: TorusHomomorphism, conn: ConnectionForm) -> Connectio
 
 
 def family_connection(datum: AHDatum) -> ConnectionForm:
-    """Connection on (p1* dual L) tensor (addition* L) induced by the canonical one."""
+    """Connection on (p1* dual L) tensor (addition* L) induced by the canonical one.
+
+    The form's ``datum`` is the family datum of :func:`build_family` on A x A
+    and its ``base`` is ``datum``.  Building it takes a product torus, two
+    pullbacks and a tensor, so a caller that reads one family several times
+    (the slices, ``check_eq_i``, ``tau_presentation`` at several base points)
+    builds it once and passes the form.
+    """
     fam_datum = build_family(datum)
     prod = fam_datum.torus
     p1 = first_projection(prod)
@@ -88,7 +97,7 @@ def family_connection(datum: AHDatum) -> ConnectionForm:
         part_add = theta_base.theta(u @ alpha.matrix.T) @ alpha.matrix
         return part_p1 + part_add
 
-    return ConnectionForm(fam_datum, theta)
+    return ConnectionForm(fam_datum, theta, base=datum)
 
 
 def slice_connection(family_conn: ConnectionForm, x) -> ConnectionForm:

@@ -16,7 +16,9 @@ Two reference sections are built here:
   two-variable connection, whose obstruction is recomputed from first
   principles by differentiating the product-frame slice covectors in the
   parameter's antiholomorphic directions at seeded points; it is constant,
-  so it too is kept as one (g, g) class.
+  so it too is kept as one (g, g) class.  It reads a family form that
+  ``connections.family_connection`` built, so one family serves every tau
+  presentation of its datum, at any base point and resolution.
 
 The canonical morphism matches references affinely (offset -> offset); its
 obstruction is the difference of the two (g, g) reference classes, so it is
@@ -31,8 +33,8 @@ import numpy as np
 
 from . import connections
 from .bundles import AHDatum, parameter_section
-from .connections import chern_form, family_connection
-from .errors import BaseMismatch, ResolutionTooCoarse, ShapeMismatch
+from .connections import ConnectionForm, chern_form
+from .errors import BaseMismatch, ResolutionTooCoarse, ShapeMismatch, TorusMismatch
 from .grids import MIN_RESOLUTION, dbar_at_points, seeded_coords
 from .torus import ComplexTorus
 
@@ -241,26 +243,32 @@ def sigma_presentation(datum: AHDatum, resolution: int) -> TorsorPresentation:
     return TorsorPresentation(datum.torus, resolution, chern_form(datum), datum=datum)
 
 
-def tau_presentation(datum: AHDatum, resolution: int, z_base=None) -> TorsorPresentation:
+def tau_presentation(family: ConnectionForm, resolution: int, z_base=None) -> TorsorPresentation:
     """Presentation of the torsor of flat-slice families, obstruction from scratch.
 
-    Differentiates the slice covectors of the induced family connection,
-    restricted in the product frame at the base point ``z_base`` (read along
-    ``parameter_section``'s map x -> (z_base, x)), in the antiholomorphic
-    parameter directions at the ``seeded_coords`` points, by the central
-    differences of step 1/``resolution``.  The mean of the scaled cloud is
-    kept as one (g, g) class.  Raises ValueError when the cloud varies about
-    it by more than ``REFERENCE_VARIATION_TOL``.
+    ``family`` is the induced two-variable connection that
+    ``connections.family_connection(datum)`` returns; the presentation lives
+    over ``family.base``'s torus and records ``family.base`` as its datum.
+    Differentiates the family's slice covectors, restricted in the product
+    frame at the base point ``z_base`` (read along ``parameter_section``'s map
+    x -> (z_base, x)), in the antiholomorphic parameter directions at the
+    ``seeded_coords`` points, by the central differences of step
+    1/``resolution``.  The mean of the scaled cloud is kept as one (g, g)
+    class.  Raises TorusMismatch when ``family`` records no base datum, and
+    ValueError when the cloud varies about the class by more than
+    ``REFERENCE_VARIATION_TOL``.
     """
+    datum = family.base
+    if datum is None:
+        raise TorusMismatch("expected a family connection built by family_connection()")
     base = datum.torus
     g = base.genus
-    fam = family_connection(datum)
     if z_base is None:
         z_base = np.zeros(g, dtype=complex)
-    section = parameter_section(z_base, fam.datum.torus)
+    section = parameter_section(z_base, family.datum.torus)
 
     def slice_covector(x_lifts):
-        return fam.theta(section.apply(x_lifts))[..., :g]
+        return family.theta(section.apply(x_lifts))[..., :g]
 
     cloud = connections.CHERN_NORMALIZATION * dbar_at_points(
         base, slice_covector, seeded_coords(base), resolution)

@@ -38,6 +38,7 @@ import numpy as np
 from . import connections
 from .bundles import AHDatum, hermitian_pairing, trivial_datum
 from .connections import (
+    ConnectionForm,
     canonical_connection,
     check_eq_i,
     chern_form,
@@ -101,6 +102,9 @@ _INTEGER_LEAST = {"grid": 4, "seed": 0, "samples": 1}
 #: from this grid on 1.0 + 1/(2N) == 1.0, so the probe's finer step moves no
 #: coordinate and every difference reads 0
 _GRID_BOUND = 2**52
+#: slice_flatness, family_curvature_restriction and duality_involution each
+#: draw ``samples`` points and loop or allocate linearly in them
+_SAMPLES_BOUND = 10**4
 
 
 def _parse_array(nested, shape, where: str) -> np.ndarray:
@@ -224,6 +228,9 @@ class VerificationConfig:
         if parsed["grid"] >= _GRID_BOUND:  # an int comparison: 1/(2 * 10**400) overflows
             raise ConfigInvalid("numeric.grid: integer < 2**52 required, so that the "
                                 "stencil step 1/(2N) moves a coordinate")
+        if parsed["samples"] > _SAMPLES_BOUND:  # an int comparison, like the grid's
+            raise ConfigInvalid("numeric.samples: integer <= 10**4 required, so that the "
+                                "sampled checks stay bounded in time and memory")
         for name in ("tolerance_analytic", "tolerance_fd", "tolerance_exact"):
             parsed[name] = _tolerance(numeric, name)
         checks = data.get("checks")
@@ -308,7 +315,15 @@ class VerificationReport:
 
 
 class _SuiteContext:
-    """Shared objects for the checks, built lazily so failures stay local."""
+    """Shared objects for the checks, built lazily so failures stay local.
+
+    It holds the Chern matrix, the canonical curvature cloud, the two
+    presentations ``sigma`` and ``tau``, and the dual datum ``dual``.  Each
+    family connection is built once: ``family`` for the datum, which ``tau``,
+    the slice checks and ``tau_obstruction``'s moved base point read, and
+    ``dual_family`` for the dual, which ``duality_involution`` reads for both
+    its tau presentation and its slice.
+    """
 
     def __init__(self, cfg: VerificationConfig):
         self.cfg = cfg
@@ -325,8 +340,16 @@ class _SuiteContext:
         return curvature(canonical_connection(self.datum), self.cfg.grid)
 
     @cached_property
-    def family(self):
+    def family(self) -> ConnectionForm:
         return family_connection(self.datum)
+
+    @cached_property
+    def dual(self) -> AHDatum:
+        return self.datum.dual()
+
+    @cached_property
+    def dual_family(self) -> ConnectionForm:
+        return family_connection(self.dual)
 
     @cached_property
     def sigma(self) -> TorsorPresentation:
@@ -334,7 +357,7 @@ class _SuiteContext:
 
     @cached_property
     def tau(self) -> TorsorPresentation:
-        return tau_presentation(self.datum, self.cfg.grid)
+        return tau_presentation(self.family, self.cfg.grid)
 
     def rng(self, check_index: int) -> np.random.Generator:
         # one stream per check, so subsets of checks reproduce full runs
@@ -441,7 +464,7 @@ def _check_family_restriction(ctx, rng):
 def _check_tau_obstruction(ctx, rng):
     dev_product = np.max(np.abs(ctx.tau.theta_ref - ctx.chern_matrix))
     z_alt = ctx.torus.random_points(rng, 1)[0]
-    moved = tau_presentation(ctx.datum, ctx.cfg.grid, z_base=z_alt)
+    moved = tau_presentation(ctx.family, ctx.cfg.grid, z_base=z_alt)
     dev_zbase = np.max(np.abs(moved.theta_ref - ctx.tau.theta_ref))
     return float(np.max([dev_product, dev_zbase])), ctx.cfg.tolerance_fd, POINT_SAMPLES
 
@@ -470,21 +493,20 @@ def _check_perturbed_reference(ctx, rng):
 
 def _check_duality(ctx, rng):
     cfg = ctx.cfg
-    dual = ctx.datum.dual()
-    tau_dual = tau_presentation(dual, cfg.grid)
-    sigma_dual = sigma_presentation(dual, cfg.grid)
+    tau_dual = tau_presentation(ctx.dual_family, cfg.grid)
+    sigma_dual = sigma_presentation(ctx.dual, cfg.grid)
     terms = [
         is_holomorphic_morphism(duality_map(ctx.tau, tau_dual), cfg.tolerance_exact)[1],
         is_holomorphic_morphism(duality_map(ctx.sigma, sigma_dual), cfg.tolerance_exact)[1],
     ]
     # zero-offset references map to each other: the covectors are negatives
     theta = canonical_connection(ctx.datum)
-    theta_dual = canonical_connection(dual)
+    theta_dual = canonical_connection(ctx.dual)
     z = ctx.torus.lift_of_coords(rng.random((cfg.samples, 2 * ctx.torus.genus)))
     terms.append(np.max(np.abs(theta(z) + theta_dual(z))))
     x = ctx.torus.random_points(rng, 1)[0]
     slice_l = slice_connection(ctx.family, x)
-    slice_dual = slice_connection(family_connection(dual), x)
+    slice_dual = slice_connection(ctx.dual_family, x)
     terms.append(np.max(np.abs(slice_l(z) + slice_dual(z))))
     return float(np.max(terms)), cfg.tolerance_exact, cfg.samples
 
@@ -493,7 +515,7 @@ def _check_trivial_bundle(ctx, rng):
     cfg = ctx.cfg
     flat = trivial_datum(ctx.torus)
     sigma = sigma_presentation(flat, cfg.grid)
-    tau = tau_presentation(flat, cfg.grid)
+    tau = tau_presentation(family_connection(flat), cfg.grid)
     # a zero section's obstruction is the reference class itself, sigma's being chern_form(flat)
     terms = [is_holomorphic(sigma.zero_section(), cfg.tolerance_exact)[1],
              is_holomorphic(tau.zero_section(), cfg.tolerance_exact)[1],

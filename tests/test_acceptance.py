@@ -141,7 +141,7 @@ def test_criterion_5_tau_obstruction_and_isomorphism():
     for (datum, n), budget in zip(_configs(), (30.0, 300.0)):
         with Timer() as t:
             omega = chern_form(datum)
-            tau = tau_presentation(datum, n)
+            tau = tau_presentation(family_connection(datum), n)
             dev = float(np.max(np.abs(tau.theta_ref - omega)))
             gamma = canonical_morphism(sigma_presentation(datum, n), tau)
             holo, err = is_holomorphic_morphism(gamma, 1e-6)
@@ -170,7 +170,7 @@ def test_criterion_6_perturbed_reference_identity():
             return (np.exp(2j * np.pi * (torus.lattice_coords(z) @ modes.T)) @ coeffs)[..., None]
 
         coords = seeded_coords(torus)
-        tau = tau_presentation(datum, n)
+        tau = tau_presentation(family_connection(datum), n)
         moved = obstruction(act(tau.zero_section(), w), coords)
         dbar_w = dbar_at_points(torus, w, coords, n)
         dev = float(np.max(np.abs((moved - sigma_presentation(datum, n).theta_ref) - dbar_w)))
@@ -185,7 +185,7 @@ def test_criterion_7_trivial_bundle_degenerate_run():
         datum = trivial_datum(torus)
         omega_max = float(np.max(np.abs(chern_form(datum))))
         sigma = sigma_presentation(datum, 64)
-        tau = tau_presentation(datum, 64)
+        tau = tau_presentation(family_connection(datum), 64)
         class_max = max(
             float(np.max(np.abs(sigma.theta_ref))),
             float(np.max(np.abs(tau.theta_ref))),
@@ -216,8 +216,8 @@ def test_criterion_8_duality_involution():
     (datum, n), _ = _configs()
     with Timer() as t:
         rng = np.random.default_rng(SEED + 3)
-        tau = tau_presentation(datum, n)
-        tau_dual = tau_presentation(datum.dual(), n)
+        tau = tau_presentation(family_connection(datum), n)
+        tau_dual = tau_presentation(family_connection(datum.dual()), n)
         fwd = duality_map(tau, tau_dual)
         back = duality_map(tau_dual, tau)
         bit_exact = True

@@ -4,6 +4,10 @@ import numpy as np
 import pytest
 
 from torsorcheck import (
+    CHERN_NORMALIZATION,
+    ComplexTorus,
+    ConnectionForm,
+    TorusHomomorphism,
     build_family,
     canonical_connection,
     check_eq_i,
@@ -12,8 +16,10 @@ from torsorcheck import (
     cycle_integral,
     family_connection,
     hermitian_pairing,
+    pullback,
     slice_connection,
 )
+from torsorcheck import connections
 from torsorcheck.grids import POINT_SAMPLES
 
 from oracles import automorphy_defect
@@ -104,6 +110,45 @@ class TestCurvature:
         assert peak < 1e6, f"genus {g}: {peak / 1e6:.2f} MB at peak"
         assert k.shape == (POINT_SAMPLES, g, g)
         assert np.max(np.abs(k - k.mean(axis=0))) <= 1e-9
+
+
+def canonical_class_gap(datum):
+    """max |CHERN_NORMALIZATION * curvature(canonical_connection(datum), 16) - chern_form(datum)|."""
+    recomputed = CHERN_NORMALIZATION * curvature(connections.canonical_connection(datum), 16)
+    return float(np.max(np.abs(recomputed - chern_form(datum))))
+
+
+class TestComplexPairing:
+    """A datum whose H is not real, so H and its transpose differ.
+
+    Every demo and workload has a real symmetric H, on which the canonical
+    covector's -pi conj(z) H^T and a mistaken -pi conj(z) H agree.
+    """
+
+    M = np.array([[0.8 + 0.3j, 0.1], [0.2j, 1.1]])
+
+    @pytest.fixture
+    def skew_datum(self, g2_datum):
+        # principal-g2 pulled back along z -> M z from C^2 / M^{-1} Lambda
+        target = g2_datum.torus
+        source = ComplexTorus(np.linalg.solve(self.M, target.periods))
+        return pullback(TorusHomomorphism(source, target, self.M), g2_datum)
+
+    def test_pulled_back_pairing_is_not_real(self, skew_datum):
+        expected = np.array([[0.75, 0.08 + 0.14j], [0.08 - 0.14j, 0.615]])
+        assert np.max(np.abs(skew_datum.hermitian - expected)) <= 1e-12
+        assert np.max(np.abs(skew_datum.hermitian.imag)) >= 0.1
+
+    def test_canonical_curvature_matches_chern_form(self, skew_datum):
+        assert canonical_class_gap(skew_datum) <= 1e-12
+
+    def test_untransposed_pairing_is_caught(self, skew_datum, monkeypatch):
+        def untransposed(datum):
+            h = datum.hermitian
+            return ConnectionForm(datum, lambda z: -np.pi * (np.conj(z) @ h))
+
+        monkeypatch.setattr(connections, "canonical_connection", untransposed)
+        assert canonical_class_gap(skew_datum) > 0.1
 
 
 class TestChernForm:

@@ -73,7 +73,8 @@ def family_without_dual_half(monkeypatch):
         fam = family_connection(datum)
         alpha = bundles.addition_map(fam.datum.torus).matrix
         base = connections.canonical_connection(datum)
-        return connections.ConnectionForm(fam.datum, lambda u: base.theta(u @ alpha.T) @ alpha)
+        return connections.ConnectionForm(fam.datum, lambda u: base.theta(u @ alpha.T) @ alpha,
+                                          base=fam.base)
 
     patch_everywhere(monkeypatch, "family_connection", addition_half_only)
 
@@ -111,7 +112,7 @@ def nan_family_covector(monkeypatch):
     def nan_family(datum):
         fam = family_connection(datum)
         return connections.ConnectionForm(
-            fam.datum, lambda u: np.full_like(fam.theta(u), np.nan))
+            fam.datum, lambda u: np.full_like(fam.theta(u), np.nan), base=fam.base)
 
     patch_everywhere(monkeypatch, "family_connection", nan_family)
 

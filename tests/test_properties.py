@@ -25,6 +25,7 @@ from torsorcheck import (  # noqa: E402
     build_family,
     canonical_morphism,
     duality_map,
+    family_connection,
     hermitian_pairing,
     pullback,
     run_suite,
@@ -92,7 +93,7 @@ def test_action_and_duality_compose_bitwise(data, seed, exponents):
     assert np.array_equal(act(s, w).offset(z), act(zero, lambda u: v(u) + w(u)).offset(z))
     assert delta.apply(act(s, w)).same_section(act(delta.apply(s), lambda u: -w(u)))
     assert back.apply(delta.apply(s)).same_section(s)
-    gamma = canonical_morphism(sigma, tau_presentation(cfg.datum, cfg.grid))
+    gamma = canonical_morphism(sigma, tau_presentation(family_connection(cfg.datum), cfg.grid))
     assert gamma.apply(act(zero, v)).same_section(act(gamma.apply(zero), v))
 
 

@@ -14,7 +14,11 @@ from torsorcheck import (
     ComplexTorus,
     ConfigInvalid,
     VerificationConfig,
+    bundles,
+    connections,
     run_suite,
+    torsors,
+    verifier,
 )
 from torsorcheck.cli import main
 from torsorcheck.grids import POINT_SAMPLES, GridFunction, dbar_fd, lattice_grid
@@ -131,6 +135,15 @@ class TestConfig:
     def test_samples_below_one_rejected(self, samples):
         with pytest.raises(ConfigInvalid, match="numeric.samples"):
             VerificationConfig.from_dict(with_numeric(samples=samples))
+
+    @pytest.mark.parametrize("samples", [10**4 + 1, 10**400], ids=["10**4+1", "10**400"])
+    def test_samples_above_cap_rejected(self, samples):
+        # three checks draw `samples` points and loop or allocate linearly in them
+        with pytest.raises(ConfigInvalid, match="numeric.samples"):
+            VerificationConfig.from_dict(with_numeric(samples=samples))
+
+    def test_samples_at_cap_loads(self):
+        assert VerificationConfig.from_dict(with_numeric(samples=10**4)).samples == 10**4
 
     @pytest.mark.parametrize("grid", [2**52, 10**400], ids=["2**52", "10**400"])
     def test_grid_whose_step_moves_nothing_rejected(self, grid):
@@ -253,6 +266,23 @@ class TestSuite:
         assert math.isnan(err)
         (check,) = run_suite(cfg).checks
         assert check.status == "fail" and check.max_error is None
+
+    def test_one_family_built_per_datum(self, monkeypatch):
+        # the datum, its dual and the flat datum: every tau presentation and
+        # slice of a datum reads its one family
+        calls = {"build_family": 0, "family_connection": 0}
+        for name, original in [("build_family", bundles.build_family),
+                               ("family_connection", connections.family_connection)]:
+            def counted(datum, name=name, original=original):
+                calls[name] += 1
+                return original(datum)
+
+            for module in (bundles, connections, torsors, verifier):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counted)
+        report = run_suite(VerificationConfig.demo("principal-g2"))
+        assert report.overall == "pass"
+        assert calls == {"build_family": 3, "family_connection": 3}
 
     def test_convergence_probe_genuinely_second_order(self):
         report = run_suite(VerificationConfig.demo("principal-g1"))
