@@ -12,6 +12,7 @@ from torsorcheck import (
     canonical_connection,
     check_eq_i,
     chern_form,
+    connections,
     curvature,
     cycle_integral,
     family_connection,
@@ -19,7 +20,6 @@ from torsorcheck import (
     pullback,
     slice_connection,
 )
-from torsorcheck import connections
 from torsorcheck.grids import POINT_SAMPLES
 
 from oracles import automorphy_defect
