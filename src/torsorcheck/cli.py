@@ -65,11 +65,18 @@ def main(argv=None) -> int:
                 base["checks"] = [c.strip() for c in args.checks.split(",") if c.strip()]
             base["numeric"] = {**base["numeric"], **overrides}
             cfg = VerificationConfig.from_dict(base)
+        out = _resolve_out(args.out, cfg.output)
+        if out is not None and (Path(out).is_dir() or not Path(out).parent.is_dir()):
+            raise ConfigInvalid(f"report path {out} must name a file in an existing directory")
     except ConfigInvalid as exc:
         print(f"configuration invalid: {exc}", file=sys.stderr)
         return 2
     report = run_suite(cfg)
-    emit_report(report, _resolve_out(args.out, cfg.output))
+    try:
+        emit_report(report, out)
+    except OSError as exc:
+        print(f"report not written: {exc}", file=sys.stderr)
+        return 2
     return 0 if report.overall == "pass" else 1
 
 

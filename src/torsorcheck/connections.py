@@ -27,7 +27,7 @@ from .bundles import (
     slice_embedding,
     TorusHomomorphism,
 )
-from .grids import dbar_at_points, seeded_coords
+from .grids import dbar_at_points
 
 #: scale making cycle integrals of the curvature class integral
 CHERN_NORMALIZATION = 1j / (2.0 * np.pi)
@@ -113,17 +113,14 @@ def slice_connection(family_conn: ConnectionForm, x) -> ConnectionForm:
 def curvature(conn: ConnectionForm, resolution: int, coords=None) -> np.ndarray:
     """Curvature matrices K[p, j, k] = d theta_j / dzbar_k at points, by central differences.
 
-    The covector is differentiated at step 1/``resolution`` around the points
-    with lattice coordinates ``coords`` (P, 2g; by default the
-    ``seeded_coords`` of the torus) and returned as a (P, g, g) cloud.  It is
+    The covector goes through ``dbar_at_points`` at step 1/``resolution``
+    around the points with lattice coordinates ``coords`` (P, 2g; None reads
+    that stencil's default, ``seeded_coords``), as a (P, g, g) cloud.  It is
     read on the cover, so its period increments (the automorphy shifts) never
     enter, and the differences are exact (to rounding) whenever the covector
     is affine in (z, zbar).
     """
-    torus = conn.datum.torus
-    if coords is None:
-        coords = seeded_coords(torus)
-    return dbar_at_points(torus, conn.theta, coords, resolution)
+    return dbar_at_points(conn.datum.torus, conn.theta, resolution, coords)
 
 
 def chern_form(datum: AHDatum) -> np.ndarray:

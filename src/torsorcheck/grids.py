@@ -4,12 +4,11 @@ Functions are evaluated in lattice coordinates mapped through the period
 matrix to complex lifts; the *dzbar* components come from the 2g directional
 central differences at step 1/N via the inverse chart matrix, exact (to
 rounding) on functions affine in (z, zbar).  Both read paths accumulate each
-direction through ``_accumulate``.  ``wirtinger_at_points`` evaluates at
+direction through ``_accumulate``.  ``dbar_at_points`` evaluates at
 c +- e_d / N around lattice coordinates c, on the cover, so it needs no grid
 and no seam jumps, with one call per direction on the + and - points stacked;
-``dbar_at_points`` selects its dzbar rows, and ``seeded_coords`` gives
-``POINT_SAMPLES`` default points from seed 0.  Every check and torsor section
-reads this path.
+its points default to ``seeded_coords``, ``POINT_SAMPLES`` draws from seed 0.
+Every check and torsor section reads this path.
 
 The grid path has no caller in the package: ``lattice_grid``,
 ``slab_coords``, ``GridFunction`` (whose ``sample`` measures the constant
@@ -231,24 +230,29 @@ def dbar_fd(gf: GridFunction) -> GridFunction:
     return GridFunction(gf.torus, out)
 
 
-def wirtinger_at_points(torus: ComplexTorus, fn, coords, resolution: int,
-                        rows: np.ndarray) -> np.ndarray:
-    """sum_d rows[k, d] * (central difference along lattice direction d), at points, as axis k.
+def seeded_coords(torus: ComplexTorus) -> np.ndarray:
+    """The default point-path lattice coordinates: ``POINT_SAMPLES`` draws from seed 0, (P, 2g)."""
+    return np.random.default_rng(0).random((POINT_SAMPLES, 2 * torus.genus))
+
+
+def dbar_at_points(torus: ComplexTorus, fn, resolution: int, coords=None) -> np.ndarray:
+    """dzbar-derivative coefficients of ``fn`` at lattice coordinates ``coords`` (P, 2g).
 
     ``fn`` is vectorized over lifts, (..., g) -> (...,) + value_shape, and
-    ``coords`` holds P lattice coordinates, shape (P, 2g).  The difference
-    along d is (fn(lift(c + e_d / N)) - fn(lift(c - e_d / N))) * N / 2, the
-    grid stencil's step at resolution N, read on the cover: no point wraps
+    ``coords`` defaults to ``seeded_coords(torus)``.  The difference along
+    direction d is (fn(lift(c + e_d / N)) - fn(lift(c - e_d / N))) * N / 2,
+    the grid stencil's step at resolution N, read on the cover: no point wraps
     around the torus, so no seam jumps are needed.  ``fn`` is called once per
     direction, on the (2, P, g) stacked lifts of c + e_d / N and c - e_d / N.
-    Returns shape (P,) + value_shape + (rows,).
+    Output shape (P,) + value_shape + (g,), entry [..., k] = d(value)/dzbar_k.
     """
     if resolution < MIN_RESOLUTION:
         raise ResolutionTooCoarse(f"resolution {resolution} < {MIN_RESOLUTION}")
     dims = 2 * torus.genus
-    coords = np.asarray(coords, dtype=float)
+    coords = seeded_coords(torus) if coords is None else np.asarray(coords, dtype=float)
     if coords.ndim != 2 or coords.shape[1] != dims:
         raise ShapeMismatch(f"point coordinates must have shape (P, {dims})")
+    rows = torus.dzbar_rows
     step = np.eye(dims) / resolution
     out = term = None
     for d in range(dims):
@@ -260,16 +264,3 @@ def wirtinger_at_points(torus: ComplexTorus, fn, coords, resolution: int,
             term = np.empty_like(diff)
         _accumulate(out, rows, d, diff, resolution / 2.0, term)
     return np.moveaxis(out, 0, -1)
-
-
-def seeded_coords(torus: ComplexTorus) -> np.ndarray:
-    """The default point-path lattice coordinates: ``POINT_SAMPLES`` draws from seed 0, (P, 2g)."""
-    return np.random.default_rng(0).random((POINT_SAMPLES, 2 * torus.genus))
-
-
-def dbar_at_points(torus: ComplexTorus, fn, coords, resolution: int) -> np.ndarray:
-    """dzbar-derivative coefficients of ``fn`` at lattice coordinates ``coords`` (P, 2g).
-
-    Output shape (P,) + value_shape + (g,), entry [..., k] = d(value)/dzbar_k.
-    """
-    return wirtinger_at_points(torus, fn, coords, resolution, torus.dzbar_rows)

@@ -142,17 +142,15 @@ def obstruction(section: TorsorSection, coords=None) -> np.ndarray:
     """Obstruction of the section: reference obstruction plus dbar of the offset.
 
     A constant offset is killed by dbar, so its obstruction is the read-only
-    reference itself.  A function offset's is read at the lattice coordinates
-    ``coords`` (P, 2g), by default ``seeded_coords``, and returned as a
-    (P, g, g) cloud.
+    reference itself.  A function offset's goes through ``dbar_at_points`` at
+    the lattice coordinates ``coords`` (P, 2g; None reads that stencil's
+    default, ``seeded_coords``), as a (P, g, g) cloud.
     """
     pres = section.presentation
     u = section.offset
     if not callable(u):
         return pres.theta_ref
-    if coords is None:
-        coords = seeded_coords(pres.torus)
-    dbar_u = dbar_at_points(pres.torus, u, coords, pres.resolution)
+    dbar_u = dbar_at_points(pres.torus, u, pres.resolution, coords)
     if dbar_u.shape[1:] != pres.theta_ref.shape:  # a wrong-shaped cloud could broadcast
         raise ShapeMismatch("offsets must map (..., g) lifts to (..., g) values")
     return np.add(dbar_u, pres.theta_ref, out=dbar_u)
@@ -252,7 +250,7 @@ def tau_presentation(family: ConnectionForm, resolution: int, z_base=None) -> To
     Differentiates the family's slice covectors, restricted in the product
     frame at the base point ``z_base`` (read along ``parameter_section``'s map
     x -> (z_base, x)), in the antiholomorphic parameter directions at the
-    ``seeded_coords`` points, by the central differences of step
+    default ``dbar_at_points`` points, by the central differences of step
     1/``resolution``.  The mean of the scaled cloud is kept as one (g, g)
     class.  Raises TorusMismatch when ``family`` records no base datum, and
     ValueError when the cloud varies about the class by more than
@@ -270,8 +268,7 @@ def tau_presentation(family: ConnectionForm, resolution: int, z_base=None) -> To
     def slice_covector(x_lifts):
         return family.theta(section.apply(x_lifts))[..., :g]
 
-    cloud = connections.CHERN_NORMALIZATION * dbar_at_points(
-        base, slice_covector, seeded_coords(base), resolution)
+    cloud = connections.CHERN_NORMALIZATION * dbar_at_points(base, slice_covector, resolution)
     cls = cloud.mean(axis=0)
     # recomputed, so it can miss the constant class; sigma's is that class by construction
     spread = float(np.max(np.abs(cloud - cls)))

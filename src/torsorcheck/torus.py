@@ -58,12 +58,10 @@ class ComplexTorus:
         self.factors = factors  # (left, right) for product tori, else None
         self._stack_inv = np.linalg.inv(stack)
         # Wirtinger chart matrix: directional derivatives along the lattice
-        # basis are W @ [d/dz; d/dzbar], so the inverse rows convert
-        # grid-direction derivatives into dz / dzbar components.
+        # basis are W @ [d/dz; d/dzbar], so the last g inverse rows convert
+        # grid-direction derivatives into dzbar components.
         w = np.concatenate([periods.T, np.conj(periods).T], axis=1)
-        w_inv = np.linalg.inv(w)
-        self.dz_rows = w_inv[:g]
-        self.dzbar_rows = w_inv[g:]
+        self.dzbar_rows = np.linalg.inv(w)[g:]
 
     # -- lattice charts ----------------------------------------------------
 

@@ -387,7 +387,7 @@ def _point_probe_error(torus: ComplexTorus, resolution: int, coords, modes, coef
     d/dzbar_k of coeff_j exp(2 pi i m . c) is exp(2 pi i m . c) coeff_j
     2 pi i (dzbar_rows @ m)_k.
     """
-    fd = dbar_at_points(torus, _probe(torus, modes, coeffs), coords, resolution)
+    fd = dbar_at_points(torus, _probe(torus, modes, coeffs), resolution, coords)
     chain = 2j * np.pi * (modes @ torus.dzbar_rows.T)  # (M, g)
     outer = coeffs[:, :, None] * chain[:, None, :]  # (M, g, g)
     analytic = np.tensordot(np.exp(2j * np.pi * (coords @ modes.T)), outer, axes=1)

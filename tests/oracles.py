@@ -5,7 +5,8 @@ package's own constructions can be checked against it.  ``random_offset`` and
 ``seeded_lifts`` give the torsor tests seeded function offsets and the points
 where they compare them.  ``pullback_phases_per_generator`` and
 ``stencil_two_calls`` are the one-at-a-time loops that the batched
-``pullback`` and ``wirtinger_at_points`` are compared with.
+``pullback`` and ``dbar_at_points`` are compared with; ``dz_rows`` is the
+dz half of the Wirtinger chart, which the package does not keep.
 """
 
 import numpy as np
@@ -90,8 +91,23 @@ def pullback_phases_per_generator(f: TorusHomomorphism, datum) -> np.ndarray:
     return chi
 
 
-def stencil_two_calls(torus, fn, coords, resolution, rows) -> np.ndarray:
-    """The point stencil with ``fn`` called separately at c + e_d / N and at c - e_d / N."""
+def dz_rows(torus) -> np.ndarray:
+    """Rows (g, 2g) taking derivatives along the 2g lattice directions to dz components.
+
+    Directional derivatives along the period columns are W @ [d/dz; d/dzbar]
+    with W = [periods^T | conj(periods)^T], so these are W^-1's first g rows.
+    """
+    w = np.concatenate([torus.periods.T, np.conj(torus.periods).T], axis=1)
+    return np.linalg.inv(w)[: torus.genus]
+
+
+def stencil_two_calls(torus, fn, resolution, coords=None, rows=None) -> np.ndarray:
+    """The point stencil with ``fn`` called separately at c + e_d / N and at c - e_d / N.
+
+    ``coords`` default to ``seeded_coords`` and ``rows`` to the dzbar rows.
+    """
+    coords = seeded_coords(torus) if coords is None else coords
+    rows = torus.dzbar_rows if rows is None else rows
     step = np.eye(2 * torus.genus) / resolution
     out = term = None
     for d in range(step.shape[0]):

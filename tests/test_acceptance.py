@@ -172,7 +172,7 @@ def test_criterion_6_perturbed_reference_identity():
         coords = seeded_coords(torus)
         tau = tau_presentation(family_connection(datum), n)
         moved = obstruction(act(tau.zero_section(), w), coords)
-        dbar_w = dbar_at_points(torus, w, coords, n)
+        dbar_w = dbar_at_points(torus, w, n, coords)
         dev = float(np.max(np.abs((moved - sigma_presentation(datum, n).theta_ref) - dbar_w)))
     ok = dev <= 2e-6
     _report(6, "comparison-map obstruction of a perturbed reference equals dbar of the perturbation",

@@ -2,15 +2,15 @@ import numpy as np
 import pytest
 
 from torsorcheck import ResolutionTooCoarse, ShapeMismatch, VerificationConfig, dbar_at_points
-from torsorcheck.connections import canonical_connection, family_connection
+from torsorcheck.connections import canonical_connection, curvature, family_connection
 from torsorcheck.grids import (
     GridFunction,
     dbar_fd,
     lattice_grid,
     measure_seam_jumps,
     seeded_coords,
-    wirtinger_at_points,
 )
+from torsorcheck.torsors import act, obstruction, sigma_presentation
 from torsorcheck.torus import ComplexTorus
 
 from oracles import stencil_two_calls
@@ -67,12 +67,6 @@ class TestDbarBasics:
         gf = GridFunction.sample(square_torus, 16, lambda z: z[..., 0])
         assert np.max(np.abs(dbar_fd(gf).values)) <= 1e-9
 
-    def test_dz_of_holomorphic_linear(self, square_torus):
-        nodes = lattice_grid(16, 2).reshape(-1, 2)
-        dz = wirtinger_at_points(square_torus, lambda z: z[..., 0], nodes, 16,
-                                 square_torus.dz_rows)
-        assert np.max(np.abs(dz[..., 0] - 1.0)) <= 1e-9
-
     def test_resolution_floor(self, square_torus):
         with pytest.raises(ResolutionTooCoarse):
             GridFunction.sample(square_torus, 3, lambda z: z[..., 0])
@@ -86,9 +80,6 @@ class TestDbarBasics:
 
         gf = GridFunction.sample(g2_torus, 8, fn)
         assert np.max(np.abs(dbar_fd(gf).values - coeff_zbar)) <= 1e-9
-        nodes = lattice_grid(8, 4).reshape(-1, 4)
-        dz = wirtinger_at_points(g2_torus, fn, nodes, 8, g2_torus.dz_rows)
-        assert np.max(np.abs(dz - coeff_z)) <= 1e-9
 
 
 class TestDbarAccuracy:
@@ -167,7 +158,7 @@ class TestPointPath:
         torus = ComplexTorus(STENCIL_CASES[case][0])
         g = torus.genus
         coords = 3.0 * rng.standard_normal((64, 2 * g))  # anywhere on the cover
-        out = dbar_at_points(torus, np.conj, coords, resolution)
+        out = dbar_at_points(torus, np.conj, resolution, coords)
         assert out.shape == (64, g, g)
         assert np.max(np.abs(out - np.eye(g))) <= 1e-12
 
@@ -181,11 +172,9 @@ class TestPointPath:
         def covector(z):  # component j is sum_l z_l a[l, j] + zbar_l b[l, j] + c[0, j]
             return z @ a + np.conj(z) @ b + c[0]
 
-        coords = rng.random((64, 2 * g))
-        for rows, expected in ((torus.dzbar_rows, b.T), (torus.dz_rows, a.T)):
-            out = wirtinger_at_points(torus, covector, coords, 8, rows)
-            assert out.shape == (64, g, g)
-            assert np.max(np.abs(out - expected)) <= 1e-12
+        out = dbar_at_points(torus, covector, 8, rng.random((64, 2 * g)))
+        assert out.shape == (64, g, g)
+        assert np.max(np.abs(out - b.T)) <= 1e-12
 
     @pytest.mark.parametrize("case", sorted(STENCIL_CASES))
     def test_agrees_with_dbar_fd_at_nodes(self, case):
@@ -200,7 +189,7 @@ class TestPointPath:
 
         grid = dbar_fd(GridFunction.sample(torus, n, fn)).values
         nodes = lattice_grid(n, dims).reshape(-1, dims)
-        points = dbar_at_points(torus, fn, nodes, n)
+        points = dbar_at_points(torus, fn, n, nodes)
         assert np.max(np.abs(points - grid.reshape(points.shape))) <= 1e-12
 
     @pytest.mark.parametrize("case", sorted(STENCIL_CASES))
@@ -213,7 +202,7 @@ class TestPointPath:
             shapes.append(z.shape)
             return np.conj(z)
 
-        wirtinger_at_points(torus, counting, rng.random((7, 2 * g)), 8, torus.dzbar_rows)
+        dbar_at_points(torus, counting, 8, rng.random((7, 2 * g)))
         assert shapes == [(2, 7, g)] * (2 * g)
 
     @pytest.mark.parametrize("demo", ["principal-g1", "principal-g2", "g3"])
@@ -228,18 +217,33 @@ class TestPointPath:
 
         for torus, fn in ((datum.torus, canonical_connection(datum).theta),
                           (datum.torus, curved), (family.datum.torus, family.theta)):
-            coords = seeded_coords(torus)
-            for rows in (torus.dzbar_rows, torus.dz_rows):
-                stacked = wirtinger_at_points(torus, fn, coords, resolution, rows)
-                reference = stencil_two_calls(torus, fn, coords, resolution, rows)
-                assert stacked.shape == reference.shape
-                assert stacked.tobytes() == reference.tobytes()
+            stacked = dbar_at_points(torus, fn, resolution)
+            reference = stencil_two_calls(torus, fn, resolution)
+            assert stacked.shape == reference.shape
+            assert stacked.tobytes() == reference.tobytes()
+
+    @pytest.mark.parametrize("demo", ["principal-g2", "g3"])
+    def test_default_points_are_seeded_coords_bitwise(self, demo, g3_datum, rng):
+        # the stencil holds the one default; curvature and obstruction pass None through
+        datum = g3_datum if demo == "g3" else VerificationConfig.demo(demo).datum
+        torus, n = datum.torus, 8
+        coords = seeded_coords(torus)
+        conn = canonical_connection(datum)
+        assert dbar_at_points(torus, conn.theta, n).tobytes() == \
+            dbar_at_points(torus, conn.theta, n, coords).tobytes()
+        assert curvature(conn, n).tobytes() == curvature(conn, n, coords).tobytes()
+        g = torus.genus
+        a, b = (rng.standard_normal((g, g)) + 1j * rng.standard_normal((g, g)) for _ in range(2))
+        moved = act(sigma_presentation(datum, n).zero_section(),
+                    lambda z: np.exp(1j * z) @ a + np.conj(z) @ b)
+        assert callable(moved.offset)
+        assert obstruction(moved).tobytes() == obstruction(moved, coords).tobytes()
 
     def test_rejects_coarse_resolution_and_bad_coordinates(self, square_torus):
         with pytest.raises(ResolutionTooCoarse):
-            dbar_at_points(square_torus, np.conj, np.zeros((1, 2)), 3)
+            dbar_at_points(square_torus, np.conj, 3, np.zeros((1, 2)))
         with pytest.raises(ShapeMismatch):
-            dbar_at_points(square_torus, np.conj, np.zeros((1, 3)), 8)
+            dbar_at_points(square_torus, np.conj, 8, np.zeros((1, 3)))
 
 
 class TestGridFunction:

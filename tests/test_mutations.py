@@ -25,6 +25,8 @@ from torsorcheck import (
 )
 from torsorcheck.torsors import TorsorMorphism
 
+from oracles import dz_rows, stencil_two_calls
+
 LOOKUP_MODULES = (bundles, connections, grids, torsors, verifier)
 
 
@@ -80,20 +82,22 @@ def family_without_dual_half(monkeypatch):
 
 
 def dbar_on_dz_rows(monkeypatch):
-    stencil = grids.wirtinger_at_points
+    """The point stencil reads the dz half of the Wirtinger chart."""
     patch_everywhere(monkeypatch, "dbar_at_points",
-                     lambda torus, fn, coords, n: stencil(torus, fn, coords, n, torus.dz_rows))
+                     lambda torus, fn, n, coords=None: stencil_two_calls(
+                         torus, fn, n, coords, dz_rows(torus)))
 
 
 def one_sided_stencil(monkeypatch):
     """A first-order forward difference in place of the central one on the point path."""
-    def forward_at_points(torus, fn, coords, n, rows):
+    def forward_at_points(torus, fn, n, coords=None):
+        coords = grids.seeded_coords(torus) if coords is None else coords
         here = np.asarray(fn(torus.lift_of_coords(coords)), dtype=complex)
         diffs = [(fn(torus.lift_of_coords(coords + step)) - here) * n
                  for step in np.eye(2 * torus.genus) / n]
-        return np.einsum("kd,d...->...k", rows, np.stack(diffs))
+        return np.einsum("kd,d...->...k", torus.dzbar_rows, np.stack(diffs))
 
-    monkeypatch.setattr(grids, "wirtinger_at_points", forward_at_points)
+    patch_everywhere(monkeypatch, "dbar_at_points", forward_at_points)
 
 
 def local_section_sign_flipped(monkeypatch):

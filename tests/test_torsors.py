@@ -120,7 +120,7 @@ class TestObstruction:
         w, _ = trig_offset(torus, 0.3, np.array([1, 0]))
         moved = act(tau_g1.zero_section(), w)
         coords = seeded_coords(torus)
-        expected = tau_g1.theta_ref + dbar_at_points(torus, w, coords, N_G1)
+        expected = tau_g1.theta_ref + dbar_at_points(torus, w, N_G1, coords)
         assert np.max(np.abs(obstruction(moved, coords) - expected)) <= 1e-10
 
     def test_fd_derivative_matches_closed_form(self, principal_datum):
@@ -199,7 +199,7 @@ class TestCanonicalMorphism:
         w, _ = trig_offset(torus, 0.05, np.array([0, 1]))
         coords = seeded_coords(torus)
         moved = obstruction(act(tau_g1.zero_section(), w), coords)
-        dbar_w = dbar_at_points(torus, w, coords, N_G1)
+        dbar_w = dbar_at_points(torus, w, N_G1, coords)
         assert np.max(np.abs((moved - sigma_g1.theta_ref) - dbar_w)) <= 2e-6
 
     def test_close_references_give_small_obstruction(self, tau_g1, rng):

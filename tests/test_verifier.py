@@ -20,6 +20,7 @@ from torsorcheck import (
     torsors,
     verifier,
 )
+from torsorcheck import cli
 from torsorcheck.cli import main
 from torsorcheck.grids import POINT_SAMPLES, GridFunction, dbar_fd, lattice_grid
 from torsorcheck.verifier import (
@@ -510,3 +511,39 @@ class TestCli:
         assert main(["--demo", "trivial", "--out", "named.json",
                      "--checks", "datum_valid"]) == 0
         assert (tmp_path / "named.json").exists()
+
+    @pytest.mark.parametrize("kind", ["missing_dir", "missing_env_dir", "directory"])
+    def test_unwritable_report_path_exit_two_before_any_check(self, tmp_path, capsys,
+                                                              monkeypatch, kind):
+        # exit 1 means a failed check; a report that cannot be written is a bad config
+        def no_suite(cfg):
+            raise AssertionError("a check ran although the report path was refused")
+
+        monkeypatch.setattr(cli, "run_suite", no_suite)
+        missing = tmp_path / "missing"
+        out = str(missing / "r.json")
+        if kind == "missing_env_dir":
+            monkeypatch.setenv("TORSORCHECK_OUT_DIR", str(missing))
+            out = "r.json"
+        elif kind == "directory":
+            out = str(tmp_path)
+        assert main(["--demo", "principal-g1", "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration invalid: ")
+        assert (str(missing / "r.json") if kind == "missing_env_dir" else out) in err
+
+    def test_report_write_failure_exit_two(self, tmp_path, capsys, monkeypatch):
+        # the directory goes away after the path was accepted: one line, no traceback
+        target = tmp_path / "gone"
+        target.mkdir()
+
+        def suite_then_remove_dir(cfg):
+            report = run_suite(cfg)
+            target.rmdir()
+            return report
+
+        monkeypatch.setattr(cli, "run_suite", suite_then_remove_dir)
+        assert main(["--demo", "trivial", "--checks", "datum_valid",
+                     "--out", str(target / "r.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("report not written: ") and err.count("\n") == 1
