@@ -221,19 +221,24 @@ def pullback(f: TorusHomomorphism, datum: AHDatum) -> AHDatum:
 
         a(M lam, M z + t) = a'(lam, z) * gframe(z + lam) / gframe(z)
 
-    with the holomorphic frame change gframe(z) = exp(pi H(Mz, t)), evaluated
-    at z = 0 for all 2g' generators at once; the modulus is renormalized.
+    with the holomorphic frame change gframe(z) = exp(pi H(Mz, t)).  At z = 0
+    it reads chi'(lam) = a(M lam, t) exp(-pi (H'(lam, lam) / 2 + H(M lam, t))),
+    and a(M lam, t) = chi(M lam) exp(pi H(t, M lam) + pi/2 H(M lam, M lam)).
+    The real parts cancel exactly: H'(lam, lam) = H(M lam, M lam), and
+    H(t, M lam) - H(M lam, t) = 2i Im H(t, M lam) as H is hermitian.  So
+
+        chi'(lam) = chi(M lam) * exp(2 pi i Im H(t, M lam)),
+
+    of unit modulus by construction, for all 2g' generators at once.  No
+    H(lam, lam) is exponentiated, so a large pairing cannot overflow.
     """
     if not f.target.same_as(datum.torus):
         raise TorusMismatch("datum must live on the target of the homomorphism")
     h_pull = f.matrix.T @ datum.hermitian @ np.conj(f.matrix)
-    src = f.source
-    lams = src.periods.T  # the generators, (2g', g')
-    mlams = lams @ f.matrix.T
-    quad = 0.5 * hermitian_pairing(h_pull, lams, lams).real
-    frame_gap = hermitian_pairing(datum.hermitian, mlams, f.translation)
-    value = datum.factor(mlams, f.translation) * np.exp(-np.pi * (quad + frame_gap))
-    return AHDatum(src, h_pull, value / np.abs(value))
+    mlams = f.source.periods.T @ f.matrix.T  # images of the generators, (2g', g)
+    turns = hermitian_pairing(datum.hermitian, f.translation, mlams).imag
+    chi = datum.chi_on(datum.torus.lattice_coords(mlams)) * np.exp(2j * np.pi * turns)
+    return AHDatum(f.source, h_pull, chi)
 
 
 # -- the two-variable family --------------------------------------------------

@@ -414,8 +414,11 @@ class TestPullbackMatchesPerGeneratorLoop:
             assert np.max(np.abs(batched - looped)) <= ULPS
 
     def test_one_plus_i_bitwise(self, square_torus):
+        # the closed form chi(M lam) exp(2 pi i Im H(t, M lam)) skips the oracle's
+        # renormalized product of factors, so the two meet to rounding, not bit for bit
         f, datum = one_plus_i_and_phased_datum(square_torus)
-        assert same_bits(pullback(f, datum).chi, pullback_phases_per_generator(f, datum))
+        closed, looped = pullback(f, datum).chi, pullback_phases_per_generator(f, datum)
+        assert np.max(np.abs(closed - looped)) <= ULPS
 
     def test_one_plus_i_factor_comparison(self, square_torus, rng):
         # no translation, so no frame change: a(M lam, M z) = a_pull(lam, z)

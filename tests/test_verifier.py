@@ -360,6 +360,29 @@ class TestGenusTargets:
             assert peak < 4 * 2**20, f"{name}: peak {peak / 2**20:.2f} MB"
 
 
+class TestLargePairing:
+    """Valid data whose H(lam, lam) would overflow exp(pi/2 H(lam, lam)) in a factor."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("case", ["principal-g1-h1000", "stretched-g2"])
+    def test_all_checks_pass(self, case):
+        # the pullback phases are read in closed form, so no check exponentiates
+        # H(lam, lam): a degree-1000 bundle on the square torus, and H = diag(1, 1e-4)
+        # on [I | i diag(1, 1e4)], where H(lam, lam) reaches 1e4 on the long generator
+        if case == "principal-g1-h1000":
+            data = with_numeric()
+            data["bundle"]["hermitian"] = [[[1000.0, 0.0]]]
+        else:
+            data = {"torus": {"genus": 2, "periods": [[[1, 0], [0, 0], [0, 1], [0, 0]],
+                                                      [[0, 0], [1, 0], [0, 0], [0, 1e4]]]},
+                    "bundle": {"hermitian": [[[1, 0], [0, 0]], [[0, 0], [1e-4, 0]]],
+                               "chi_turns": [0, 0, 0, 0]}}
+        report = run_suite(VerificationConfig.from_dict(data))
+        assert report.crash_notes == {}
+        assert [c.name for c in report.checks] == CHECK_ORDER
+        assert all(c.status == "pass" for c in report.checks)
+
+
 class TestReport:
     def test_schema_keys_exact(self):
         report = run_suite(VerificationConfig.demo("trivial"))
