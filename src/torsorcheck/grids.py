@@ -10,6 +10,12 @@ and no seam jumps, with one call per direction on the + and - points stacked;
 its points default to ``seeded_coords``, ``POINT_SAMPLES`` draws from seed 0.
 Every check and torsor section reads this path.
 
+Seeded points and coefficients come from ``SeededDraws``, the standard
+library's Mersenne Twister seeded with the string of a non-negative integer
+seed tuple (``"20250809/4"``).  A string seed goes through SHA-512, so the
+draws do not depend on ``PYTHONHASHSEED`` or on numpy's generator streams,
+and drawing them loads no extension module.
+
 The grid path has no caller in the package: ``lattice_grid``,
 ``slab_coords``, ``GridFunction`` (whose ``sample`` measures the constant
 period increments as ``seam_jumps``), ``measure_seam_jumps``, ``SEAM_TOL``,
@@ -20,6 +26,8 @@ point stencil.
 """
 from __future__ import annotations
 
+import math
+import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -230,9 +238,39 @@ def dbar_fd(gf: GridFunction) -> GridFunction:
     return GridFunction(gf.torus, out)
 
 
+class SeededDraws:
+    """Uniform and standard normal float64 arrays from one seeded Mersenne Twister stream.
+
+    ``SeededDraws(*seed)`` seeds ``random.Random`` with the non-negative
+    integers of ``seed`` joined by "/".  Each call draws the next values of the
+    stream, so two objects with one seed give the same arrays call by call.
+    """
+
+    def __init__(self, *seed: int):
+        self._bits = random.Random("/".join(map(str, seed)))
+
+    def random(self, shape) -> np.ndarray:
+        """Uniform draws in [0, 1) of ``shape`` (an int or a tuple).
+
+        The top 53 bits of little-endian 64-bit words, times 2**-53, as numpy's
+        ``Generator.random`` maps its words.
+        """
+        shape = (shape,) if isinstance(shape, int) else tuple(shape)
+        words = np.frombuffer(self._bits.randbytes(8 * math.prod(shape)), "<u8")
+        return ((words >> 11) * 2.0**-53).reshape(shape)
+
+    def standard_normal(self, shape) -> np.ndarray:
+        """Standard normal draws of ``shape``, by Box-Muller on two uniform arrays.
+
+        log1p(-u) reads log(1 - u) with 1 - u in (0, 1], so it is never log(0).
+        """
+        radius = np.sqrt(-2.0 * np.log1p(-self.random(shape)))
+        return radius * np.cos(2.0 * np.pi * self.random(shape))
+
+
 def seeded_coords(torus: ComplexTorus) -> np.ndarray:
     """The default point-path lattice coordinates: ``POINT_SAMPLES`` draws from seed 0, (P, 2g)."""
-    return np.random.default_rng(0).random((POINT_SAMPLES, 2 * torus.genus))
+    return SeededDraws(0).random((POINT_SAMPLES, 2 * torus.genus))
 
 
 def dbar_at_points(torus: ComplexTorus, fn, resolution: int, coords=None) -> np.ndarray:

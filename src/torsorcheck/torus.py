@@ -81,8 +81,12 @@ class ComplexTorus:
             raise IndexOutOfRange(f"generator index {j} outside 0..{2 * self.genus - 1}")
         return self.periods[:, j]
 
-    def random_points(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        """Lifts (count, g) of points with uniform lattice coordinates in [0, 1)^{2g}."""
+    def random_points(self, rng, count: int) -> np.ndarray:
+        """Lifts (count, g) of points with uniform lattice coordinates in [0, 1)^{2g}.
+
+        ``rng`` is any object whose ``random(shape)`` draws uniform floats in
+        [0, 1), such as ``grids.SeededDraws``.
+        """
         return self.lift_of_coords(rng.random((count, 2 * self.genus)))
 
     # -- comparisons -------------------------------------------------------

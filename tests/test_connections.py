@@ -98,7 +98,7 @@ class TestCurvature:
         # 21.2 MB for g2 at N=24, 2.4 GB for g3 at N=16
         datum, n = (g2_datum, 24) if case == "g2-n24" else (g3_datum, 16)
         conn = canonical_connection(datum)
-        curvature(conn, 4)  # a first call also imports numpy.random
+        curvature(conn, 4)  # first-call imports and caches are not the measured call's
         tracemalloc.start()
         try:
             held = tracemalloc.get_traced_memory()[0]

@@ -5,6 +5,7 @@ from torsorcheck import ResolutionTooCoarse, ShapeMismatch, VerificationConfig, 
 from torsorcheck.connections import canonical_connection, curvature, family_connection
 from torsorcheck.grids import (
     GridFunction,
+    SeededDraws,
     dbar_fd,
     lattice_grid,
     measure_seam_jumps,
@@ -264,3 +265,26 @@ class TestGridFunction:
         jumps[1, 0] = jump
         with pytest.raises(ValueError, match="seam jumps must be finite"):
             GridFunction(square_torus, np.zeros((8, 8, 1), dtype=complex), seam_jumps=jumps)
+
+
+class TestSeededDraws:
+    def test_same_seed_same_bits(self):
+        first, second = SeededDraws(20250809, 4), SeededDraws(20250809, 4)
+        assert first.random((5, 3)).tobytes() == second.random((5, 3)).tobytes()
+        assert first.standard_normal(7).tobytes() == second.standard_normal(7).tobytes()
+
+    def test_check_index_selects_the_stream(self):
+        assert not np.array_equal(SeededDraws(7, 4).random(64), SeededDraws(7, 5).random(64))
+
+    @pytest.mark.parametrize("shape", [6, (6,), (4, 3), (2, 3, 2)])
+    def test_uniform_floats_of_the_requested_shape(self, shape):
+        values = SeededDraws(1).random(shape)
+        assert values.dtype == np.float64
+        assert values.shape == ((shape,) if isinstance(shape, int) else shape)
+        assert np.all((values >= 0.0) & (values < 1.0))
+
+    def test_standard_normal_moments(self):
+        values = SeededDraws(2, 997).standard_normal(10**5)
+        assert values.dtype == np.float64 and values.shape == (10**5,)
+        assert np.all(np.isfinite(values))
+        assert abs(values.mean()) <= 0.02 and abs(values.var() - 1.0) <= 0.02

@@ -321,7 +321,7 @@ class TestTauPresentation:
         # (g, g) grid: 21.2 MB for g2 at N=24, 2.4 GB for g3 at N=16
         for datum, n in [(g2_datum, 24), (g3_datum, 16)]:
             fam = family_connection(datum)
-            tau_presentation(fam, 4)  # a first call also imports numpy.random: 0.7 MB
+            tau_presentation(fam, 4)  # first-call imports and caches are not the measured call's
             tracemalloc.start()
             try:
                 held = tracemalloc.get_traced_memory()[0]

@@ -25,6 +25,7 @@ from torsorcheck.cli import main
 from torsorcheck.grids import POINT_SAMPLES, GridFunction, dbar_fd, lattice_grid
 from torsorcheck.verifier import (
     CHECK_ORDER,
+    DEMO_CONFIGS,
     _CHECK_FUNCTIONS,
     _SuiteContext,
     _point_probe_error,
@@ -146,19 +147,20 @@ class TestConfig:
     def test_samples_at_cap_loads(self):
         assert VerificationConfig.from_dict(with_numeric(samples=10**4)).samples == 10**4
 
-    @pytest.mark.parametrize("grid", [2**52, 10**400], ids=["2**52", "10**400"])
+    @pytest.mark.parametrize("grid", [2**16 + 1, 2**52, 10**400],
+                             ids=["2**16+1", "2**52", "10**400"])
     def test_grid_whose_step_moves_nothing_rejected(self, grid):
-        # 1.0 + 1/(2N) == 1.0 here, so every difference would read 0; 1/(2N)
-        # at N = 10**400 would overflow the float conversion
+        # past 2**16 the probe's rounding outgrows its truncation error; at 2**52
+        # 1.0 + 1/(2N) == 1.0, and 1/(2N) at N = 10**400 would overflow a float
         with pytest.raises(ConfigInvalid, match="numeric.grid"):
             VerificationConfig.from_dict(with_numeric(grid=grid))
 
     def test_largest_grid_whose_step_moves_a_coordinate_loads(self):
-        assert 1.0 + 1.0 / (2 * 2**51) != 1.0
-        assert VerificationConfig.from_dict(with_numeric(grid=2**51)).grid == 2**51
+        assert VerificationConfig.from_dict(with_numeric(grid=2**16)).grid == 2**16
 
     def test_negative_seed_rejected(self):
-        # numpy's seed sequences take non-negative entries only, so every check would crash
+        # the draws would take any integer, but a seed stays a non-negative integer, as
+        # README documents, so that one seed names one stream in every release
         with pytest.raises(ConfigInvalid, match="numeric.seed"):
             VerificationConfig.from_dict(with_numeric(seed=-1))
 
@@ -360,6 +362,23 @@ class TestGenusTargets:
             assert peak < 4 * 2**20, f"{name}: peak {peak / 2**20:.2f} MB"
 
 
+class TestGridBound:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("case", ["principal-g1", "principal-g2", "g3_n6", "g4"])
+    def test_every_power_of_two_up_to_the_bound_passes(self, case, seed):
+        # the loader's largest grid is one where a correct program passes every check
+        if case.startswith("principal"):
+            data = json.loads(json.dumps(VerificationConfig.demo(case).canonical))
+        else:
+            data = json.loads(Path(__file__).with_name(f"{case}.json").read_text(encoding="utf-8"))
+        failed = []
+        for exponent in range(2, 17):
+            data.setdefault("numeric", {}).update(grid=2**exponent, seed=seed)
+            report = run_suite(VerificationConfig.from_dict(data))
+            failed += [(2**exponent, c.name) for c in report.checks if c.status != "pass"]
+        assert failed == []
+
+
 class TestLargePairing:
     """Valid data whose H(lam, lam) would overflow exp(pi/2 H(lam, lam)) in a factor."""
 
@@ -506,6 +525,22 @@ class TestCli:
         assert "bundle.chi_turns" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("demo", sorted(DEMO_CONFIGS))
+    def test_demo_loads_no_numpy_random(self, demo):
+        # the seeded draws come from the standard library's generator, so a fresh
+        # verify process never pays numpy.random's extension-module import
+        child = ("import sys\n"
+                 "from torsorcheck import cli\n"
+                 "code = cli.main(['--demo', sys.argv[1]])\n"
+                 "print('numpy.random' in sys.modules)\n"
+                 "sys.exit(code)\n")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run([sys.executable, "-c", child, demo],
+                              env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "False"
+
     def test_failing_tolerance_exit_one(self, capsys):
         code = main(["--demo", "principal-g1", "--grid", "16",
                      "--checks", "sigma_obstruction", "--tol", "1e-30"])
@@ -522,7 +557,7 @@ class TestCli:
         assert [c["name"] for c in data["checks"]] == ["datum_valid", "chern_integrality"]
 
     def test_grid_override_whose_step_moves_nothing_exit_two(self, capsys):
-        assert main(["--demo", "principal-g1", "--grid", str(2**52)]) == 2
+        assert main(["--demo", "principal-g1", "--grid", str(2**16 + 1)]) == 2
         assert "numeric.grid" in capsys.readouterr().err
 
     def test_empty_check_selection_exit_two(self, capsys):
