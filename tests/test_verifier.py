@@ -159,8 +159,8 @@ class TestConfig:
         assert VerificationConfig.from_dict(with_numeric(grid=2**16)).grid == 2**16
 
     def test_negative_seed_rejected(self):
-        # the draws would take any integer, but a seed stays a non-negative integer, as
-        # README documents, so that one seed names one stream in every release
+        # the string-seeded draws would take a negative seed too; the rule stays, as
+        # README documents seeds as integers >= 0
         with pytest.raises(ConfigInvalid, match="numeric.seed"):
             VerificationConfig.from_dict(with_numeric(seed=-1))
 
