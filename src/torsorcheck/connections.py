@@ -19,9 +19,7 @@ import numpy as np
 
 from .bundles import (
     AHDatum,
-    addition_map,
     build_family,
-    first_projection,
     parameter_section,
     pullback,
     slice_embedding,
@@ -78,6 +76,11 @@ def pullback_connection(f: TorusHomomorphism, conn: ConnectionForm) -> Connectio
 def family_connection(datum: AHDatum) -> ConnectionForm:
     """Connection on (p1* dual L) tensor (addition* L) induced by the canonical one.
 
+    At a lift u = (z, w) of A x A the pullbacks along p1 and the addition map
+    give the covector (theta_dual(z) + theta(z + w), theta(z + w)): p1 carries
+    dz to the first factor alone, and z + w carries dz to both, so the
+    covector is read off slices of u.
+
     The form's ``datum`` is the family datum of :func:`build_family` on A x A
     and its ``base`` is ``datum``.  Building it takes a product torus, two
     pullbacks and a tensor, so a caller that reads one family several times
@@ -85,17 +88,15 @@ def family_connection(datum: AHDatum) -> ConnectionForm:
     builds it once and passes the form.
     """
     fam_datum = build_family(datum)
-    prod = fam_datum.torus
-    p1 = first_projection(prod)
-    alpha = addition_map(prod)
+    g = datum.torus.genus
     theta_dual = canonical_connection(datum.dual())
     theta_base = canonical_connection(datum)
 
     def theta(u):
         u = np.asarray(u, dtype=complex)
-        part_p1 = theta_dual.theta(u @ p1.matrix.T) @ p1.matrix
-        part_add = theta_base.theta(u @ alpha.matrix.T) @ alpha.matrix
-        return part_p1 + part_add
+        z = u[..., :g]
+        on_sum = theta_base.theta(z + u[..., g:])
+        return np.concatenate([theta_dual.theta(z) + on_sum, on_sum], axis=-1)
 
     return ConnectionForm(fam_datum, theta, base=datum)
 

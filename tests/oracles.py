@@ -3,7 +3,9 @@
 Each one restates a piece of the mathematics from its definition, so that the
 package's own constructions can be checked against it.  ``random_offset`` and
 ``seeded_lifts`` give the torsor tests seeded function offsets and the points
-where they compare them.  ``pullback_phases_per_generator`` and
+where they compare them.  ``family_covector_by_maps`` is the family covector
+read through the projection and addition matrices, which the sliced
+``family_connection`` is compared with.  ``pullback_phases_per_generator`` and
 ``stencil_two_calls`` are the one-at-a-time loops that the batched
 ``pullback`` and ``dbar_at_points`` are compared with; ``dz_rows`` is the
 dz half of the Wirtinger chart, which the package does not keep.
@@ -11,7 +13,15 @@ dz half of the Wirtinger chart, which the package does not keep.
 
 import numpy as np
 
-from torsorcheck import TorusHomomorphism, TorusMismatch, hermitian_pairing
+from torsorcheck import (
+    TorusHomomorphism,
+    TorusMismatch,
+    addition_map,
+    build_family,
+    canonical_connection,
+    first_projection,
+    hermitian_pairing,
+)
 from torsorcheck.grids import _accumulate, seeded_coords
 
 
@@ -89,6 +99,22 @@ def pullback_phases_per_generator(f: TorusHomomorphism, datum) -> np.ndarray:
         value = datum.factor(mlam, f.translation) * np.exp(-np.pi * (quad + frame_gap))
         chi[j] = value / abs(value)
     return chi
+
+
+def family_covector_by_maps(datum):
+    """The family covector as the two pullbacks' products by the 0/1 maps' matrices.
+
+    theta_dual(u p1^T) p1 + theta(u alpha^T) alpha, for lifts u (..., 2g) of
+    A x A, with p1 the first projection and alpha the addition map.
+    """
+    prod = build_family(datum).torus
+    p1, alpha = first_projection(prod).matrix, addition_map(prod).matrix
+    dual, base = canonical_connection(datum.dual()), canonical_connection(datum)
+
+    def theta(u):
+        return dual.theta(u @ p1.T) @ p1 + base.theta(u @ alpha.T) @ alpha
+
+    return theta
 
 
 def dz_rows(torus) -> np.ndarray:

@@ -8,6 +8,7 @@ from torsorcheck import (
     ComplexTorus,
     ConnectionForm,
     TorusHomomorphism,
+    VerificationConfig,
     build_family,
     canonical_connection,
     check_eq_i,
@@ -22,7 +23,7 @@ from torsorcheck import (
 )
 from torsorcheck.grids import POINT_SAMPLES
 
-from oracles import automorphy_defect, dz_rows
+from oracles import automorphy_defect, dz_rows, family_covector_by_maps, seeded_lifts
 
 
 def fd_dlog_dz(datum, lam, z, h=1e-3):
@@ -118,6 +119,30 @@ def canonical_class_gap(datum):
     return float(np.max(np.abs(recomputed - chern_form(datum))))
 
 
+def complex_pairing_datum(g2_datum):
+    """principal-g2 pulled back along z -> M z from C^2 / M^{-1} Lambda, so H is not real."""
+    m = np.array([[0.8 + 0.3j, 0.1], [0.2j, 1.1]])
+    target = g2_datum.torus
+    source = ComplexTorus(np.linalg.solve(m, target.periods))
+    return pullback(TorusHomomorphism(source, target, m), g2_datum)
+
+
+class TestFamilyCovector:
+    @pytest.mark.parametrize("case", ["principal-g1", "principal-g2", "g3", "complex-h"])
+    def test_sliced_equals_projection_matmuls_bitwise(self, case, g2_datum, g3_datum):
+        if case == "g3":
+            datum = g3_datum
+        elif case == "complex-h":
+            datum = complex_pairing_datum(g2_datum)
+        else:
+            datum = VerificationConfig.demo(case).datum
+        conn = family_connection(datum)
+        u = seeded_lifts(conn.datum.torus)
+        sliced = conn(u)
+        assert sliced.shape == u.shape
+        assert np.array_equal(sliced, family_covector_by_maps(datum)(u))
+
+
 class TestComplexPairing:
     """A datum whose H is not real, so H and its transpose differ.
 
@@ -125,14 +150,9 @@ class TestComplexPairing:
     covector's -pi conj(z) H^T and a mistaken -pi conj(z) H agree.
     """
 
-    M = np.array([[0.8 + 0.3j, 0.1], [0.2j, 1.1]])
-
     @pytest.fixture
     def skew_datum(self, g2_datum):
-        # principal-g2 pulled back along z -> M z from C^2 / M^{-1} Lambda
-        target = g2_datum.torus
-        source = ComplexTorus(np.linalg.solve(self.M, target.periods))
-        return pullback(TorusHomomorphism(source, target, self.M), g2_datum)
+        return complex_pairing_datum(g2_datum)
 
     def test_pulled_back_pairing_is_not_real(self, skew_datum):
         expected = np.array([[0.75, 0.08 + 0.14j], [0.08 - 0.14j, 0.615]])

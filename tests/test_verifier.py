@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -188,6 +189,16 @@ class TestConfig:
         real = VerificationConfig.from_dict(with_numeric(tolerance_fd=1.0))
         assert integer.canonical["numeric"]["tolerance_fd"] == 1.0
         assert integer.digest() == real.digest()
+
+    @pytest.mark.parametrize("source", ["principal-g1", "principal-g2", "trivial", "g3_n6.json"])
+    def test_digest_is_hashlib_sha256_of_canonical_blob(self, source):
+        # the built-in SHA-256 the package hashes with gives hashlib's digest
+        if source.endswith(".json"):
+            cfg = VerificationConfig.from_file(Path(__file__).with_name(source))
+        else:
+            cfg = VerificationConfig.demo(source)
+        blob = json.dumps(cfg.canonical, sort_keys=True, separators=(",", ":"))
+        assert cfg.digest() == hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
 class TestSuite:
@@ -527,19 +538,20 @@ class TestCli:
 
     @pytest.mark.parametrize("demo", sorted(DEMO_CONFIGS))
     def test_demo_loads_no_numpy_random(self, demo):
-        # the seeded draws come from the standard library's generator, so a fresh
-        # verify process never pays numpy.random's extension-module import
+        # the seeded draws come from the standard library's generator and the
+        # config digest from CPython's built-in SHA-256, so a fresh verify
+        # process pays neither numpy.random's extension modules nor OpenSSL
         child = ("import sys\n"
                  "from torsorcheck import cli\n"
                  "code = cli.main(['--demo', sys.argv[1]])\n"
-                 "print('numpy.random' in sys.modules)\n"
+                 "print('numpy.random' in sys.modules, '_hashlib' in sys.modules)\n"
                  "sys.exit(code)\n")
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = {**os.environ, "PYTHONPATH": src}
         proc = subprocess.run([sys.executable, "-c", child, demo],
                               env=env, capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-1] == "False"
+        assert proc.stdout.splitlines()[-1] == "False False"
 
     def test_failing_tolerance_exit_one(self, capsys):
         code = main(["--demo", "principal-g1", "--grid", "16",
