@@ -42,7 +42,7 @@ UNIT_TOL = 1e-12
 
 def _fits_int64(x: np.ndarray) -> bool:
     """Whether every (integral, finite) entry casts to int64 without overflow."""
-    return bool(np.all((x >= -(2.0**63)) & (x < 2.0**63)))
+    return bool(((x >= -(2.0**63)) & (x < 2.0**63)).all())
 
 
 def hermitian_pairing(h: np.ndarray, u, v) -> np.ndarray:
@@ -59,29 +59,30 @@ class AHDatum:
         g = torus.genus
         hermitian = _complex_of_shape(hermitian, (g, g), "pairing matrix")
         chi = _complex_of_shape(chi, (2 * g,), "generator phases")
-        if not np.all(np.isfinite(hermitian)):
+        if not np.isfinite(hermitian).all():
             raise NotHermitian("pairing matrix must be finite")
-        scale = max(1.0, float(np.max(np.abs(hermitian))))
-        if np.max(np.abs(hermitian - hermitian.conj().T)) > HERMITIAN_TOL * scale:
+        scale = max(1.0, float(np.abs(hermitian).max()))
+        if np.abs(hermitian - hermitian.conj().T).max() > HERMITIAN_TOL * scale:
             raise NotHermitian("pairing matrix must equal its conjugate transpose")
         lat = torus.periods  # columns are the generators
         gram = lat.T @ hermitian @ np.conj(lat)
         e = gram.imag
+        e_round = np.round(e)
+        deviation = np.abs(e - e_round).max()
         # not <=, so that a NaN (a finite H whose pairings overflow) fails too
-        if not np.max(np.abs(e - np.round(e))) <= INTEGRAL_TOL:
+        if not deviation <= INTEGRAL_TOL:
             raise NonIntegralE(
-                "Im H must take integer values on lattice pairs; "
-                f"max deviation {np.max(np.abs(e - np.round(e))):.3e}"
+                f"Im H must take integer values on lattice pairs; max deviation {deviation:.3e}"
             )
-        if not _fits_int64(np.round(e)):
+        if not _fits_int64(e_round):
             raise NonIntegralE("Im H on lattice pairs must lie in the int64 range")
-        if not np.all(np.isfinite(chi)) or np.max(np.abs(np.abs(chi) - 1.0)) > UNIT_TOL:
+        if not np.isfinite(chi).all() or np.abs(np.abs(chi) - 1.0).max() > UNIT_TOL:
             raise SemicharacterInconsistent("generator phases must be finite with unit modulus")
         self.torus = torus
         self.hermitian = hermitian
         self.chi = chi
         self.pairing_imag = e
-        self.pairing_imag_int = np.round(e).astype(int)
+        self.pairing_imag_int = e_round.astype(int)
         self._check_semicharacter()
 
     def _check_semicharacter(self):
@@ -104,14 +105,15 @@ class AHDatum:
         n = np.asarray(n_coords)
         if n.ndim < 1 or n.shape[-1] != 2 * self.torus.genus:
             raise ShapeMismatch(f"lattice coordinates must end in an axis of 2g, got {n.shape}")
-        if not np.all(np.isfinite(n)) or np.any(np.abs(n - np.round(n)) > 1e-9):
+        n_round = np.round(n)
+        if not np.isfinite(n).all() or (np.abs(n - n_round) > 1e-9).any():
             raise NotLatticeVector("coordinates are not finite integers")
-        if not _fits_int64(np.round(n)):
+        if not _fits_int64(n_round):
             raise NotLatticeVector("coordinates must lie in the int64 range")
-        n_int = np.round(n).astype(np.int64)
+        n_int = n_round.astype(np.int64)
         upper = np.triu(self.pairing_imag_int, k=1)
         parity = np.einsum("...a,ab,...b->...", n_int, upper, n_int) % 2
-        value = np.prod(self.chi.astype(complex) ** n_int, axis=-1)
+        value = np.prod(self.chi ** n_int, axis=-1)
         return value * (-1) ** parity
 
     def factor(self, lam, z) -> np.ndarray:
@@ -154,11 +156,11 @@ class TorusHomomorphism:
         if translation is None:
             translation = np.zeros(target.genus, dtype=complex)
         translation = _complex_of_shape(translation, (target.genus,), "translation")
-        if not (np.all(np.isfinite(matrix)) and np.all(np.isfinite(translation))):
+        if not (np.isfinite(matrix).all() and np.isfinite(translation).all()):
             raise LatticeNotPreserved("linear part and translation must be finite")
         image = matrix @ source.periods  # image of the source generators
         coords = target.lattice_coords(image.T)
-        if not np.max(np.abs(coords - np.round(coords))) <= 1e-9:  # an overflowing image gives NaN
+        if not np.abs(coords - np.round(coords)).max() <= 1e-9:  # an overflowing image gives NaN
             raise LatticeNotPreserved(
                 "linear part must map the source lattice into the target lattice"
             )

@@ -101,14 +101,37 @@ def family_connection(datum: AHDatum) -> ConnectionForm:
     return ConnectionForm(fam_datum, theta, base=datum)
 
 
+def product_lifts(first, second) -> np.ndarray:
+    """Lifts (first, second) of A x A, (..., 2g), from lifts (..., g) of A broadcast together.
+
+    Built by assignment, so a slice z -> (z, x) or a section x -> (y, x) of
+    the product reads its lifts without a product by its 0/1 matrix.
+    """
+    shape = np.broadcast_shapes(np.shape(first), np.shape(second))
+    g = shape[-1]
+    u = np.empty(shape[:-1] + (2 * g,), dtype=complex)
+    u[..., :g] = first
+    u[..., g:] = second
+    return u
+
+
 def slice_connection(family_conn: ConnectionForm, x) -> ConnectionForm:
     """Restriction of the family connection to the slice A x {x}, for a lift x (g,).
 
     The covector is read in the restriction of the product automorphy frame;
-    it is constant in z, so the restriction is flat.
+    it is constant in z, so the restriction is flat.  It equals
+    ``pullback_connection`` along ``slice_embedding``, whose matrix stacks I
+    over 0: the family covector at (z, x), first half.  The datum is that
+    pullback's.
     """
     f = slice_embedding(x, family_conn.datum.torus)
-    return pullback_connection(f, family_conn)
+    g = f.source.genus
+    x = f.translation[g:]
+
+    def theta(z):
+        return family_conn.theta(product_lifts(z, x))[..., :g]
+
+    return ConnectionForm(pullback(f, family_conn.datum), theta)
 
 
 def curvature(conn: ConnectionForm, resolution: int, coords=None) -> np.ndarray:
@@ -142,10 +165,17 @@ def check_eq_i(family_conn: ConnectionForm, y, resolution: int, coords=None) -> 
     the x-points with lattice coordinates ``coords`` (P, 2g; by default the
     ``seeded_coords`` of the torus), scales by the Chern normalization and
     compares against the class of the pulled-back datum, whose pairing is the
-    lower-right block of the family pairing.  The covector is affine in (x, xbar), so the differences
-    are exact to rounding at any point, and translation invariance makes the
-    result independent of y.
+    lower-right block of the family pairing.  The covector is affine in
+    (x, xbar), so the differences are exact to rounding at any point, and
+    translation invariance makes the result independent of y.  The restricted
+    covector is the family covector at (y, x), second half, as
+    ``pullback_connection`` along ``parameter_section`` (matrix 0 over I)
+    would give it.
     """
-    restricted = pullback_connection(parameter_section(y, family_conn.datum.torus), family_conn)
+    f = parameter_section(y, family_conn.datum.torus)
+    g = f.source.genus
+    y = f.translation[:g]
+    restricted = ConnectionForm(pullback(f, family_conn.datum),
+                                lambda x: family_conn.theta(product_lifts(y, x))[..., g:])
     recomputed = CHERN_NORMALIZATION * curvature(restricted, resolution, coords)
     return float(np.max(np.abs(recomputed - chern_form(restricted.datum))))

@@ -3,12 +3,13 @@
 Functions are evaluated in lattice coordinates mapped through the period
 matrix to complex lifts; the *dzbar* components come from the 2g directional
 central differences at step 1/N via the inverse chart matrix, exact (to
-rounding) on functions affine in (z, zbar).  Both read paths accumulate each
-direction through ``_accumulate``.  ``dbar_at_points`` evaluates at
-c +- e_d / N around lattice coordinates c, on the cover, so it needs no grid
-and no seam jumps, with one call per direction on the + and - points stacked;
-its points default to ``seeded_coords``, ``POINT_SAMPLES`` draws from seed 0.
-Every check and torsor section reads this path.
+rounding) on functions affine in (z, zbar).  ``dbar_at_points`` lifts its
+lattice coordinates c once and evaluates at z +- periods[:, d] / N, the lifts
+of c +- e_d / N, on the cover, so it needs no grid and no seam jumps, with one
+call per direction on the + and - points stacked; the directions' differences
+fill one buffer that one matrix product contracts.  Its points default to
+``seeded_coords``, ``POINT_SAMPLES`` draws from seed 0.  Every check and
+torsor section reads this path.
 
 Seeded points and coefficients come from ``SeededDraws``, the standard
 library's Mersenne Twister seeded with the string of a non-negative integer
@@ -19,8 +20,9 @@ and drawing them loads no extension module.
 The grid path has no caller in the package: ``lattice_grid``,
 ``slab_coords``, ``GridFunction`` (whose ``sample`` measures the constant
 period increments as ``seam_jumps``), ``measure_seam_jumps``, ``SEAM_TOL``,
-``_central_difference``, ``_wirtinger_fd`` (slab by slab, holding slabs i-1,
-i, i+1) and ``dbar_fd``.  It stays because five of these are layers of the
+``_central_difference``, ``_accumulate`` (each direction summed in order,
+row by row), ``_wirtinger_fd`` (slab by slab, holding slabs i-1, i, i+1) and
+``dbar_fd``.  It stays because five of these are layers of the
 benchmark tracer's ``LAYER_CALLS`` and the tests compare ``dbar_fd`` with the
 point stencil.
 """
@@ -277,11 +279,13 @@ def dbar_at_points(torus: ComplexTorus, fn, resolution: int, coords=None) -> np.
     """dzbar-derivative coefficients of ``fn`` at lattice coordinates ``coords`` (P, 2g).
 
     ``fn`` is vectorized over lifts, (..., g) -> (...,) + value_shape, and
-    ``coords`` defaults to ``seeded_coords(torus)``.  The difference along
-    direction d is (fn(lift(c + e_d / N)) - fn(lift(c - e_d / N))) * N / 2,
+    ``coords`` defaults to ``seeded_coords(torus)``.  The points are lifted
+    once; the stencil points of direction d are the lifts z +- periods[:, d] / N,
     the grid stencil's step at resolution N, read on the cover: no point wraps
     around the torus, so no seam jumps are needed.  ``fn`` is called once per
-    direction, on the (2, P, g) stacked lifts of c + e_d / N and c - e_d / N.
+    direction, on the (2, P, g) stacked + and - lifts, and each difference
+    goes into one (2g, P) + value_shape buffer, which one matrix product by
+    the dzbar rows times N / 2 contracts over the directions.
     Output shape (P,) + value_shape + (g,), entry [..., k] = d(value)/dzbar_k.
     """
     if resolution < MIN_RESOLUTION:
@@ -290,15 +294,15 @@ def dbar_at_points(torus: ComplexTorus, fn, resolution: int, coords=None) -> np.
     coords = seeded_coords(torus) if coords is None else np.asarray(coords, dtype=float)
     if coords.ndim != 2 or coords.shape[1] != dims:
         raise ShapeMismatch(f"point coordinates must have shape (P, {dims})")
-    rows = torus.dzbar_rows
-    step = np.eye(dims) / resolution
-    out = term = None
+    lifts = torus.lift_of_coords(coords)
+    step = torus.periods.T / resolution  # row d is the lift of e_d / N
+    signed = np.stack([step, -step], axis=1)[:, :, None, :]  # (2g, 2, 1, g)
+    diffs = None
     for d in range(dims):
-        ahead_behind = np.stack([coords + step[d], coords - step[d]])
-        both = np.asarray(fn(torus.lift_of_coords(ahead_behind)), dtype=complex)
-        diff = both[0] - both[1]
-        if out is None:
-            out = np.zeros((rows.shape[0],) + diff.shape, dtype=complex)
-            term = np.empty_like(diff)
-        _accumulate(out, rows, d, diff, resolution / 2.0, term)
+        both = np.asarray(fn(lifts + signed[d]), dtype=complex)
+        if diffs is None:
+            diffs = np.empty((dims,) + both.shape[1:], dtype=complex)
+        np.subtract(both[0], both[1], out=diffs[d])
+    rows = torus.dzbar_rows * (resolution / 2.0)
+    out = (rows @ diffs.reshape(dims, -1)).reshape((rows.shape[0],) + diffs.shape[1:])
     return np.moveaxis(out, 0, -1)

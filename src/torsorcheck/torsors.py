@@ -241,6 +241,19 @@ def sigma_presentation(datum: AHDatum, resolution: int) -> TorsorPresentation:
     return TorsorPresentation(datum.torus, resolution, chern_form(datum), datum=datum)
 
 
+def _slice_covector(family: ConnectionForm, z_base=None):
+    """x -> the family covector at (z_base, x), first half: the slice covectors over x.
+
+    ``z_base`` is a lift (g,), zero by default, checked as the translation of
+    ``parameter_section``; the product lifts are built by assignment.
+    """
+    g = family.datum.torus.genus // 2
+    if z_base is None:
+        z_base = np.zeros(g, dtype=complex)
+    z_base = parameter_section(z_base, family.datum.torus).translation[:g]
+    return lambda x_lifts: family.theta(connections.product_lifts(z_base, x_lifts))[..., :g]
+
+
 def tau_presentation(family: ConnectionForm, resolution: int, z_base=None) -> TorsorPresentation:
     """Presentation of the torsor of flat-slice families, obstruction from scratch.
 
@@ -260,15 +273,8 @@ def tau_presentation(family: ConnectionForm, resolution: int, z_base=None) -> To
     if datum is None:
         raise TorusMismatch("expected a family connection built by family_connection()")
     base = datum.torus
-    g = base.genus
-    if z_base is None:
-        z_base = np.zeros(g, dtype=complex)
-    section = parameter_section(z_base, family.datum.torus)
-
-    def slice_covector(x_lifts):
-        return family.theta(section.apply(x_lifts))[..., :g]
-
-    cloud = connections.CHERN_NORMALIZATION * dbar_at_points(base, slice_covector, resolution)
+    cloud = connections.CHERN_NORMALIZATION * dbar_at_points(
+        base, _slice_covector(family, z_base), resolution)
     cls = cloud.mean(axis=0)
     # recomputed, so it can miss the constant class; sigma's is that class by construction
     spread = float(np.max(np.abs(cloud - cls)))

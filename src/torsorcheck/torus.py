@@ -108,15 +108,19 @@ def product_torus(left: ComplexTorus, right: ComplexTorus) -> ComplexTorus:
     return ComplexTorus(periods, kappa_max=kappa, factors=(left, right))
 
 
-def cycle_integral(torus: ComplexTorus, coefficients, j: int, k: int) -> complex:
+def cycle_integral(torus: ComplexTorus, coefficients, j, k):
     """Integral of an invariant (1,1)-form over the 2-cycle of generators j, k (0-based).
 
     With T the (g, g) coefficients and u, v the two generators, the value is
-    u T conj(v) - v T conj(u).
+    u T conj(v) - v T conj(u), read off the generators' Gram matrix
+    periods^T T conj(periods).  ``j`` and ``k`` are integers, giving a
+    complex, or integer arrays broadcast together, giving an array of values.
     """
     n = 2 * torus.genus
-    if not (0 <= j < n and 0 <= k < n):
+    j, k = np.asarray(j), np.asarray(k)
+    if not (((0 <= j) & (j < n)).all() and ((0 <= k) & (k < n)).all()):
         raise IndexOutOfRange(f"indices ({j}, {k}) outside 0..{n - 1}")
     t = np.asarray(coefficients, dtype=complex)
-    u, v = torus.lattice_vector(j), torus.lattice_vector(k)
-    return complex(u @ t @ np.conj(v) - v @ t @ np.conj(u))
+    gram = torus.periods.T @ t @ np.conj(torus.periods)
+    value = gram[j, k] - gram[k, j]
+    return complex(value) if value.ndim == 0 else value

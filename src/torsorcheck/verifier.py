@@ -419,11 +419,10 @@ def _check_datum_valid(ctx, rng):
 
 
 def _check_chern_integrality(ctx, rng):
-    omega = ctx.chern_matrix
     n = 2 * ctx.torus.genus
-    target = ctx.datum.pairing_imag_int
-    err = np.max([abs(cycle_integral(ctx.torus, omega, j, k) - target[j, k])
-                  for j in range(n) for k in range(n)])
+    index = np.arange(n)
+    integrals = cycle_integral(ctx.torus, ctx.chern_matrix, index[:, None], index[None, :])
+    err = np.max(np.abs(integrals - ctx.datum.pairing_imag_int))
     return float(err), ctx.cfg.tolerance_analytic, n * n
 
 

@@ -5,22 +5,30 @@ package's own constructions can be checked against it.  ``random_offset`` and
 ``seeded_lifts`` give the torsor tests seeded function offsets and the points
 where they compare them.  ``family_covector_by_maps`` is the family covector
 read through the projection and addition matrices, which the sliced
-``family_connection`` is compared with.  ``pullback_phases_per_generator`` and
-``stencil_two_calls`` are the one-at-a-time loops that the batched
-``pullback`` and ``dbar_at_points`` are compared with; ``dz_rows`` is the
-dz half of the Wirtinger chart, which the package does not keep.
+``family_connection`` is compared with, and ``check_eq_i_by_pullback`` is
+``check_eq_i`` with its restriction read through ``pullback_connection``.
+``pullback_phases_per_generator`` and ``stencil_two_calls`` are the
+one-at-a-time loops that the batched ``pullback`` and ``dbar_at_points`` are
+compared with, and ``stencil_by_directions`` is the point stencil in its
+earlier summation order; ``dz_rows`` is the dz half of the Wirtinger chart,
+which the package does not keep.
 """
 
 import numpy as np
 
 from torsorcheck import (
+    CHERN_NORMALIZATION,
     TorusHomomorphism,
     TorusMismatch,
     addition_map,
     build_family,
     canonical_connection,
+    chern_form,
+    curvature,
     first_projection,
     hermitian_pairing,
+    parameter_section,
+    pullback_connection,
 )
 from torsorcheck.grids import _accumulate, seeded_coords
 
@@ -117,6 +125,13 @@ def family_covector_by_maps(datum):
     return theta
 
 
+def check_eq_i_by_pullback(family, y, resolution, coords=None) -> float:
+    """``check_eq_i`` with the restriction read through ``pullback_connection``'s matmuls."""
+    restricted = pullback_connection(parameter_section(y, family.datum.torus), family)
+    recomputed = CHERN_NORMALIZATION * curvature(restricted, resolution, coords)
+    return float(np.max(np.abs(recomputed - chern_form(restricted.datum))))
+
+
 def dz_rows(torus) -> np.ndarray:
     """Rows (g, 2g) taking derivatives along the 2g lattice directions to dz components.
 
@@ -128,17 +143,35 @@ def dz_rows(torus) -> np.ndarray:
 
 
 def stencil_two_calls(torus, fn, resolution, coords=None, rows=None) -> np.ndarray:
-    """The point stencil with ``fn`` called separately at c + e_d / N and at c - e_d / N.
+    """The point stencil with ``fn`` called separately at z + step_d and at z - step_d.
 
-    ``coords`` default to ``seeded_coords`` and ``rows`` to the dzbar rows.
+    step_d = periods[:, d] / N, z are the lifts of ``coords`` (default
+    ``seeded_coords``), and the differences are contracted over the
+    directions in one matrix product by ``rows`` (default the dzbar rows)
+    times N / 2.
     """
     coords = seeded_coords(torus) if coords is None else coords
     rows = torus.dzbar_rows if rows is None else rows
+    lifts = torus.lift_of_coords(coords)
+    step = torus.periods.T / resolution
+    diffs = np.stack([np.asarray(fn(lifts + s), dtype=complex)
+                      - np.asarray(fn(lifts - s), dtype=complex) for s in step])
+    out = (rows * (resolution / 2.0)) @ diffs.reshape(len(step), -1)
+    return np.moveaxis(out.reshape((rows.shape[0],) + diffs.shape[1:]), 0, -1)
+
+
+def stencil_by_directions(torus, fn, resolution, coords=None) -> np.ndarray:
+    """The point stencil in its earlier order: one lift of c +- e_d / N per direction,
+    and the directions summed in order, each row times the scaled difference.
+    """
+    coords = seeded_coords(torus) if coords is None else coords
+    rows = torus.dzbar_rows
     step = np.eye(2 * torus.genus) / resolution
     out = term = None
     for d in range(step.shape[0]):
-        ahead = np.asarray(fn(torus.lift_of_coords(coords + step[d])), dtype=complex)
-        diff = ahead - np.asarray(fn(torus.lift_of_coords(coords - step[d])), dtype=complex)
+        both = np.asarray(fn(torus.lift_of_coords(np.stack([coords + step[d], coords - step[d]]))),
+                          dtype=complex)
+        diff = both[0] - both[1]
         if out is None:
             out = np.zeros((rows.shape[0],) + diff.shape, dtype=complex)
             term = np.empty_like(diff)

@@ -18,12 +18,22 @@ from torsorcheck import (
     cycle_integral,
     family_connection,
     hermitian_pairing,
+    parameter_section,
     pullback,
+    pullback_connection,
     slice_connection,
+    slice_embedding,
 )
-from torsorcheck.grids import POINT_SAMPLES
+from torsorcheck.grids import POINT_SAMPLES, SeededDraws
+from torsorcheck.torsors import _slice_covector
 
-from oracles import automorphy_defect, dz_rows, family_covector_by_maps, seeded_lifts
+from oracles import (
+    automorphy_defect,
+    check_eq_i_by_pullback,
+    dz_rows,
+    family_covector_by_maps,
+    seeded_lifts,
+)
 
 
 def fd_dlog_dz(datum, lam, z, h=1e-3):
@@ -243,6 +253,42 @@ class TestSliceConnection:
         for x in datum.torus.random_points(rng, 5):
             sliced = slice_connection(fam, x)
             assert np.max(np.abs(curvature(sliced, n))) <= 1e-8
+
+
+class TestRestrictionBySlicing:
+    """Slices and sections of the family read by slicing equal their pullback_connection forms."""
+
+    @pytest.fixture(params=["principal-g1", "principal-g2", "g3", "complex-h"])
+    def family(self, request, g2_datum, g3_datum):
+        if request.param == "g3":
+            return family_connection(g3_datum)
+        if request.param == "complex-h":
+            return family_connection(complex_pairing_datum(g2_datum))
+        return family_connection(VerificationConfig.demo(request.param).datum)
+
+    def test_slice_connection(self, family, rng):
+        prod = family.datum.torus
+        z = seeded_lifts(family.base.torus)
+        for x in family.base.torus.random_points(rng, 3):
+            sliced = slice_connection(family, x)
+            by_pullback = pullback_connection(slice_embedding(x, prod), family)
+            assert np.array_equal(sliced.theta(z), by_pullback.theta(z))
+            assert np.array_equal(sliced.datum.hermitian, by_pullback.datum.hermitian)
+            assert np.array_equal(sliced.datum.chi, by_pullback.datum.chi)
+
+    def test_tau_slice_covector(self, family, rng):
+        prod, g = family.datum.torus, family.base.torus.genus
+        x = seeded_lifts(family.base.torus)
+        for y in [np.zeros(g), *family.base.torus.random_points(rng, 3)]:
+            by_section = family.theta(parameter_section(y, prod).apply(x))[..., :g]
+            assert np.array_equal(_slice_covector(family, y)(x), by_section)
+
+    @pytest.mark.parametrize("resolution", [6, 16])
+    def test_check_eq_i(self, family, resolution, rng):
+        coords = SeededDraws(7).random((POINT_SAMPLES, 2 * family.base.torus.genus))
+        for y in family.base.torus.random_points(rng, 3):
+            assert check_eq_i(family, y, resolution, coords) == \
+                check_eq_i_by_pullback(family, y, resolution, coords)
 
 
 class TestRestrictionIdentity:

@@ -91,3 +91,18 @@ class TestInvariantForms:
     def test_index_out_of_range(self, square_torus):
         with pytest.raises(IndexOutOfRange):
             cycle_integral(square_torus, [[1.0]], 0, 2)
+
+    def test_index_arrays_match_scalar_calls_bitwise(self, g2_torus, rng):
+        coeff = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        index = np.arange(4)
+        table = cycle_integral(g2_torus, coeff, index[:, None], index[None, :])
+        assert table.shape == (4, 4)
+        scalars = [[cycle_integral(g2_torus, coeff, j, k) for k in range(4)] for j in range(4)]
+        assert all(type(v) is complex for row in scalars for v in row)
+        assert table.tobytes() == np.array(scalars).tobytes()
+
+    @pytest.mark.parametrize("j, k", [([0, 1, 4], 0), (1, [[0], [-1]]), (np.arange(5), 2)])
+    def test_index_arrays_out_of_range(self, g2_torus, j, k):
+        # one bad entry is enough
+        with pytest.raises(IndexOutOfRange):
+            cycle_integral(g2_torus, np.eye(2), j, k)

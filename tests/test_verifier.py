@@ -372,6 +372,33 @@ class TestGenusTargets:
             assert all(c.status == "pass" for c in report.checks), name
             assert peak < 4 * 2**20, f"{name}: peak {peak / 2**20:.2f} MB"
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_genus_32_at_grid_16_passes_under_64_mib(self):
+        # periods [I | i diag(tau)] with tau = 1, 1.5, ..., 16.5 and H = diag(1 / tau);
+        # the peak (54.7 MiB measured, in the family curvature's direction buffer on
+        # the genus-64 product) is traced from a cold start, with no warm-up suite
+        g = 32
+        taus = [1 + 0.5 * i for i in range(g)]
+        periods = [[[float(i == j), 0.0] for j in range(g)]
+                   + [[0.0, taus[i] if i == j else 0.0] for j in range(g)] for i in range(g)]
+        hermitian = [[[1.0 / taus[i] if i == j else 0.0, 0.0] for j in range(g)]
+                     for i in range(g)]
+        cfg = VerificationConfig.from_dict({
+            "torus": {"genus": g, "periods": periods},
+            "bundle": {"hermitian": hermitian, "chi_turns": [0] * (2 * g)},
+            "numeric": {"grid": 16}})
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            report = run_suite(cfg)
+            peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        assert report.crash_notes == {}
+        assert [c.name for c in report.checks] == CHECK_ORDER
+        assert all(c.status == "pass" for c in report.checks)
+        assert peak < 64 * 2**20, f"peak {peak / 2**20:.2f} MiB"
+
 
 class TestGridBound:
     @pytest.mark.parametrize("seed", [1, 2, 3])
