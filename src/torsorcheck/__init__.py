@@ -14,6 +14,7 @@ from .bundles import (
     first_projection,
     hermitian_pairing,
     parameter_section,
+    product_maps,
     pullback,
     slice_embedding,
     trivial_datum,
@@ -77,7 +78,8 @@ from .version import __version__
 __all__ = [
     # bundles
     "AHDatum", "TorusHomomorphism", "addition_map", "build_family", "first_projection",
-    "hermitian_pairing", "parameter_section", "pullback", "slice_embedding", "trivial_datum",
+    "hermitian_pairing", "parameter_section", "product_maps", "pullback", "slice_embedding",
+    "trivial_datum",
     # connections
     "CHERN_NORMALIZATION", "ConnectionForm", "canonical_connection", "check_eq_i",
     "chern_form", "curvature", "family_connection", "pullback_connection", "slice_connection",

@@ -30,7 +30,7 @@ from .errors import (
     ShapeMismatch,
     TorusMismatch,
 )
-from .torus import ComplexTorus, _complex_of_shape, product_torus
+from .torus import ComplexTorus, _complex_of_shape, _lift_or_batch, product_torus
 
 HERMITIAN_TOL = 1e-12
 INTEGRAL_TOL = 1e-8
@@ -149,13 +149,18 @@ def trivial_datum(torus: ComplexTorus) -> AHDatum:
 
 
 class TorusHomomorphism:
-    """Affine holomorphic map between tori: z -> M z + t with M lattice-preserving."""
+    """Affine holomorphic map between tori: z -> M z + t with M lattice-preserving.
+
+    The translation is one vector t (g,), or a batch (S, g) of translations:
+    then the object stands for the S maps z -> M z + t_s of one linear part,
+    whose lattice check runs once, and ``pullback`` pulls back along all S.
+    """
 
     def __init__(self, source: ComplexTorus, target: ComplexTorus, matrix, translation=None):
         matrix = _complex_of_shape(matrix, (target.genus, source.genus), "linear part")
         if translation is None:
             translation = np.zeros(target.genus, dtype=complex)
-        translation = _complex_of_shape(translation, (target.genus,), "translation")
+        translation = _lift_or_batch(translation, target.genus, "translation")
         if not (np.isfinite(matrix).all() and np.isfinite(translation).all()):
             raise LatticeNotPreserved("linear part and translation must be finite")
         image = matrix @ source.periods  # image of the source generators
@@ -170,6 +175,7 @@ class TorusHomomorphism:
         self.translation = translation
 
     def apply(self, z) -> np.ndarray:
+        """M z + t for lifts z (..., g); a batch of S translations pairs with z (..., S, g)."""
         z = np.asarray(z, dtype=complex)
         return z @ self.matrix.T + self.translation
 
@@ -189,21 +195,33 @@ def first_projection(prod: ComplexTorus) -> TorusHomomorphism:
     return TorusHomomorphism(prod, left, np.hstack([np.eye(g), np.zeros((g, g))]))
 
 
+def product_maps(base: ComplexTorus) -> tuple[TorusHomomorphism, TorusHomomorphism]:
+    """The first projection and the addition map of one product torus A x A, for A = ``base``."""
+    prod = product_torus(base, base)
+    return first_projection(prod), addition_map(prod)
+
+
 def slice_embedding(x, prod: ComplexTorus) -> TorusHomomorphism:
-    """z -> (z, x): the slice A x {x} of the product, for a lift x (g,) of a point of A."""
+    """z -> (z, x): the slice A x {x} of the product, for a lift x (g,) of a point of A.
+
+    A batch x (S, g) gives the S slices as one map with S translations.
+    """
     left, right = _split_factors(prod)
-    x = _complex_of_shape(x, (right.genus,), "point lifts")
+    x = _lift_or_batch(x, right.genus, "point lifts")
     matrix = np.vstack([np.eye(left.genus), np.zeros((right.genus, left.genus))])
-    translation = np.concatenate([np.zeros(left.genus), x])
+    translation = np.concatenate([np.zeros(x.shape[:-1] + (left.genus,)), x], axis=-1)
     return TorusHomomorphism(left, prod, matrix, translation)
 
 
 def parameter_section(y, prod: ComplexTorus) -> TorusHomomorphism:
-    """x -> (y, x): the section of the second projection through a lift y (g,) of a point of A."""
+    """x -> (y, x): the section of the second projection through a lift y (g,) of a point of A.
+
+    A batch y (S, g) gives the S sections as one map with S translations.
+    """
     left, right = _split_factors(prod)
-    y = _complex_of_shape(y, (left.genus,), "point lifts")
+    y = _lift_or_batch(y, left.genus, "point lifts")
     matrix = np.vstack([np.zeros((left.genus, right.genus)), np.eye(right.genus)])
-    translation = np.concatenate([y, np.zeros(right.genus)])
+    translation = np.concatenate([y, np.zeros(y.shape[:-1] + (right.genus,))], axis=-1)
     return TorusHomomorphism(right, prod, matrix, translation)
 
 
@@ -215,7 +233,7 @@ def _split_factors(prod: ComplexTorus) -> tuple[ComplexTorus, ComplexTorus]:
 
 # -- pullback ------------------------------------------------------------------
 
-def pullback(f: TorusHomomorphism, datum: AHDatum) -> AHDatum:
+def pullback(f: TorusHomomorphism, datum: AHDatum) -> AHDatum | list[AHDatum]:
     """Datum of the pulled-back bundle along z -> M z + t.
 
     The pairing pulls back as H'(u, v) = H(Mu, Mv).  The generator phases are
@@ -233,23 +251,34 @@ def pullback(f: TorusHomomorphism, datum: AHDatum) -> AHDatum:
 
     of unit modulus by construction, for all 2g' generators at once.  No
     H(lam, lam) is exponentiated, so a large pairing cannot overflow.
+
+    H', the generator images and their chi do not depend on t, so a map with
+    a batch of S translations forms them once and its S phase rows in one
+    pairing; it returns the list of the S pulled-back data, each validated
+    by ``AHDatum``.  One translation is the batch of one, returned as a datum.
     """
     if not f.target.same_as(datum.torus):
         raise TorusMismatch("datum must live on the target of the homomorphism")
     h_pull = f.matrix.T @ datum.hermitian @ np.conj(f.matrix)
     mlams = f.source.periods.T @ f.matrix.T  # images of the generators, (2g', g)
-    turns = hermitian_pairing(datum.hermitian, f.translation, mlams).imag
-    chi = datum.chi_on(datum.torus.lattice_coords(mlams)) * np.exp(2j * np.pi * turns)
-    return AHDatum(f.source, h_pull, chi)
+    chi_linear = datum.chi_on(datum.torus.lattice_coords(mlams))
+    translations = f.translation.reshape(-1, 1, f.target.genus)  # (S, 1, g)
+    turns = hermitian_pairing(datum.hermitian, translations, mlams).imag  # (S, 2g')
+    pulled = [AHDatum(f.source, h_pull, chi) for chi in chi_linear * np.exp(2j * np.pi * turns)]
+    return pulled if f.translation.ndim == 2 else pulled[0]
 
 
 # -- the two-variable family --------------------------------------------------
 
-def build_family(datum: AHDatum) -> AHDatum:
-    """Datum of (p1* dual L) tensor (addition* L) on the product torus A x A."""
-    base = datum.torus
-    prod = product_torus(base, base)
-    along_p1 = pullback(first_projection(prod), datum.dual())
-    along_add = pullback(addition_map(prod), datum)
+def build_family(datum: AHDatum, maps=None, dual: AHDatum | None = None) -> AHDatum:
+    """Datum of (p1* dual L) tensor (addition* L) on the product torus A x A.
+
+    ``maps`` is the pair ``product_maps(datum.torus)``, built here when None,
+    so that several families of one torus can share one product torus; and
+    ``dual`` is ``datum.dual()``, formed here when None.
+    """
+    p1, add = product_maps(datum.torus) if maps is None else maps
+    along_p1 = pullback(p1, datum.dual() if dual is None else dual)
+    along_add = pullback(add, datum)
     return along_p1.tensor(along_add)
 

@@ -25,7 +25,8 @@ from .bundles import (
     slice_embedding,
     TorusHomomorphism,
 )
-from .grids import dbar_at_points
+from .errors import ShapeMismatch
+from .grids import dbar_at_points, seeded_coords
 
 #: scale making cycle integrals of the curvature class integral
 CHERN_NORMALIZATION = 1j / (2.0 * np.pi)
@@ -36,7 +37,10 @@ class ConnectionForm:
 
     ``theta`` is vectorized: lifts of shape (..., g) map to covectors of the
     same shape.  ``base`` is the datum on A that a family form on A x A was
-    induced from, and None for every other form.
+    induced from, and None for every other form.  A batch of S slices
+    (``slice_connection`` at S lifts) holds the list of its S data as
+    ``datum``, and its ``theta`` reads lifts as ``restricted_covector`` does
+    for a batch.
     """
 
     def __init__(self, datum: AHDatum, theta, base: AHDatum | None = None):
@@ -73,7 +77,7 @@ def pullback_connection(f: TorusHomomorphism, conn: ConnectionForm) -> Connectio
     return ConnectionForm(datum_pull, theta)
 
 
-def family_connection(datum: AHDatum) -> ConnectionForm:
+def family_connection(datum: AHDatum, maps=None) -> ConnectionForm:
     """Connection on (p1* dual L) tensor (addition* L) induced by the canonical one.
 
     At a lift u = (z, w) of A x A the pullbacks along p1 and the addition map
@@ -85,11 +89,15 @@ def family_connection(datum: AHDatum) -> ConnectionForm:
     and its ``base`` is ``datum``.  Building it takes a product torus, two
     pullbacks and a tensor, so a caller that reads one family several times
     (the slices, ``check_eq_i``, ``tau_presentation`` at several base points)
-    builds it once and passes the form.
+    builds it once and passes the form.  ``maps`` is passed on to
+    ``build_family``, so the families of one torus can share its product
+    torus, and the dual datum is formed once for the family datum and the
+    dual covector.
     """
-    fam_datum = build_family(datum)
+    dual = datum.dual()
+    fam_datum = build_family(datum, maps, dual)
     g = datum.torus.genus
-    theta_dual = canonical_connection(datum.dual())
+    theta_dual = canonical_connection(dual)
     theta_base = canonical_connection(datum)
 
     def theta(u):
@@ -115,6 +123,38 @@ def product_lifts(first, second) -> np.ndarray:
     return u
 
 
+def restricted_covector(family_conn: ConnectionForm, fixed, free: int, half: int):
+    """The family covector read along lifts x of A placed in factor ``free`` of A x A.
+
+    The other factor is held at ``fixed``: ``free`` 0 reads the covector at
+    (x, fixed), ``free`` 1 at (fixed, x), and ``half`` 0 or 1 keeps its first
+    or its second g components.  ``fixed`` is a lift (g,), and then the map
+    takes lifts (..., g); or a batch (S, g), and then it takes lifts
+    (..., S*P, g) holding P points for each fixed lift in (S, P) order, as
+    ``dbar_at_points`` passes them for S stacked copies of P coordinates.
+    The product lifts are built by assignment, so no 0/1 matrix is applied.
+    """
+    fixed = np.asarray(fixed, dtype=complex)
+    g = fixed.shape[-1]
+    read = slice(None, g) if half == 0 else slice(g, None)
+
+    def paired(x, y):  # product lifts, x in the free factor and y in the other
+        return product_lifts(x, y) if free == 0 else product_lifts(y, x)
+
+    def theta(x):
+        x = np.asarray(x, dtype=complex)
+        if fixed.ndim == 1:
+            return family_conn.theta(paired(x, fixed))[..., read]
+        if x.ndim < 2 or x.shape[-2] % len(fixed):
+            raise ShapeMismatch(f"lifts {x.shape} do not split into {len(fixed)} blocks")
+        # each block of P lifts pairs with its fixed lift; the (S, P) lifts reshape for free
+        blocks = x.reshape(x.shape[:-2] + (len(fixed), -1, g))
+        u = paired(blocks, fixed[:, None, :]).reshape(x.shape[:-1] + (2 * g,))
+        return family_conn.theta(u)[..., read]
+
+    return theta
+
+
 def slice_connection(family_conn: ConnectionForm, x) -> ConnectionForm:
     """Restriction of the family connection to the slice A x {x}, for a lift x (g,).
 
@@ -122,15 +162,12 @@ def slice_connection(family_conn: ConnectionForm, x) -> ConnectionForm:
     it is constant in z, so the restriction is flat.  It equals
     ``pullback_connection`` along ``slice_embedding``, whose matrix stacks I
     over 0: the family covector at (z, x), first half.  The datum is that
-    pullback's.
+    pullback's.  A batch x (S, g) gives the S slices from one pullback: the
+    list of their data, and one covector for all, as ``restricted_covector``.
     """
     f = slice_embedding(x, family_conn.datum.torus)
     g = f.source.genus
-    x = f.translation[g:]
-
-    def theta(z):
-        return family_conn.theta(product_lifts(z, x))[..., :g]
-
+    theta = restricted_covector(family_conn, f.translation[..., g:], free=0, half=0)
     return ConnectionForm(pullback(f, family_conn.datum), theta)
 
 
@@ -157,25 +194,35 @@ def chern_form(datum: AHDatum) -> np.ndarray:
     return CHERN_NORMALIZATION * (-np.pi) * datum.hermitian
 
 
-def check_eq_i(family_conn: ConnectionForm, y, resolution: int, coords=None) -> float:
+def check_eq_i(family_conn: ConnectionForm, y, resolution: int, coords=None):
     """Max deviation of the restricted family curvature from the invariant class.
 
-    Pulls the family connection back along x -> (y, x), for a lift y (g,) of
-    a point of A, recomputes its ``curvature`` at step 1/``resolution`` around
-    the x-points with lattice coordinates ``coords`` (P, 2g; by default the
-    ``seeded_coords`` of the torus), scales by the Chern normalization and
-    compares against the class of the pulled-back datum, whose pairing is the
-    lower-right block of the family pairing.  The covector is affine in
-    (x, xbar), so the differences are exact to rounding at any point, and
-    translation invariance makes the result independent of y.  The restricted
-    covector is the family covector at (y, x), second half, as
-    ``pullback_connection`` along ``parameter_section`` (matrix 0 over I)
-    would give it.
+    Restricts the family connection along x -> (y, x), for a lift y (g,) of
+    a point of A: the restricted covector is the family covector at (y, x),
+    second half, as ``pullback_connection`` along ``parameter_section``
+    (matrix 0 over I) would give it.  Recomputes its curvature at step
+    1/``resolution`` around the x-points with lattice coordinates ``coords``
+    (P, 2g; by default the ``seeded_coords`` of the torus), scales by the
+    Chern normalization and compares against the class of the pulled-back
+    datum, whose pairing is the lower-right block of the family pairing.  The
+    covector is affine in (x, xbar), so the differences are exact to rounding
+    at any point, and translation invariance makes the result independent of y.
+
+    A batch y (S, g) is read with one pullback and one stencil call on S
+    stacked copies of the coordinates, and gives the (S,) deviations, each
+    equal to its lift's.
     """
     f = parameter_section(y, family_conn.datum.torus)
     g = f.source.genus
-    y = f.translation[:g]
-    restricted = ConnectionForm(pullback(f, family_conn.datum),
-                                lambda x: family_conn.theta(product_lifts(y, x))[..., g:])
-    recomputed = CHERN_NORMALIZATION * curvature(restricted, resolution, coords)
-    return float(np.max(np.abs(recomputed - chern_form(restricted.datum))))
+    theta = restricted_covector(family_conn, f.translation[..., :g], free=1, half=1)
+    pulled = pullback(f, family_conn.datum)
+    batch = f.translation.ndim == 2
+    data = pulled if batch else [pulled]
+    coords = seeded_coords(f.source) if coords is None else np.asarray(coords, dtype=float)
+    if coords.ndim != 2:
+        raise ShapeMismatch(f"point coordinates must have shape (P, {2 * g})")
+    cloud = dbar_at_points(f.source, theta, resolution, np.tile(coords, (len(data), 1)))
+    # the S data share one pairing, so one class serves them all
+    gap = np.abs(CHERN_NORMALIZATION * cloud - chern_form(data[0]))
+    per_lift = np.max(gap.reshape(len(data), -1), axis=1)
+    return per_lift if batch else float(per_lift[0])

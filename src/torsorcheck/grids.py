@@ -40,6 +40,11 @@ from .torus import ComplexTorus
 MIN_RESOLUTION = 4
 #: how many seeded points the point-path checks evaluate at
 POINT_SAMPLES = 256
+#: the most bytes of stencil differences that one ``dbar_at_points`` call holds
+#: for a block of sampled restrictions: one sample's (2g, POINT_SAMPLES, g)
+#: complex differences take 8192 g**2 bytes, so genus 1 reads 16 samples per
+#: call, genus 2 four, and genus 3 and above one
+STENCIL_BLOCK_BYTES = 2**17
 #: relative agreement required of a period increment measured at two base points
 SEAM_TOL = 1e-9
 

@@ -244,14 +244,16 @@ def sigma_presentation(datum: AHDatum, resolution: int) -> TorsorPresentation:
 def _slice_covector(family: ConnectionForm, z_base=None):
     """x -> the family covector at (z_base, x), first half: the slice covectors over x.
 
-    ``z_base`` is a lift (g,), zero by default, checked as the translation of
-    ``parameter_section``; the product lifts are built by assignment.
+    ``z_base`` is one lift (g,), zero by default, checked as the translation
+    of ``parameter_section``.
     """
     g = family.datum.torus.genus // 2
     if z_base is None:
         z_base = np.zeros(g, dtype=complex)
-    z_base = parameter_section(z_base, family.datum.torus).translation[:g]
-    return lambda x_lifts: family.theta(connections.product_lifts(z_base, x_lifts))[..., :g]
+    translation = parameter_section(z_base, family.datum.torus).translation
+    if translation.ndim != 1:
+        raise ShapeMismatch(f"the base point must be one lift of shape {(g,)}")
+    return connections.restricted_covector(family, translation[:g], free=1, half=0)
 
 
 def tau_presentation(family: ConnectionForm, resolution: int, z_base=None) -> TorsorPresentation:

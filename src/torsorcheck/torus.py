@@ -34,6 +34,14 @@ def _complex_of_shape(x, shape: tuple, what: str) -> np.ndarray:
     return x
 
 
+def _lift_or_batch(x, genus: int, what: str) -> np.ndarray:
+    """``x`` as a complex lift (g,) or a non-empty batch (S, g) of lifts, else ShapeMismatch."""
+    x = np.asarray(x, dtype=complex)
+    if x.ndim not in (1, 2) or x.shape[-1] != genus or x.size == 0:
+        raise ShapeMismatch(f"{what} must have shape {(genus,)} or (S, {genus}), got {x.shape}")
+    return x
+
+
 class ComplexTorus:
     """C^g modulo the lattice spanned by the columns of a g x 2g period matrix."""
 

@@ -45,7 +45,7 @@ except ImportError:
 import numpy as np
 
 from . import connections
-from .bundles import AHDatum, hermitian_pairing, trivial_datum
+from .bundles import AHDatum, hermitian_pairing, product_maps, trivial_datum
 from .connections import (
     ConnectionForm,
     canonical_connection,
@@ -56,7 +56,7 @@ from .connections import (
     slice_connection,
 )
 from .errors import ConfigInvalid, TorsorcheckError
-from .grids import POINT_SAMPLES, SeededDraws, dbar_at_points
+from .grids import POINT_SAMPLES, STENCIL_BLOCK_BYTES, SeededDraws, dbar_at_points
 from .torsors import (
     TorsorPresentation,
     act,
@@ -113,7 +113,10 @@ _INTEGER_LEAST = {"grid": 4, "seed": 0, "samples": 1}
 #: convergence_order fails a correct program (at 2**17 it fails tests/g3_n6.json)
 _GRID_BOUND = 2**16
 #: slice_flatness, family_curvature_restriction and duality_involution each
-#: draw ``samples`` points and loop or allocate linearly in them
+#: draw ``samples`` points; the first two read them in blocks of at most
+#: STENCIL_BLOCK_BYTES of stencil differences, so their time grows linearly
+#: in ``samples`` and their memory does not, and duality_involution
+#: allocates linearly in them
 _SAMPLES_BOUND = 10**4
 
 
@@ -333,7 +336,8 @@ class _SuiteContext:
     family connection is built once: ``family`` for the datum, which ``tau``,
     the slice checks and ``tau_obstruction``'s moved base point read, and
     ``dual_family`` for the dual, which ``duality_involution`` reads for both
-    its tau presentation and its slice.
+    its tau presentation and its slice.  Every family of the torus, the
+    trivial bundle's too, shares the one product torus of ``product_maps``.
     """
 
     def __init__(self, cfg: VerificationConfig):
@@ -351,8 +355,13 @@ class _SuiteContext:
         return curvature(canonical_connection(self.datum), self.cfg.grid)
 
     @cached_property
+    def product_maps(self):
+        """The first projection and the addition map of A x A, for every family."""
+        return product_maps(self.torus)
+
+    @cached_property
     def family(self) -> ConnectionForm:
-        return family_connection(self.datum)
+        return family_connection(self.datum, self.product_maps)
 
     @cached_property
     def dual(self) -> AHDatum:
@@ -360,7 +369,7 @@ class _SuiteContext:
 
     @cached_property
     def dual_family(self) -> ConnectionForm:
-        return family_connection(self.dual)
+        return family_connection(self.dual, self.product_maps)
 
     @cached_property
     def sigma(self) -> TorsorPresentation:
@@ -405,6 +414,49 @@ def _point_probe_error(torus: ComplexTorus, resolution: int, coords, modes, coef
     return float(np.max(np.abs(fd - analytic)))
 
 
+def _sample_blocks(torus: ComplexTorus, count: int) -> list[slice]:
+    """Consecutive slices of ``count`` samples, each one ``dbar_at_points`` call.
+
+    A block holds as many samples as fit in ``STENCIL_BLOCK_BYTES`` of stencil
+    differences, one sample's being (2g, POINT_SAMPLES, g) complex, and at
+    least one.
+    """
+    g = torus.genus
+    per_sample = 2 * g * POINT_SAMPLES * g * np.dtype(complex).itemsize
+    size = max(1, STENCIL_BLOCK_BYTES // per_sample)
+    return [slice(start, start + size) for start in range(0, count, size)]
+
+
+def _slice_terms(ctx, xs, coords) -> np.ndarray:
+    """The three flatness terms of each slice A x {x}, for lifts ``xs`` (S, g): (S, 3).
+
+    Per slice: the max |curvature| of its covector at the lattice coordinates
+    ``coords`` (P, 2g), the max |pairing| of its datum, and the max distance
+    of its phases from exp(2 pi i Im H(x, lambda_j)).  Each block of
+    ``_sample_blocks`` is one ``slice_connection`` and one stencil call.
+    """
+    lattice = ctx.torus.periods.T  # generator j in row j
+    terms = []
+    for block in _sample_blocks(ctx.torus, len(xs)):
+        x = xs[block]
+        sliced = slice_connection(ctx.family, x)
+        cloud = dbar_at_points(ctx.torus, sliced.theta, ctx.cfg.grid, np.tile(coords, (len(x), 1)))
+        phases = np.exp(2j * np.pi * hermitian_pairing(ctx.datum.hermitian, x[:, None, :],
+                                                       lattice).imag)
+        pairings = np.array([d.hermitian for d in sliced.datum])
+        chis = np.array([d.chi for d in sliced.datum])
+        terms.append(np.stack([np.max(np.abs(cloud).reshape(len(x), -1), axis=1),
+                               np.max(np.abs(pairings).reshape(len(x), -1), axis=1),
+                               np.max(np.abs(chis - phases), axis=1)], axis=1))
+    return np.concatenate(terms)
+
+
+def _section_terms(ctx, ys, coords) -> np.ndarray:
+    """``check_eq_i`` of the family at each lift of ``ys`` (S, g), one call per block: (S,)."""
+    return np.concatenate([check_eq_i(ctx.family, ys[block], ctx.cfg.grid, coords)
+                           for block in _sample_blocks(ctx.torus, len(ys))])
+
+
 # -- individual checks ---------------------------------------------------------
 
 def _check_datum_valid(ctx, rng):
@@ -442,33 +494,28 @@ def _check_slice_flatness(ctx, rng):
 
     The slice covector's curvature is read at seeded points, drawn after the
     x points; the slice datum must have zero pairing and the phases
-    exp(2 pi i Im H(x, lambda_j)).
+    exp(2 pi i Im H(x, lambda_j)).  The slices are read in blocks.
     """
     g = ctx.torus.genus
     xs = ctx.torus.random_points(rng, ctx.cfg.samples)
     coords = rng.random((POINT_SAMPLES, 2 * g))
-    lattice = ctx.torus.periods.T  # generator j in row j
-    terms = []
-    for x in xs:
-        sliced = slice_connection(ctx.family, x)
-        phases = np.exp(2j * np.pi * hermitian_pairing(ctx.datum.hermitian, x, lattice).imag)
-        terms += [np.max(np.abs(curvature(sliced, ctx.cfg.grid, coords))),
-                  np.max(np.abs(sliced.datum.hermitian)),
-                  np.max(np.abs(sliced.datum.chi - phases))]
-    return float(np.max(terms)), ctx.cfg.tolerance_analytic, ctx.cfg.samples
+    return float(np.max(_slice_terms(ctx, xs, coords))), ctx.cfg.tolerance_analytic, ctx.cfg.samples
 
 
 def _check_family_restriction(ctx, rng):
-    """The family curvature on A x A, and its restriction to each parameter section, at points."""
+    """The family curvature on A x A, and its restriction to each parameter section, at points.
+
+    The sections are read in blocks.
+    """
     g = ctx.torus.genus
     ys = ctx.torus.random_points(rng, ctx.cfg.samples)
     coords = rng.random((POINT_SAMPLES, 2 * g))
-    terms = [check_eq_i(ctx.family, y, ctx.cfg.grid, coords) for y in ys]
+    sections = _section_terms(ctx, ys, coords)
     product_coords = rng.random((POINT_SAMPLES, 4 * g))
     recomputed = connections.CHERN_NORMALIZATION * curvature(
         ctx.family, ctx.cfg.grid, product_coords)
-    terms.append(np.max(np.abs(recomputed - chern_form(ctx.family.datum))))
-    return float(np.max(terms)), ctx.cfg.tolerance_analytic, ctx.cfg.samples
+    family = np.max(np.abs(recomputed - chern_form(ctx.family.datum)))
+    return float(np.max([*sections, family])), ctx.cfg.tolerance_analytic, ctx.cfg.samples
 
 
 def _check_tau_obstruction(ctx, rng):
@@ -525,7 +572,7 @@ def _check_trivial_bundle(ctx, rng):
     cfg = ctx.cfg
     flat = trivial_datum(ctx.torus)
     sigma = sigma_presentation(flat, cfg.grid)
-    tau = tau_presentation(family_connection(flat), cfg.grid)
+    tau = tau_presentation(family_connection(flat, ctx.product_maps), cfg.grid)
     # a zero section's obstruction is the reference class itself, sigma's being chern_form(flat)
     terms = [is_holomorphic(sigma.zero_section(), cfg.tolerance_exact)[1],
              is_holomorphic(tau.zero_section(), cfg.tolerance_exact)[1],

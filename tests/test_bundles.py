@@ -17,6 +17,7 @@ from torsorcheck import (
     build_family,
     first_projection,
     hermitian_pairing,
+    parameter_section,
     pullback,
     slice_embedding,
     trivial_datum,
@@ -344,6 +345,49 @@ class TestHomomorphisms:
         both = compose(shift, double)
         z = np.array([0.2 + 0.2j])
         assert np.allclose(both.apply(z), shift.apply(double.apply(z)))
+
+
+class TestBatchedTranslations:
+    """One linear part with S translations: S maps, one lattice check, one pullback."""
+
+    @pytest.mark.parametrize("shape", [(0, 2), (3, 2, 1), (3, 3)],
+                             ids=["empty", "3-D", "wrong_genus"])
+    def test_batch_shape_is_exact(self, g2_torus, shape):
+        with pytest.raises(ShapeMismatch, match=r"shape \(2,\) or \(S, 2\)"):
+            TorusHomomorphism(g2_torus, g2_torus, np.eye(2), np.zeros(shape))
+
+    def test_apply_pairs_translate_s_with_row_s(self, g2_torus, rng):
+        ts = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
+        z = rng.standard_normal((4, 3, 2)) + 1j * rng.standard_normal((4, 3, 2))
+        batched = TorusHomomorphism(g2_torus, g2_torus, 2.0 * np.eye(2), ts).apply(z)
+        for s, t in enumerate(ts):
+            single = TorusHomomorphism(g2_torus, g2_torus, 2.0 * np.eye(2), t)
+            assert same_bits(batched[:, s], single.apply(z[:, s]))
+
+    @pytest.mark.parametrize("kind", ["slice", "section", "one_plus_i"])
+    def test_pullback_is_each_translate_bitwise(self, kind, g2_torus, square_torus, rng):
+        # the batch forms H', the generator images and their chi once, and each
+        # translate's phase row in one pairing; each datum is the single pullback's
+        if kind == "one_plus_i":
+            f, datum = one_plus_i_and_phased_datum(square_torus)
+            points = square_torus.random_points(rng, 5)
+
+            def take(t):
+                return TorusHomomorphism(square_torus, square_torus, f.matrix, t)
+        else:
+            datum = build_family(phased_g2_datum(g2_torus, rng))
+            points = g2_torus.random_points(rng, 5)
+            embed = slice_embedding if kind == "slice" else parameter_section
+
+            def take(t):
+                return embed(t, datum.torus)
+        batched = pullback(take(points), datum)
+        assert isinstance(batched, list) and len(batched) == len(points)
+        for t, pulled in zip(points, batched):
+            single = pullback(take(t), datum)
+            assert pulled.torus is single.torus
+            assert same_bits(pulled.hermitian, single.hermitian)
+            assert same_bits(pulled.chi, single.chi)
 
 
 class TestPullback:

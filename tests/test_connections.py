@@ -7,6 +7,7 @@ from torsorcheck import (
     CHERN_NORMALIZATION,
     ComplexTorus,
     ConnectionForm,
+    ShapeMismatch,
     TorusHomomorphism,
     VerificationConfig,
     build_family,
@@ -24,7 +25,8 @@ from torsorcheck import (
     slice_connection,
     slice_embedding,
 )
-from torsorcheck.grids import POINT_SAMPLES, SeededDraws
+from torsorcheck.connections import product_lifts, restricted_covector
+from torsorcheck.grids import POINT_SAMPLES, SeededDraws, dbar_at_points
 from torsorcheck.torsors import _slice_covector
 
 from oracles import (
@@ -289,6 +291,63 @@ class TestRestrictionBySlicing:
         for y in family.base.torus.random_points(rng, 3):
             assert check_eq_i(family, y, resolution, coords) == \
                 check_eq_i_by_pullback(family, y, resolution, coords)
+
+
+class TestSectionReadsTheSecondHalf:
+    """``check_eq_i`` restricts the second half of the family covector along x -> (y, x).
+
+    The family pairing [[0, H], [H, H]] gives both halves one dbar in x, so no
+    curvature tells them apart.  Their difference is theta_dual(y), non-zero
+    off y = 0, so the covector ``check_eq_i`` differentiates pins the half.
+    """
+
+    @pytest.fixture
+    def family(self):
+        return family_connection(VerificationConfig.demo("principal-g2").datum)
+
+    def differentiated(self, monkeypatch, family, y):
+        """The map that ``check_eq_i`` hands to the stencil."""
+        seen = []
+
+        def spy(torus, fn, resolution, coords=None):
+            seen.append(fn)
+            return dbar_at_points(torus, fn, resolution, coords)
+
+        monkeypatch.setattr(connections, "dbar_at_points", spy)
+        check_eq_i(family, y, 16)
+        (fn,) = seen
+        return fn
+
+    def test_check_eq_i_reads_the_second_half(self, family, monkeypatch):
+        g = family.base.torus.genus
+        y = family.base.torus.random_points(SeededDraws(3), 1)[0]
+        x = seeded_lifts(family.base.torus)
+        restricted = self.differentiated(monkeypatch, family, y)(x)
+        on_product = family.theta(product_lifts(y, x))
+        assert np.array_equal(restricted, on_product[..., g:])
+        gap = on_product[..., :g] - restricted
+        theta_dual = canonical_connection(family.base.dual()).theta(y)
+        assert np.max(np.abs(gap - theta_dual)) <= 1e-12
+        assert np.min(np.abs(theta_dual)) > 0.1
+
+    def test_batched_check_eq_i_reads_the_second_half(self, family, monkeypatch):
+        g = family.base.torus.genus
+        ys = family.base.torus.random_points(SeededDraws(3), 3)
+        x = seeded_lifts(family.base.torus)
+        stacked = np.concatenate([x] * len(ys))
+        restricted = self.differentiated(monkeypatch, family, ys)(stacked)
+        on_product = family.theta(product_lifts(np.repeat(ys, len(x), axis=0), stacked))
+        assert np.array_equal(restricted, on_product[..., g:])
+        assert not np.allclose(restricted, on_product[..., :g])
+
+
+class TestRestrictedCovector:
+    @pytest.mark.parametrize("points", [1, 4])
+    def test_batch_refuses_lifts_that_do_not_split(self, principal_datum, points):
+        theta = restricted_covector(family_connection(principal_datum), np.zeros((3, 1)),
+                                    free=1, half=1)
+        with pytest.raises(ShapeMismatch, match="blocks"):
+            theta(np.zeros((points, 1)))
 
 
 class TestRestrictionIdentity:

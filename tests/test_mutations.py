@@ -71,8 +71,8 @@ def family_without_dual_half(monkeypatch):
     """The family covector keeps alpha* theta and drops its p1* L^* half."""
     family_connection = connections.family_connection
 
-    def addition_half_only(datum):
-        fam = family_connection(datum)
+    def addition_half_only(datum, maps=None):
+        fam = family_connection(datum, maps)
         alpha = bundles.addition_map(fam.datum.torus).matrix
         base = connections.canonical_connection(datum)
         return connections.ConnectionForm(fam.datum, lambda u: base.theta(u @ alpha.T) @ alpha,
@@ -113,8 +113,8 @@ def nan_family_covector(monkeypatch):
     """The family covector is NaN everywhere, built without a RuntimeWarning."""
     family_connection = connections.family_connection
 
-    def nan_family(datum):
-        fam = family_connection(datum)
+    def nan_family(datum, maps=None):
+        fam = family_connection(datum, maps)
         return connections.ConnectionForm(
             fam.datum, lambda u: np.full_like(fam.theta(u), np.nan), base=fam.base)
 

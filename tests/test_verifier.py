@@ -16,14 +16,25 @@ from torsorcheck import (
     ConfigInvalid,
     VerificationConfig,
     bundles,
+    check_eq_i,
     connections,
+    curvature,
+    hermitian_pairing,
     run_suite,
+    slice_connection,
     torsors,
     verifier,
 )
 from torsorcheck import cli
 from torsorcheck.cli import main
-from torsorcheck.grids import POINT_SAMPLES, GridFunction, dbar_fd, lattice_grid
+from torsorcheck.grids import (
+    POINT_SAMPLES,
+    STENCIL_BLOCK_BYTES,
+    GridFunction,
+    SeededDraws,
+    dbar_fd,
+    lattice_grid,
+)
 from torsorcheck.verifier import (
     CHECK_ORDER,
     DEMO_CONFIGS,
@@ -31,6 +42,9 @@ from torsorcheck.verifier import (
     _SuiteContext,
     _point_probe_error,
     _probe_terms,
+    _sample_blocks,
+    _section_terms,
+    _slice_terms,
     emit_report,
     report_json,
 )
@@ -287,9 +301,9 @@ class TestSuite:
         calls = {"build_family": 0, "family_connection": 0}
         for name, original in [("build_family", bundles.build_family),
                                ("family_connection", connections.family_connection)]:
-            def counted(datum, name=name, original=original):
+            def counted(datum, *args, name=name, original=original):
                 calls[name] += 1
-                return original(datum)
+                return original(datum, *args)
 
             for module in (bundles, connections, torsors, verifier):
                 if hasattr(module, name):
@@ -398,6 +412,48 @@ class TestGenusTargets:
         assert [c.name for c in report.checks] == CHECK_ORDER
         assert all(c.status == "pass" for c in report.checks)
         assert peak < 64 * 2**20, f"peak {peak / 2**20:.2f} MiB"
+
+
+def genus_config(genus: int) -> VerificationConfig:
+    """principal-g1, principal-g2, ``g3_n6.json`` or ``g4.json``, with turned phases."""
+    if genus <= 2:
+        data = json.loads(json.dumps(VerificationConfig.demo(f"principal-g{genus}").canonical))
+    else:
+        name = "g3_n6.json" if genus == 3 else "g4.json"
+        data = json.loads(Path(__file__).with_name(name).read_text(encoding="utf-8"))
+    data["bundle"]["chi_turns"] = [0.1 * (j + 1) for j in range(2 * genus)]
+    return VerificationConfig.from_dict(data)
+
+
+class TestSampleBlocks:
+    @pytest.mark.parametrize("genus, size", [(1, 16), (2, 4), (3, 1), (4, 1), (32, 1)])
+    def test_block_size_is_the_byte_budget(self, genus, size):
+        torus = ComplexTorus(np.hstack([np.eye(genus), 1j * np.eye(genus)]))
+        blocks = _sample_blocks(torus, 40)
+        assert [b.stop - b.start for b in blocks[:-1]] == [size] * (len(blocks) - 1)
+        assert sum(len(range(40)[b]) for b in blocks) == 40
+        # one block's stencil differences, (2g, B * P, g) complex, fit the budget
+        assert size == 1 or 2 * genus * size * POINT_SAMPLES * genus * 16 <= STENCIL_BLOCK_BYTES
+
+    @pytest.mark.parametrize("genus", [1, 2, 3, 4])
+    @pytest.mark.parametrize("count", [1, 4, 5, 17])
+    def test_batched_terms_equal_single_lifts_bitwise(self, genus, count):
+        # blocks of 16, 4 and 1, and a partial last block for 5 and 17 samples
+        ctx = _SuiteContext(genus_config(genus))
+        draws = SeededDraws(11, genus, count)
+        xs = ctx.torus.random_points(draws, count)
+        coords = draws.random((POINT_SAMPLES, 2 * genus))
+        lattice = ctx.torus.periods.T
+        single = []
+        for x in xs:
+            sliced = slice_connection(ctx.family, x)
+            phases = np.exp(2j * np.pi * hermitian_pairing(ctx.datum.hermitian, x, lattice).imag)
+            single.append([np.max(np.abs(curvature(sliced, ctx.cfg.grid, coords))),
+                           np.max(np.abs(sliced.datum.hermitian)),
+                           np.max(np.abs(sliced.datum.chi - phases))])
+        assert np.array_equal(_slice_terms(ctx, xs, coords), np.array(single))
+        sections = [check_eq_i(ctx.family, y, ctx.cfg.grid, coords) for y in xs]
+        assert np.array_equal(_section_terms(ctx, xs, coords), np.array(sections))
 
 
 class TestGridBound:
