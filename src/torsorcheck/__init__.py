@@ -27,7 +27,6 @@ from .connections import (
     chern_form,
     curvature,
     family_connection,
-    pullback_connection,
     slice_connection,
 )
 from .errors import (
@@ -59,7 +58,6 @@ from .torsors import (
     obstruction,
     sigma_presentation,
     tau_presentation,
-    transition,
 )
 from .torus import (
     ComplexTorus,
@@ -82,7 +80,7 @@ __all__ = [
     "trivial_datum",
     # connections
     "CHERN_NORMALIZATION", "ConnectionForm", "canonical_connection", "check_eq_i",
-    "chern_form", "curvature", "family_connection", "pullback_connection", "slice_connection",
+    "chern_form", "curvature", "family_connection", "slice_connection",
     # errors
     "BaseMismatch", "ConfigInvalid", "DegenerateLattice", "IndexOutOfRange",
     "LatticeNotPreserved", "NonIntegralE", "NotHermitian", "NotLatticeVector",
@@ -93,7 +91,7 @@ __all__ = [
     # torsors
     "TorsorMorphism", "TorsorPresentation", "TorsorSection", "act", "canonical_morphism",
     "duality_map", "is_holomorphic", "is_holomorphic_morphism", "local_holomorphic_section",
-    "obstruction", "sigma_presentation", "tau_presentation", "transition",
+    "obstruction", "sigma_presentation", "tau_presentation",
     # torus
     "ComplexTorus", "cycle_integral", "product_torus",
     # verifier

@@ -17,14 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bundles import (
-    AHDatum,
-    build_family,
-    parameter_section,
-    pullback,
-    slice_embedding,
-    TorusHomomorphism,
-)
+from .bundles import AHDatum, build_family, parameter_section, pullback, slice_embedding
 from .errors import ShapeMismatch
 from .grids import dbar_at_points, seeded_coords
 
@@ -60,21 +53,6 @@ def canonical_connection(datum: AHDatum) -> ConnectionForm:
         return -np.pi * (np.conj(z) @ h.T)
 
     return ConnectionForm(datum, theta)
-
-
-def pullback_connection(f: TorusHomomorphism, conn: ConnectionForm) -> ConnectionForm:
-    """Pullback along z -> M z + t, attached to the pulled-back datum.
-
-    The covector is the raw pullback theta(M z + t) M, read in the restriction
-    of the target's automorphy frame; the pulled-back datum's normal frame
-    differs from it by the holomorphic frame change of :func:`pullback`.
-    """
-    datum_pull = pullback(f, conn.datum)
-
-    def theta(z):
-        return conn.theta(f.apply(z)) @ f.matrix
-
-    return ConnectionForm(datum_pull, theta)
 
 
 def family_connection(datum: AHDatum, maps=None) -> ConnectionForm:
@@ -159,11 +137,12 @@ def slice_connection(family_conn: ConnectionForm, x) -> ConnectionForm:
     """Restriction of the family connection to the slice A x {x}, for a lift x (g,).
 
     The covector is read in the restriction of the product automorphy frame;
-    it is constant in z, so the restriction is flat.  It equals
-    ``pullback_connection`` along ``slice_embedding``, whose matrix stacks I
-    over 0: the family covector at (z, x), first half.  The datum is that
-    pullback's.  A batch x (S, g) gives the S slices from one pullback: the
-    list of their data, and one covector for all, as ``restricted_covector``.
+    it is constant in z, so the restriction is flat.  It is the family
+    covector at (z, x), first half: the pullback along ``slice_embedding``
+    (matrix I over 0) that the oracle of ``tests/oracles.py`` forms by
+    matmuls.  The datum is that pullback's.  A batch x (S, g) gives the S
+    slices from one pullback: the list of their data, and one covector for
+    all, as ``restricted_covector``.
     """
     f = slice_embedding(x, family_conn.datum.torus)
     g = f.source.genus
@@ -199,10 +178,11 @@ def check_eq_i(family_conn: ConnectionForm, y, resolution: int, coords=None):
 
     Restricts the family connection along x -> (y, x), for a lift y (g,) of
     a point of A: the restricted covector is the family covector at (y, x),
-    second half, as ``pullback_connection`` along ``parameter_section``
-    (matrix 0 over I) would give it.  Recomputes its curvature at step
-    1/``resolution`` around the x-points with lattice coordinates ``coords``
-    (P, 2g; by default the ``seeded_coords`` of the torus), scales by the
+    second half, as the oracle ``check_eq_i_by_pullback`` of
+    ``tests/oracles.py`` reads it by matmuls, pulling the family form back
+    along ``parameter_section`` (matrix 0 over I).  Recomputes its curvature at
+    step 1/``resolution`` around the x-points with lattice coordinates
+    ``coords`` (P, 2g; by default the torus's ``seeded_coords``), scales by the
     Chern normalization and compares against the class of the pulled-back
     datum, whose pairing is the lower-right block of the family pairing.  The
     covector is affine in (x, xbar), so the differences are exact to rounding

@@ -22,9 +22,8 @@ The grid path has no caller in the package: ``lattice_grid``,
 period increments as ``seam_jumps``), ``measure_seam_jumps``, ``SEAM_TOL``,
 ``_central_difference``, ``_accumulate`` (each direction summed in order,
 row by row), ``_wirtinger_fd`` (slab by slab, holding slabs i-1, i, i+1) and
-``dbar_fd``.  It stays because five of these are layers of the
-benchmark tracer's ``LAYER_CALLS`` and the tests compare ``dbar_fd`` with the
-point stencil.
+``dbar_fd``.  It has two readers left: ``tests/test_grids.py``, and the
+benchmark tracer's ``LAYER_CALLS``, which names five of these as layers.
 """
 from __future__ import annotations
 

@@ -32,11 +32,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import connections
-from .bundles import AHDatum, parameter_section
+from .bundles import AHDatum
 from .connections import ConnectionForm, chern_form
-from .errors import BaseMismatch, ResolutionTooCoarse, ShapeMismatch, TorusMismatch
-from .grids import MIN_RESOLUTION, dbar_at_points, seeded_coords
-from .torus import ComplexTorus
+from .errors import (
+    BaseMismatch,
+    LatticeNotPreserved,
+    ResolutionTooCoarse,
+    ShapeMismatch,
+    TorusMismatch,
+)
+from .grids import MIN_RESOLUTION, dbar_at_points
+from .torus import ComplexTorus, _complex_of_shape
 
 #: tau's recomputed reference obstruction must be constant over the seeded points to this extent
 REFERENCE_VARIATION_TOL = 1e-8
@@ -91,15 +97,6 @@ class TorsorSection:
         self.presentation = presentation
         self.offset = _constant_or_function(presentation, offset, "offsets")
 
-    def same_section(self, other: "TorsorSection") -> bool:
-        """Same presentation and the same offset values at the ``seeded_coords`` points."""
-        if self.presentation is not other.presentation:
-            return False
-        torus = self.presentation.torus
-        z = torus.lift_of_coords(seeded_coords(torus))
-        left, right = np.broadcast_arrays(_at(self.offset, z), _at(other.offset, z))
-        return bool(np.array_equal(left, right))
-
 
 def _constant_or_function(pres: TorsorPresentation, v, what: str):
     """``v`` if it is callable, else ``v`` as a complex (g,) array, else ShapeMismatch."""
@@ -129,13 +126,6 @@ def act(section: TorsorSection, v) -> TorsorSection:
     # checked before adding: a wrong-shaped v can broadcast to a valid shape
     v = _constant_or_function(section.presentation, v, "action offsets")
     return TorsorSection(section.presentation, _pointwise(np.add, section.offset, v))
-
-
-def transition(s: TorsorSection, t: TorsorSection):
-    """The unique offset v with act(s, v) equal to t (simple transitivity)."""
-    if s.presentation is not t.presentation:
-        raise BaseMismatch("sections live on different presentations")
-    return _pointwise(np.subtract, t.offset, s.offset)
 
 
 def obstruction(section: TorsorSection, coords=None) -> np.ndarray:
@@ -244,16 +234,13 @@ def sigma_presentation(datum: AHDatum, resolution: int) -> TorsorPresentation:
 def _slice_covector(family: ConnectionForm, z_base=None):
     """x -> the family covector at (z_base, x), first half: the slice covectors over x.
 
-    ``z_base`` is one lift (g,), zero by default, checked as the translation
-    of ``parameter_section``.
+    ``z_base`` is one finite lift (g,), zero by default.
     """
     g = family.datum.torus.genus // 2
-    if z_base is None:
-        z_base = np.zeros(g, dtype=complex)
-    translation = parameter_section(z_base, family.datum.torus).translation
-    if translation.ndim != 1:
-        raise ShapeMismatch(f"the base point must be one lift of shape {(g,)}")
-    return connections.restricted_covector(family, translation[:g], free=1, half=0)
+    z_base = _complex_of_shape(np.zeros(g) if z_base is None else z_base, (g,), "the base point")
+    if not np.isfinite(z_base).all():
+        raise LatticeNotPreserved("the base point must be finite")
+    return connections.restricted_covector(family, z_base, free=1, half=0)
 
 
 def tau_presentation(family: ConnectionForm, resolution: int, z_base=None) -> TorsorPresentation:
@@ -263,7 +250,7 @@ def tau_presentation(family: ConnectionForm, resolution: int, z_base=None) -> To
     ``connections.family_connection(datum)`` returns; the presentation lives
     over ``family.base``'s torus and records ``family.base`` as its datum.
     Differentiates the family's slice covectors, restricted in the product
-    frame at the base point ``z_base`` (read along ``parameter_section``'s map
+    frame at the base point ``z_base`` (read along the section
     x -> (z_base, x)), in the antiholomorphic parameter directions at the
     default ``dbar_at_points`` points, by the central differences of step
     1/``resolution``.  The mean of the scaled cloud is kept as one (g, g)

@@ -84,11 +84,6 @@ class ComplexTorus:
         c = np.asarray(c, dtype=float)
         return c @ self.periods.T
 
-    def lattice_vector(self, j: int) -> np.ndarray:
-        if not 0 <= j < 2 * self.genus:
-            raise IndexOutOfRange(f"generator index {j} outside 0..{2 * self.genus - 1}")
-        return self.periods[:, j]
-
     def random_points(self, rng, count: int) -> np.ndarray:
         """Lifts (count, g) of points with uniform lattice coordinates in [0, 1)^{2g}.
 

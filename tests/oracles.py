@@ -3,21 +3,27 @@
 Each one restates a piece of the mathematics from its definition, so that the
 package's own constructions can be checked against it.  ``random_offset`` and
 ``seeded_lifts`` give the torsor tests seeded function offsets and the points
-where they compare them.  ``family_covector_by_maps`` is the family covector
-read through the projection and addition matrices, which the sliced
+where they compare them, and ``same_section`` compares two sections there.
+``grid_nodes`` are the nodes i/N of the periodic grid, where the point stencil
+stands in for the grid stencil.  ``pullback_connection`` is the pullback of a
+connection by its map's matmuls, which the sliced ``slice_connection`` and
+``check_eq_i`` are compared with; ``family_covector_by_maps`` is the family
+covector read through the projection and addition matrices, which the sliced
 ``family_connection`` is compared with, and ``check_eq_i_by_pullback`` is
 ``check_eq_i`` with its restriction read through ``pullback_connection``.
 ``pullback_phases_per_generator`` and ``stencil_two_calls`` are the
 one-at-a-time loops that the batched ``pullback`` and ``dbar_at_points`` are
 compared with, and ``stencil_by_directions`` is the point stencil in its
-earlier summation order; ``dz_rows`` is the dz half of the Wirtinger chart,
-which the package does not keep.
+earlier summation order, each direction's row products added in turn
+(``_accumulate``); ``dz_rows`` is the dz half of the Wirtinger chart, which the
+package does not keep.
 """
 
 import numpy as np
 
 from torsorcheck import (
     CHERN_NORMALIZATION,
+    ConnectionForm,
     TorusHomomorphism,
     TorusMismatch,
     addition_map,
@@ -28,9 +34,9 @@ from torsorcheck import (
     first_projection,
     hermitian_pairing,
     parameter_section,
-    pullback_connection,
+    pullback,
 )
-from torsorcheck.grids import _accumulate, seeded_coords
+from torsorcheck.grids import seeded_coords
 
 
 def translation_map(torus, x) -> TorusHomomorphism:
@@ -48,6 +54,20 @@ def compose(outer: TorusHomomorphism, inner: TorusHomomorphism) -> TorusHomomorp
         outer.matrix @ inner.matrix,
         outer.matrix @ inner.translation + outer.translation,
     )
+
+
+def pullback_connection(f: TorusHomomorphism, conn) -> ConnectionForm:
+    """Pullback along z -> M z + t, attached to the pulled-back datum.
+
+    The covector is the raw pullback theta(M z + t) M, read in the restriction
+    of the target's automorphy frame; the pulled-back datum's normal frame
+    differs from it by the holomorphic frame change of ``pullback``.
+    """
+
+    def theta(z):
+        return conn.theta(f.apply(z)) @ f.matrix
+
+    return ConnectionForm(pullback(f, conn.datum), theta)
 
 
 def pullback_frame_log(f: TorusHomomorphism, datum):
@@ -94,13 +114,32 @@ def seeded_lifts(torus):
     return torus.lift_of_coords(seeded_coords(torus))
 
 
+def same_section(s, t) -> bool:
+    """Same presentation and the same offset values at the ``seeded_lifts`` points.
+
+    An offset is a (g,) constant or a function on the cover; a constant is
+    broadcast against the other section's values.
+    """
+    if s.presentation is not t.presentation:
+        return False
+    z = seeded_lifts(s.presentation.torus)
+    values = [u(z) if callable(u) else u for u in (s.offset, t.offset)]
+    return bool(np.array_equal(*np.broadcast_arrays(*values)))
+
+
+def grid_nodes(resolution: int, dims: int) -> np.ndarray:
+    """Nodes i/N of the periodic lattice-coordinate grid, (N**dims, dims), first axis slowest."""
+    axes = [np.arange(resolution) / resolution] * dims
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, dims)
+
+
 def pullback_phases_per_generator(f: TorusHomomorphism, datum) -> np.ndarray:
     """Pulled-back generator phases, one ``factor`` call per source generator."""
     h_pull = f.matrix.T @ datum.hermitian @ np.conj(f.matrix)
     src = f.source
     chi = np.empty(2 * src.genus, dtype=complex)
     for j in range(2 * src.genus):
-        lam = src.lattice_vector(j)
+        lam = src.periods[:, j]
         mlam = f.matrix @ lam
         quad = 0.5 * hermitian_pairing(h_pull, lam, lam).real
         frame_gap = hermitian_pairing(datum.hermitian, mlam, f.translation)
@@ -158,6 +197,17 @@ def stencil_two_calls(torus, fn, resolution, coords=None, rows=None) -> np.ndarr
                       - np.asarray(fn(lifts - s), dtype=complex) for s in step])
     out = (rows * (resolution / 2.0)) @ diffs.reshape(len(step), -1)
     return np.moveaxis(out.reshape((rows.shape[0],) + diffs.shape[1:]), 0, -1)
+
+
+def _accumulate(out, rows, d, diff, scale, term) -> None:
+    """out[k] += rows[k, d] * (scale * diff) for every row k, through the buffer ``term``.
+
+    ``diff`` is scaled in place, and each product is formed before it is added.
+    """
+    diff *= scale
+    for k in range(rows.shape[0]):
+        np.multiply(rows[k, d], diff, out=term)
+        out[k] += term
 
 
 def stencil_by_directions(torus, fn, resolution, coords=None) -> np.ndarray:

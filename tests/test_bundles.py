@@ -146,7 +146,7 @@ class TestSemicharacter:
                     rest = list(n)
                     rest[j] -= step
                     lam_rest = principal_datum.torus.lift_of_coords(np.array(rest, float))
-                    lam_j = principal_datum.torus.lattice_vector(j) * step
+                    lam_j = principal_datum.torus.periods[:, j] * step
                     e = np.imag(hermitian_pairing(principal_datum.hermitian, lam_j, lam_rest))
                     return (
                         principal_datum.chi_on(np.eye(2, dtype=int)[j] * step)
@@ -167,7 +167,7 @@ class TestSemicharacter:
 class TestFactor:
     def test_trivial_factor_is_one(self, square_torus, rng):
         d = trivial_datum(square_torus)
-        lam = square_torus.lattice_vector(0) + 2 * square_torus.lattice_vector(1)
+        lam = square_torus.periods[:, 0] + 2 * square_torus.periods[:, 1]
         z = rng.standard_normal(5) + 1j * rng.standard_normal(5)
         assert np.allclose(d.factor(lam, z[:, None]), 1.0)
 
@@ -421,7 +421,7 @@ class TestPullback:
         t = np.array([0.29 + 0.63j])
         pulled = pullback(translation_map(square_torus, t), principal_datum)
         for j in range(2):
-            lam = square_torus.lattice_vector(j)
+            lam = square_torus.periods[:, j]
             e = np.imag(hermitian_pairing(principal_datum.hermitian, lam, t))
             expected = principal_datum.chi[j] * np.exp(-2j * np.pi * e)
             assert abs(pulled.chi[j] - expected) < 1e-10
@@ -517,7 +517,7 @@ class TestFamily:
         for x in square_torus.random_points(rng, 5):
             sliced = pullback(slice_embedding(x, fam.torus), fam)
             for j in range(2):
-                lam = square_torus.lattice_vector(j)
+                lam = square_torus.periods[:, j]
                 e = np.imag(hermitian_pairing(principal_datum.hermitian, x, lam))
                 assert abs(sliced.chi[j] - np.exp(2j * np.pi * e)) <= 1e-9
 

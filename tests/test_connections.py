@@ -21,7 +21,6 @@ from torsorcheck import (
     hermitian_pairing,
     parameter_section,
     pullback,
-    pullback_connection,
     slice_connection,
     slice_embedding,
 )
@@ -34,6 +33,7 @@ from oracles import (
     check_eq_i_by_pullback,
     dz_rows,
     family_covector_by_maps,
+    pullback_connection,
     seeded_lifts,
 )
 
@@ -199,8 +199,8 @@ class TestChernForm:
                 expected = np.imag(
                     hermitian_pairing(
                         g2_datum.hermitian,
-                        g2_torus.lattice_vector(j),
-                        g2_torus.lattice_vector(k),
+                        g2_torus.periods[:, j],
+                        g2_torus.periods[:, k],
                     )
                 )
                 value = cycle_integral(g2_torus, omega, j, k)

@@ -35,7 +35,7 @@ from torsorcheck import (  # noqa: E402
 )
 from torsorcheck.verifier import report_json  # noqa: E402
 
-from oracles import random_offset, seeded_lifts  # noqa: E402
+from oracles import random_offset, same_section, seeded_lifts  # noqa: E402
 
 RUNS = settings(max_examples=25, deadline=None, derandomize=True, database=None)
 
@@ -91,10 +91,10 @@ def test_action_and_duality_compose_bitwise(data, seed, exponents):
     s = act(zero, v)
     z = seeded_lifts(cfg.torus)
     assert np.array_equal(act(s, w).offset(z), act(zero, lambda u: v(u) + w(u)).offset(z))
-    assert delta.apply(act(s, w)).same_section(act(delta.apply(s), lambda u: -w(u)))
-    assert back.apply(delta.apply(s)).same_section(s)
+    assert same_section(delta.apply(act(s, w)), act(delta.apply(s), lambda u: -w(u)))
+    assert same_section(back.apply(delta.apply(s)), s)
     gamma = canonical_morphism(sigma, tau_presentation(family_connection(cfg.datum), cfg.grid))
-    assert gamma.apply(act(zero, v)).same_section(act(gamma.apply(zero), v))
+    assert same_section(gamma.apply(act(zero, v)), act(gamma.apply(zero), v))
 
 
 @RUNS

@@ -7,9 +7,11 @@ from torsorcheck import (
     AHDatum,
     BaseMismatch,
     ConnectionForm,
+    LatticeNotPreserved,
     ResolutionTooCoarse,
     ShapeMismatch,
     TorsorPresentation,
+    TorusHomomorphism,
     TorusMismatch,
     act,
     canonical_connection,
@@ -24,12 +26,12 @@ from torsorcheck import (
     obstruction,
     sigma_presentation,
     tau_presentation,
-    transition,
     trivial_datum,
 )
-from torsorcheck.grids import GridFunction, dbar_fd, lattice_grid, seeded_coords
+from torsorcheck import torsors
+from torsorcheck.grids import seeded_coords
 
-from oracles import random_offset, seeded_lifts
+from oracles import grid_nodes, random_offset, same_section, seeded_lifts
 
 N_G1 = 64
 
@@ -72,12 +74,12 @@ def tau_g1(principal_datum):
 class TestAction:
     def test_act_by_zero(self, sigma_g1):
         s = sigma_g1.zero_section()
-        assert act(s, np.zeros(1, dtype=complex)).same_section(s)
+        assert same_section(act(s, np.zeros(1, dtype=complex)), s)
 
     def test_act_then_undo(self, sigma_g1, rng):
         s = sigma_g1.zero_section()
         v = random_offset(sigma_g1.torus, rng)
-        assert act(act(s, v), lambda z: -v(z)).same_section(s)
+        assert same_section(act(act(s, v), lambda z: -v(z)), s)
 
     def test_composition_axiom_bitwise(self, sigma_g1, rng):
         s = sigma_g1.zero_section()
@@ -86,13 +88,6 @@ class TestAction:
         z = seeded_lifts(sigma_g1.torus)
         assert np.array_equal(act(act(s, v), w).offset(z),
                               act(s, lambda u: v(u) + w(u)).offset(z))
-
-    def test_transition_is_unique_offset(self, sigma_g1, rng):
-        s = act(sigma_g1.zero_section(), random_offset(sigma_g1.torus, rng))
-        t = act(sigma_g1.zero_section(), random_offset(sigma_g1.torus, rng))
-        v = transition(s, t)
-        z = seeded_lifts(sigma_g1.torus)
-        assert np.allclose(act(s, v).offset(z), t.offset(z))
 
     def test_shape_checked(self, sigma_g1):
         # an offset is a (g,) constant or a function; a sampled grid is neither
@@ -129,9 +124,9 @@ class TestObstruction:
         torus = principal_datum.torus
         amplitude, mode = 0.3, np.array([1, 0])
         offset, deriv = trig_offset(torus, amplitude, mode)
-        nodes = lattice_grid(N_G1, 2)
+        nodes = grid_nodes(N_G1, 2)
         analytic = deriv(nodes)
-        fd = dbar_fd(GridFunction(torus, offset(torus.lift_of_coords(nodes)))).values
+        fd = dbar_at_points(torus, offset, N_G1, nodes)
         budget = amplitude * 2 * (2 * np.pi) ** 3 / (6 * N_G1**2)
         assert np.max(np.abs(fd - analytic)) <= budget
 
@@ -226,7 +221,7 @@ class TestTrivializationClass:
         w, _ = trig_offset(principal_datum.torus, 0.4, np.array([1, 1]))
         moved = act(tau_g1.zero_section(), w)
         # dbar of a periodic offset averages to zero over the grid nodes: it adds no class
-        nodes = lattice_grid(N_G1, 2).reshape(-1, 2)
+        nodes = grid_nodes(N_G1, 2)
         exact = obstruction(moved, nodes) - tau_g1.theta_ref
         assert np.max(np.abs(exact.mean(axis=0))) <= 1e-8
 
@@ -315,6 +310,32 @@ class TestTauPresentation:
     def test_base_point_shape_is_exact(self, g2_datum):
         with pytest.raises(ShapeMismatch):
             tau_presentation(family_connection(g2_datum), 8, z_base=[0, 0, 0])
+
+    def test_builds_no_map_and_checks_the_base_point_first(self, g2_datum, monkeypatch):
+        # the base point is checked as one finite lift, with no parameter_section
+        # map, and a bad one is refused before the stencil runs
+        fam = family_connection(g2_datum)
+        calls = {"maps": 0, "stencil": 0}
+        build, stencil = TorusHomomorphism.__init__, torsors.dbar_at_points
+
+        def counted_build(self, *args, **kwargs):
+            calls["maps"] += 1
+            build(self, *args, **kwargs)
+
+        def counted_stencil(*args, **kwargs):
+            calls["stencil"] += 1
+            return stencil(*args, **kwargs)
+
+        monkeypatch.setattr(TorusHomomorphism, "__init__", counted_build)
+        monkeypatch.setattr(torsors, "dbar_at_points", counted_stencil)
+        z = np.array([0.3 - 0.1j, 0.2j])
+        tau_presentation(fam, 8, z_base=z)
+        assert calls == {"maps": 0, "stencil": 1}
+        for bad, error in [([0, 0, 0], ShapeMismatch), (np.stack([z, z]), ShapeMismatch),
+                           ([np.nan, 0], LatticeNotPreserved), ([0, np.inf], LatticeNotPreserved)]:
+            with pytest.raises(error):
+                tau_presentation(fam, 8, z_base=bad)
+        assert calls == {"maps": 0, "stencil": 1}
 
     def test_holds_no_grid(self, g2_datum, g3_datum):
         # the class is read at seeded points, so the peak stays far below one

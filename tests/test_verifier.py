@@ -27,14 +27,7 @@ from torsorcheck import (
 )
 from torsorcheck import cli
 from torsorcheck.cli import main
-from torsorcheck.grids import (
-    POINT_SAMPLES,
-    STENCIL_BLOCK_BYTES,
-    GridFunction,
-    SeededDraws,
-    dbar_fd,
-    lattice_grid,
-)
+from torsorcheck.grids import POINT_SAMPLES, STENCIL_BLOCK_BYTES, SeededDraws
 from torsorcheck.verifier import (
     CHECK_ORDER,
     DEMO_CONFIGS,
@@ -48,6 +41,8 @@ from torsorcheck.verifier import (
     emit_report,
     report_json,
 )
+
+from oracles import grid_nodes, stencil_by_directions
 
 SCHEMA_KEYS = ["version", "config_digest", "seed", "overall", "checks"]
 CHECK_KEYS = ["name", "status", "max_error", "tolerance", "samples", "wall_time_ms"]
@@ -63,24 +58,29 @@ def with_numeric(**numeric) -> dict:
     return data
 
 
-def dense_trig_offset(torus, resolution, rng, amplitude):
-    """Reference probe: dense values and closed-form dzbar derivative on the full grid.
+def trig_probe(torus, rng, amplitude):
+    """Reference probe: a seeded trigonometric offset and its closed-form dzbar derivative.
 
-    Read at grid nodes, the verifier's point probe must reproduce its errors.
+    The offset maps lifts (..., g) to (..., g); the derivative takes lattice
+    coordinates (..., 2g) to (..., g, g).  Read at grid nodes, the verifier's
+    point probe must reproduce the errors of a reference stencil on it.
     """
     g = torus.genus
     dims = 2 * g
-    coords = lattice_grid(resolution, dims)
     modes = [np.eye(dims, dtype=int)[d] for d in range(dims)] + [np.ones(dims, dtype=int)]
-    values = np.zeros(coords.shape[:-1] + (g,), dtype=complex)
-    deriv = np.zeros(coords.shape[:-1] + (g, g), dtype=complex)
-    for m in modes:
-        coeff = amplitude * (rng.standard_normal(g) + 1j * rng.standard_normal(g))
-        phase = np.exp(2j * np.pi * (coords @ m))
-        values += coeff * phase[..., None]
-        chain = 2j * np.pi * (torus.dzbar_rows @ m)
-        deriv += phase[..., None, None] * np.einsum("j,k->jk", coeff, chain)
-    return values, deriv
+    coeffs = [amplitude * (rng.standard_normal(g) + 1j * rng.standard_normal(g)) for _ in modes]
+
+    def offset(z):
+        c = torus.lattice_coords(z)
+        return sum(coeff * np.exp(2j * np.pi * (c @ m))[..., None]
+                   for m, coeff in zip(modes, coeffs))
+
+    def deriv(coords):
+        return sum(np.exp(2j * np.pi * (coords @ m))[..., None, None]
+                   * np.einsum("j,k->jk", coeff, 2j * np.pi * (torus.dzbar_rows @ m))
+                   for m, coeff in zip(modes, coeffs))
+
+    return offset, deriv
 
 
 PROBE_TORI = {
@@ -323,18 +323,20 @@ class TestSuite:
 class TestConvergenceProbe:
     @pytest.mark.parametrize("case", sorted(PROBE_TORI))
     def test_errors_match_dense_reference(self, case):
-        # read at grid nodes, the point probe measures the dense grid probe's
-        # error there: the two stencil paths agree up to rounding
+        # read at grid nodes, the point probe measures the error that the
+        # reference stencil, summing the directions one by one, reads there:
+        # the two summations agree up to rounding
         periods, n = PROBE_TORI[case]
         torus = ComplexTorus(periods)
         dims = 2 * torus.genus
         for resolution in (n, 2 * n):
-            values, deriv = dense_trig_offset(torus, resolution, np.random.default_rng(3), 0.1)
-            dense = np.abs(dbar_fd(GridFunction(torus, values)).values - deriv)
-            picked = np.random.default_rng(5).integers(resolution, size=(512, dims))
+            nodes = grid_nodes(resolution, dims)
+            nodes = nodes[np.random.default_rng(5).integers(len(nodes), size=512)]
+            offset, deriv = trig_probe(torus, np.random.default_rng(3), 0.1)
+            reference = stencil_by_directions(torus, offset, resolution, nodes) - deriv(nodes)
             modes, coeffs = _probe_terms(torus.genus, np.random.default_rng(3), 0.1)
-            at_nodes = _point_probe_error(torus, resolution, picked / resolution, modes, coeffs)
-            assert abs(at_nodes - float(np.max(dense[tuple(picked.T)]))) <= 1e-12
+            at_nodes = _point_probe_error(torus, resolution, nodes, modes, coeffs)
+            assert abs(at_nodes - float(np.max(np.abs(reference)))) <= 1e-12
 
     def test_genus_3_at_grid_16_holds_no_grid(self):
         # the grid probe would read a (2N)^{2g} = 32^6 input, 1.6 GB for the
