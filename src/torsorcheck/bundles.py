@@ -30,7 +30,7 @@ from .errors import (
     ShapeMismatch,
     TorusMismatch,
 )
-from .torus import ComplexTorus, _complex_of_shape, _lift_or_batch, product_torus
+from .torus import ComplexTorus, _complex_of_shape, _finite_lifts, product_torus
 
 HERMITIAN_TOL = 1e-12
 INTEGRAL_TOL = 1e-8
@@ -151,18 +151,16 @@ def trivial_datum(torus: ComplexTorus) -> AHDatum:
 class TorusHomomorphism:
     """Affine holomorphic map between tori: z -> M z + t with M lattice-preserving.
 
-    The translation is one vector t (g,), or a batch (S, g) of translations:
-    then the object stands for the S maps z -> M z + t_s of one linear part,
-    whose lattice check runs once, and ``pullback`` pulls back along all S.
+    The translation t is one finite lift (g,) of the target, zero by default.
     """
 
     def __init__(self, source: ComplexTorus, target: ComplexTorus, matrix, translation=None):
         matrix = _complex_of_shape(matrix, (target.genus, source.genus), "linear part")
         if translation is None:
             translation = np.zeros(target.genus, dtype=complex)
-        translation = _lift_or_batch(translation, target.genus, "translation")
-        if not (np.isfinite(matrix).all() and np.isfinite(translation).all()):
-            raise LatticeNotPreserved("linear part and translation must be finite")
+        translation = _finite_lifts(translation, target.genus, "translation")
+        if not np.isfinite(matrix).all():
+            raise LatticeNotPreserved("linear part must be finite")
         image = matrix @ source.periods  # image of the source generators
         coords = target.lattice_coords(image.T)
         if not np.abs(coords - np.round(coords)).max() <= 1e-9:  # an overflowing image gives NaN
@@ -175,7 +173,7 @@ class TorusHomomorphism:
         self.translation = translation
 
     def apply(self, z) -> np.ndarray:
-        """M z + t for lifts z (..., g); a batch of S translations pairs with z (..., S, g)."""
+        """M z + t for lifts z (..., g)."""
         z = np.asarray(z, dtype=complex)
         return z @ self.matrix.T + self.translation
 
@@ -202,26 +200,20 @@ def product_maps(base: ComplexTorus) -> tuple[TorusHomomorphism, TorusHomomorphi
 
 
 def slice_embedding(x, prod: ComplexTorus) -> TorusHomomorphism:
-    """z -> (z, x): the slice A x {x} of the product, for a lift x (g,) of a point of A.
-
-    A batch x (S, g) gives the S slices as one map with S translations.
-    """
+    """z -> (z, x): the slice A x {x} of the product, for a lift x (g,) of a point of A."""
     left, right = _split_factors(prod)
-    x = _lift_or_batch(x, right.genus, "point lifts")
+    x = _finite_lifts(x, right.genus, "point lift")
     matrix = np.vstack([np.eye(left.genus), np.zeros((right.genus, left.genus))])
-    translation = np.concatenate([np.zeros(x.shape[:-1] + (left.genus,)), x], axis=-1)
+    translation = np.concatenate([np.zeros(left.genus), x])
     return TorusHomomorphism(left, prod, matrix, translation)
 
 
 def parameter_section(y, prod: ComplexTorus) -> TorusHomomorphism:
-    """x -> (y, x): the section of the second projection through a lift y (g,) of a point of A.
-
-    A batch y (S, g) gives the S sections as one map with S translations.
-    """
+    """x -> (y, x): the section of the second projection through a lift y (g,) of a point of A."""
     left, right = _split_factors(prod)
-    y = _lift_or_batch(y, left.genus, "point lifts")
+    y = _finite_lifts(y, left.genus, "point lift")
     matrix = np.vstack([np.zeros((left.genus, right.genus)), np.eye(right.genus)])
-    translation = np.concatenate([y, np.zeros(y.shape[:-1] + (right.genus,))], axis=-1)
+    translation = np.concatenate([y, np.zeros(right.genus)])
     return TorusHomomorphism(right, prod, matrix, translation)
 
 
@@ -233,7 +225,7 @@ def _split_factors(prod: ComplexTorus) -> tuple[ComplexTorus, ComplexTorus]:
 
 # -- pullback ------------------------------------------------------------------
 
-def pullback(f: TorusHomomorphism, datum: AHDatum) -> AHDatum | list[AHDatum]:
+def pullback(f: TorusHomomorphism, datum: AHDatum) -> AHDatum:
     """Datum of the pulled-back bundle along z -> M z + t.
 
     The pairing pulls back as H'(u, v) = H(Mu, Mv).  The generator phases are
@@ -251,21 +243,14 @@ def pullback(f: TorusHomomorphism, datum: AHDatum) -> AHDatum | list[AHDatum]:
 
     of unit modulus by construction, for all 2g' generators at once.  No
     H(lam, lam) is exponentiated, so a large pairing cannot overflow.
-
-    H', the generator images and their chi do not depend on t, so a map with
-    a batch of S translations forms them once and its S phase rows in one
-    pairing; it returns the list of the S pulled-back data, each validated
-    by ``AHDatum``.  One translation is the batch of one, returned as a datum.
     """
     if not f.target.same_as(datum.torus):
         raise TorusMismatch("datum must live on the target of the homomorphism")
     h_pull = f.matrix.T @ datum.hermitian @ np.conj(f.matrix)
     mlams = f.source.periods.T @ f.matrix.T  # images of the generators, (2g', g)
     chi_linear = datum.chi_on(datum.torus.lattice_coords(mlams))
-    translations = f.translation.reshape(-1, 1, f.target.genus)  # (S, 1, g)
-    turns = hermitian_pairing(datum.hermitian, translations, mlams).imag  # (S, 2g')
-    pulled = [AHDatum(f.source, h_pull, chi) for chi in chi_linear * np.exp(2j * np.pi * turns)]
-    return pulled if f.translation.ndim == 2 else pulled[0]
+    turns = hermitian_pairing(datum.hermitian, f.translation, mlams).imag  # (2g',)
+    return AHDatum(f.source, h_pull, chi_linear * np.exp(2j * np.pi * turns))
 
 
 # -- the two-variable family --------------------------------------------------

@@ -18,8 +18,8 @@ from __future__ import annotations
 import numpy as np
 
 from .bundles import AHDatum, build_family, parameter_section, pullback, slice_embedding
-from .errors import ShapeMismatch
-from .grids import dbar_at_points, seeded_coords
+from .grids import dbar_at_points
+from .torus import _finite_lifts
 
 #: scale making cycle integrals of the curvature class integral
 CHERN_NORMALIZATION = 1j / (2.0 * np.pi)
@@ -30,10 +30,7 @@ class ConnectionForm:
 
     ``theta`` is vectorized: lifts of shape (..., g) map to covectors of the
     same shape.  ``base`` is the datum on A that a family form on A x A was
-    induced from, and None for every other form.  A batch of S slices
-    (``slice_connection`` at S lifts) holds the list of its S data as
-    ``datum``, and its ``theta`` reads lifts as ``restricted_covector`` does
-    for a batch.
+    induced from, and None for every other form.
     """
 
     def __init__(self, datum: AHDatum, theta, base: AHDatum | None = None):
@@ -107,27 +104,22 @@ def restricted_covector(family_conn: ConnectionForm, fixed, free: int, half: int
     The other factor is held at ``fixed``: ``free`` 0 reads the covector at
     (x, fixed), ``free`` 1 at (fixed, x), and ``half`` 0 or 1 keeps its first
     or its second g components.  ``fixed`` is a lift (g,), and then the map
-    takes lifts (..., g); or a batch (S, g), and then it takes lifts
-    (..., S*P, g) holding P points for each fixed lift in (S, P) order, as
-    ``dbar_at_points`` passes them for S stacked copies of P coordinates.
+    takes lifts (..., g) to covectors (..., g); or a batch (S, g) of fixed
+    lifts, one broadcast axis ahead of the points, and then it takes lifts
+    (..., P, g) to covectors (..., S, P, g), row s read at fixed lift s.
     The product lifts are built by assignment, so no 0/1 matrix is applied.
     """
     fixed = np.asarray(fixed, dtype=complex)
     g = fixed.shape[-1]
     read = slice(None, g) if half == 0 else slice(g, None)
-
-    def paired(x, y):  # product lifts, x in the free factor and y in the other
-        return product_lifts(x, y) if free == 0 else product_lifts(y, x)
+    batch = fixed.ndim == 2
+    other = fixed[:, None, :] if batch else fixed
 
     def theta(x):
         x = np.asarray(x, dtype=complex)
-        if fixed.ndim == 1:
-            return family_conn.theta(paired(x, fixed))[..., read]
-        if x.ndim < 2 or x.shape[-2] % len(fixed):
-            raise ShapeMismatch(f"lifts {x.shape} do not split into {len(fixed)} blocks")
-        # each block of P lifts pairs with its fixed lift; the (S, P) lifts reshape for free
-        blocks = x.reshape(x.shape[:-2] + (len(fixed), -1, g))
-        u = paired(blocks, fixed[:, None, :]).reshape(x.shape[:-1] + (2 * g,))
+        if batch:
+            x = x[..., None, :, :]
+        u = product_lifts(x, other) if free == 0 else product_lifts(other, x)
         return family_conn.theta(u)[..., read]
 
     return theta
@@ -140,13 +132,10 @@ def slice_connection(family_conn: ConnectionForm, x) -> ConnectionForm:
     it is constant in z, so the restriction is flat.  It is the family
     covector at (z, x), first half: the pullback along ``slice_embedding``
     (matrix I over 0) that the oracle of ``tests/oracles.py`` forms by
-    matmuls.  The datum is that pullback's.  A batch x (S, g) gives the S
-    slices from one pullback: the list of their data, and one covector for
-    all, as ``restricted_covector``.
+    matmuls.  The datum is that pullback's.
     """
     f = slice_embedding(x, family_conn.datum.torus)
-    g = f.source.genus
-    theta = restricted_covector(family_conn, f.translation[..., g:], free=0, half=0)
+    theta = restricted_covector(family_conn, f.translation[f.source.genus:], free=0, half=0)
     return ConnectionForm(pullback(f, family_conn.datum), theta)
 
 
@@ -182,27 +171,19 @@ def check_eq_i(family_conn: ConnectionForm, y, resolution: int, coords=None):
     ``tests/oracles.py`` reads it by matmuls, pulling the family form back
     along ``parameter_section`` (matrix 0 over I).  Recomputes its curvature at
     step 1/``resolution`` around the x-points with lattice coordinates
-    ``coords`` (P, 2g; by default the torus's ``seeded_coords``), scales by the
+    ``coords``, passed to ``dbar_at_points`` as they are, scales by the
     Chern normalization and compares against the class of the pulled-back
     datum, whose pairing is the lower-right block of the family pairing.  The
     covector is affine in (x, xbar), so the differences are exact to rounding
     at any point, and translation invariance makes the result independent of y.
 
-    A batch y (S, g) is read with one pullback and one stencil call on S
-    stacked copies of the coordinates, and gives the (S,) deviations, each
-    equal to its lift's.
+    A batch y (S, g) is one stencil call, the S lifts being the covector's
+    broadcast axis, giving the (S,) deviations, each equal to its lift's.  The
+    class does not depend on y, so one pullback, at the first lift, serves all.
     """
-    f = parameter_section(y, family_conn.datum.torus)
-    g = f.source.genus
-    theta = restricted_covector(family_conn, f.translation[..., :g], free=1, half=1)
-    pulled = pullback(f, family_conn.datum)
-    batch = f.translation.ndim == 2
-    data = pulled if batch else [pulled]
-    coords = seeded_coords(f.source) if coords is None else np.asarray(coords, dtype=float)
-    if coords.ndim != 2:
-        raise ShapeMismatch(f"point coordinates must have shape (P, {2 * g})")
-    cloud = dbar_at_points(f.source, theta, resolution, np.tile(coords, (len(data), 1)))
-    # the S data share one pairing, so one class serves them all
-    gap = np.abs(CHERN_NORMALIZATION * cloud - chern_form(data[0]))
-    per_lift = np.max(gap.reshape(len(data), -1), axis=1)
-    return per_lift if batch else float(per_lift[0])
+    y = _finite_lifts(y, family_conn.datum.torus.genus // 2, "point lifts", batch=True)
+    f = parameter_section(y if y.ndim == 1 else y[0], family_conn.datum.torus)
+    theta = restricted_covector(family_conn, y, free=1, half=1)
+    cloud = dbar_at_points(f.source, theta, resolution, coords)
+    gap = np.abs(CHERN_NORMALIZATION * cloud - chern_form(pullback(f, family_conn.datum)))
+    return float(np.max(gap)) if y.ndim == 1 else np.max(gap.reshape(len(y), -1), axis=1)

@@ -290,7 +290,8 @@ def dbar_at_points(torus: ComplexTorus, fn, resolution: int, coords=None) -> np.
     direction, on the (2, P, g) stacked + and - lifts, and each difference
     goes into one (2g, P) + value_shape buffer, which one matrix product by
     the dzbar rows times N / 2 contracts over the directions.
-    Output shape (P,) + value_shape + (g,), entry [..., k] = d(value)/dzbar_k.
+    Output shape (P,) + value_shape + (g,), entry [..., k] = d(value)/dzbar_k;
+    an ``fn`` taking (2, P, g) lifts to (2,) + shape, as a broadcast one, gives shape + (g,).
     """
     if resolution < MIN_RESOLUTION:
         raise ResolutionTooCoarse(f"resolution {resolution} < {MIN_RESOLUTION}")

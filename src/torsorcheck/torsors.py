@@ -36,13 +36,12 @@ from .bundles import AHDatum
 from .connections import ConnectionForm, chern_form
 from .errors import (
     BaseMismatch,
-    LatticeNotPreserved,
     ResolutionTooCoarse,
     ShapeMismatch,
     TorusMismatch,
 )
 from .grids import MIN_RESOLUTION, dbar_at_points
-from .torus import ComplexTorus, _complex_of_shape
+from .torus import ComplexTorus, _finite_lifts
 
 #: tau's recomputed reference obstruction must be constant over the seeded points to this extent
 REFERENCE_VARIATION_TOL = 1e-8
@@ -237,9 +236,7 @@ def _slice_covector(family: ConnectionForm, z_base=None):
     ``z_base`` is one finite lift (g,), zero by default.
     """
     g = family.datum.torus.genus // 2
-    z_base = _complex_of_shape(np.zeros(g) if z_base is None else z_base, (g,), "the base point")
-    if not np.isfinite(z_base).all():
-        raise LatticeNotPreserved("the base point must be finite")
+    z_base = _finite_lifts(np.zeros(g) if z_base is None else z_base, g, "the base point")
     return connections.restricted_covector(family, z_base, free=1, half=0)
 
 
@@ -255,8 +252,8 @@ def tau_presentation(family: ConnectionForm, resolution: int, z_base=None) -> To
     default ``dbar_at_points`` points, by the central differences of step
     1/``resolution``.  The mean of the scaled cloud is kept as one (g, g)
     class.  Raises TorusMismatch when ``family`` records no base datum, and
-    ValueError when the cloud varies about the class by more than
-    ``REFERENCE_VARIATION_TOL``.
+    ValueError when ``z_base`` is not finite or the cloud varies about the
+    class by more than ``REFERENCE_VARIATION_TOL``.
     """
     datum = family.base
     if datum is None:

@@ -34,11 +34,17 @@ def _complex_of_shape(x, shape: tuple, what: str) -> np.ndarray:
     return x
 
 
-def _lift_or_batch(x, genus: int, what: str) -> np.ndarray:
-    """``x`` as a complex lift (g,) or a non-empty batch (S, g) of lifts, else ShapeMismatch."""
+def _finite_lifts(x, genus: int, what: str, batch: bool = False) -> np.ndarray:
+    """``x`` as a finite complex lift (g,), or with ``batch`` a non-empty batch (S, g) too.
+
+    A wrong shape raises ShapeMismatch, a NaN or infinite entry ValueError.
+    """
     x = np.asarray(x, dtype=complex)
-    if x.ndim not in (1, 2) or x.shape[-1] != genus or x.size == 0:
-        raise ShapeMismatch(f"{what} must have shape {(genus,)} or (S, {genus}), got {x.shape}")
+    if x.ndim not in ((1, 2) if batch else (1,)) or x.shape[-1] != genus or x.size == 0:
+        shapes = f"{(genus,)} or (S, {genus})" if batch else f"{(genus,)}"
+        raise ShapeMismatch(f"{what} must have shape {shapes}, got {x.shape}")
+    if not np.isfinite(x).all():
+        raise ValueError(f"{what} must be finite")
     return x
 
 

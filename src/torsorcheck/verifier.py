@@ -53,6 +53,7 @@ from .connections import (
     chern_form,
     curvature,
     family_connection,
+    restricted_covector,
     slice_connection,
 )
 from .errors import ConfigInvalid, TorsorcheckError
@@ -433,18 +434,20 @@ def _slice_terms(ctx, xs, coords) -> np.ndarray:
     Per slice: the max |curvature| of its covector at the lattice coordinates
     ``coords`` (P, 2g), the max |pairing| of its datum, and the max distance
     of its phases from exp(2 pi i Im H(x, lambda_j)).  Each block of
-    ``_sample_blocks`` is one ``slice_connection`` and one stencil call.
+    ``_sample_blocks`` is one stencil call on the covector with the block's
+    lifts as its broadcast axis; each slice datum is its ``slice_connection``'s.
     """
     lattice = ctx.torus.periods.T  # generator j in row j
     terms = []
     for block in _sample_blocks(ctx.torus, len(xs)):
         x = xs[block]
-        sliced = slice_connection(ctx.family, x)
-        cloud = dbar_at_points(ctx.torus, sliced.theta, ctx.cfg.grid, np.tile(coords, (len(x), 1)))
+        theta = restricted_covector(ctx.family, x, free=0, half=0)
+        cloud = dbar_at_points(ctx.torus, theta, ctx.cfg.grid, coords)
         phases = np.exp(2j * np.pi * hermitian_pairing(ctx.datum.hermitian, x[:, None, :],
                                                        lattice).imag)
-        pairings = np.array([d.hermitian for d in sliced.datum])
-        chis = np.array([d.chi for d in sliced.datum])
+        data = [slice_connection(ctx.family, point).datum for point in x]
+        pairings = np.array([d.hermitian for d in data])
+        chis = np.array([d.chi for d in data])
         terms.append(np.stack([np.max(np.abs(cloud).reshape(len(x), -1), axis=1),
                                np.max(np.abs(pairings).reshape(len(x), -1), axis=1),
                                np.max(np.abs(chis - phases), axis=1)], axis=1))

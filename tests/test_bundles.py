@@ -319,8 +319,19 @@ class TestHomomorphisms:
         ([[np.nan]], None), ([[np.inf]], None), ([[1.0]], [np.nan]), ([[1.0]], [np.inf]),
     ])
     def test_non_finite_map_rejected(self, square_torus, matrix, translation):
-        with pytest.raises(LatticeNotPreserved):
+        # a non-finite linear part cannot preserve the lattice; a non-finite
+        # translation names no lattice, so it is a ValueError
+        error, match = ((LatticeNotPreserved, "linear part must be finite") if translation is None
+                        else (ValueError, "translation must be finite"))
+        with pytest.raises(error, match=match):
             TorusHomomorphism(square_torus, square_torus, matrix, translation)
+
+    @pytest.mark.parametrize("embed", [slice_embedding, parameter_section])
+    @pytest.mark.parametrize("lift", [[np.nan, 0], [0, np.inf]])
+    def test_non_finite_point_lift_rejected(self, g2_torus, embed, lift):
+        prod = product_torus(g2_torus, g2_torus)
+        with pytest.raises(ValueError, match="point lift must be finite"):
+            embed(lift, prod)
 
     @pytest.mark.parametrize("matrix, translation", [
         ([[1.0, 0.0]], None), ([1.0, 0.0, 0.0, 1.0], None), (np.eye(2), [0.0]),
@@ -348,46 +359,18 @@ class TestHomomorphisms:
 
 
 class TestBatchedTranslations:
-    """One linear part with S translations: S maps, one lattice check, one pullback."""
+    """A map has one translation (g,), and a slice or a section one lift: no batch (S, g)."""
 
-    @pytest.mark.parametrize("shape", [(0, 2), (3, 2, 1), (3, 3)],
-                             ids=["empty", "3-D", "wrong_genus"])
+    @pytest.mark.parametrize("shape", [(0, 2), (3, 2, 1), (3, 3), (3, 2)],
+                             ids=["empty", "3-D", "wrong_genus", "batch"])
     def test_batch_shape_is_exact(self, g2_torus, shape):
-        with pytest.raises(ShapeMismatch, match=r"shape \(2,\) or \(S, 2\)"):
+        with pytest.raises(ShapeMismatch, match=r"shape \(2,\), got"):
             TorusHomomorphism(g2_torus, g2_torus, np.eye(2), np.zeros(shape))
 
-    def test_apply_pairs_translate_s_with_row_s(self, g2_torus, rng):
-        ts = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
-        z = rng.standard_normal((4, 3, 2)) + 1j * rng.standard_normal((4, 3, 2))
-        batched = TorusHomomorphism(g2_torus, g2_torus, 2.0 * np.eye(2), ts).apply(z)
-        for s, t in enumerate(ts):
-            single = TorusHomomorphism(g2_torus, g2_torus, 2.0 * np.eye(2), t)
-            assert same_bits(batched[:, s], single.apply(z[:, s]))
-
-    @pytest.mark.parametrize("kind", ["slice", "section", "one_plus_i"])
-    def test_pullback_is_each_translate_bitwise(self, kind, g2_torus, square_torus, rng):
-        # the batch forms H', the generator images and their chi once, and each
-        # translate's phase row in one pairing; each datum is the single pullback's
-        if kind == "one_plus_i":
-            f, datum = one_plus_i_and_phased_datum(square_torus)
-            points = square_torus.random_points(rng, 5)
-
-            def take(t):
-                return TorusHomomorphism(square_torus, square_torus, f.matrix, t)
-        else:
-            datum = build_family(phased_g2_datum(g2_torus, rng))
-            points = g2_torus.random_points(rng, 5)
-            embed = slice_embedding if kind == "slice" else parameter_section
-
-            def take(t):
-                return embed(t, datum.torus)
-        batched = pullback(take(points), datum)
-        assert isinstance(batched, list) and len(batched) == len(points)
-        for t, pulled in zip(points, batched):
-            single = pullback(take(t), datum)
-            assert pulled.torus is single.torus
-            assert same_bits(pulled.hermitian, single.hermitian)
-            assert same_bits(pulled.chi, single.chi)
+    @pytest.mark.parametrize("embed", [slice_embedding, parameter_section])
+    def test_embeddings_refuse_a_batch_of_lifts(self, g2_torus, embed):
+        with pytest.raises(ShapeMismatch, match=r"shape \(2,\), got \(3, 2\)"):
+            embed(np.zeros((3, 2)), product_torus(g2_torus, g2_torus))
 
 
 class TestPullback:

@@ -5,6 +5,7 @@ import pytest
 
 from torsorcheck import (
     CHERN_NORMALIZATION,
+    AHDatum,
     ComplexTorus,
     ConnectionForm,
     ShapeMismatch,
@@ -334,20 +335,64 @@ class TestSectionReadsTheSecondHalf:
         g = family.base.torus.genus
         ys = family.base.torus.random_points(SeededDraws(3), 3)
         x = seeded_lifts(family.base.torus)
-        stacked = np.concatenate([x] * len(ys))
-        restricted = self.differentiated(monkeypatch, family, ys)(stacked)
-        on_product = family.theta(product_lifts(np.repeat(ys, len(x), axis=0), stacked))
+        restricted = self.differentiated(monkeypatch, family, ys)(x)
+        on_product = family.theta(product_lifts(ys[:, None, :], x))
         assert np.array_equal(restricted, on_product[..., g:])
         assert not np.allclose(restricted, on_product[..., :g])
 
 
+class TestBatchedSections:
+    """``check_eq_i`` reads a batch of lifts with one datum and one stencil call."""
+
+    @pytest.fixture
+    def family(self):
+        return family_connection(VerificationConfig.demo("principal-g2").datum)
+
+    def test_one_datum_and_one_stencil_call_on_untiled_coords(self, family, monkeypatch):
+        g = family.base.torus.genus
+        ys = family.base.torus.random_points(SeededDraws(4), 5)
+        coords = SeededDraws(7).random((POINT_SAMPLES, 2 * g))
+        data, shapes = [], []
+        build = AHDatum.__init__
+
+        def counted_build(self, *args, **kwargs):
+            data.append(self)
+            build(self, *args, **kwargs)
+
+        def spy(torus, fn, resolution, coords=None):
+            shapes.append(np.shape(coords))
+            return dbar_at_points(torus, fn, resolution, coords)
+
+        monkeypatch.setattr(AHDatum, "__init__", counted_build)
+        monkeypatch.setattr(connections, "dbar_at_points", spy)
+        deviations = check_eq_i(family, ys, 16, coords)
+        assert len(data) == 1
+        assert shapes == [(POINT_SAMPLES, 2 * g)]
+        assert deviations.shape == (5,)
+
+    @pytest.mark.parametrize("bad, error", [
+        (np.zeros((0, 2)), ShapeMismatch), (np.zeros((2, 2, 2)), ShapeMismatch),
+        (np.zeros(3), ShapeMismatch), ([[0, 0], [np.nan, 0]], ValueError),
+        ([0, np.inf], ValueError),
+    ], ids=["empty", "3-D", "wrong_genus", "nan_in_a_later_row", "inf"])
+    def test_lifts_are_validated_as_a_lift_or_a_batch(self, family, bad, error):
+        with pytest.raises(error, match="point lifts must"):
+            check_eq_i(family, bad, 16)
+
+
 class TestRestrictedCovector:
-    @pytest.mark.parametrize("points", [1, 4])
-    def test_batch_refuses_lifts_that_do_not_split(self, principal_datum, points):
-        theta = restricted_covector(family_connection(principal_datum), np.zeros((3, 1)),
-                                    free=1, half=1)
-        with pytest.raises(ShapeMismatch, match="blocks"):
-            theta(np.zeros((points, 1)))
+    @pytest.mark.parametrize("free, half", [(0, 0), (1, 0), (1, 1)])
+    def test_fixed_batch_is_a_broadcast_axis_ahead_of_the_points(self, g2_datum, free, half):
+        # S = 3 fixed lifts and P = 7 points, which do not split into 3 blocks
+        fam = family_connection(g2_datum)
+        draws = SeededDraws(5)
+        fixed = g2_datum.torus.random_points(draws, 3)
+        x = g2_datum.torus.random_points(draws, 14).reshape(2, 7, 2)
+        batched = restricted_covector(fam, fixed, free, half)(x)
+        assert batched.shape == (2, 3, 7, 2)
+        for s, y in enumerate(fixed):
+            single = restricted_covector(fam, y, free, half)(x)
+            assert batched[:, s].tobytes() == single.tobytes()
 
 
 class TestRestrictionIdentity:
