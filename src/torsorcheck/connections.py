@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bundles import AHDatum, build_family, parameter_section, pullback, slice_embedding
+from .bundles import AHDatum, build_family, pullback, slice_embedding
+from .errors import TorusMismatch
 from .grids import dbar_at_points
 from .torus import _finite_lifts
 
@@ -162,28 +163,30 @@ def chern_form(datum: AHDatum) -> np.ndarray:
     return CHERN_NORMALIZATION * (-np.pi) * datum.hermitian
 
 
+def family_base(family_conn: ConnectionForm) -> AHDatum:
+    """The datum on A that a family form was induced from; TorusMismatch for any other form."""
+    if family_conn.base is None:
+        raise TorusMismatch("expected a family connection built by family_connection()")
+    return family_conn.base
+
+
 def check_eq_i(family_conn: ConnectionForm, y, resolution: int, coords=None):
-    """Max deviation of the restricted family curvature from the invariant class.
+    """Max deviation of the restricted family curvature from the class of L.
 
     Restricts the family connection along x -> (y, x), for a lift y (g,) of
-    a point of A: the restricted covector is the family covector at (y, x),
-    second half, as the oracle ``check_eq_i_by_pullback`` of
-    ``tests/oracles.py`` reads it by matmuls, pulling the family form back
-    along ``parameter_section`` (matrix 0 over I).  Recomputes its curvature at
+    a point of A: the family covector at (y, x), second half, as the oracle
+    ``check_eq_i_by_pullback`` of ``tests/oracles.py`` reads it along
+    ``parameter_section``.  The restriction is t_y* L, so its curvature at
     step 1/``resolution`` around the x-points with lattice coordinates
-    ``coords``, passed to ``dbar_at_points`` as they are, scales by the
-    Chern normalization and compares against the class of the pulled-back
-    datum, whose pairing is the lower-right block of the family pairing.  The
-    covector is affine in (x, xbar), so the differences are exact to rounding
-    at any point, and translation invariance makes the result independent of y.
-
-    A batch y (S, g) is one stencil call, the S lifts being the covector's
-    broadcast axis, giving the (S,) deviations, each equal to its lift's.  The
-    class does not depend on y, so one pullback, at the first lift, serves all.
+    ``coords``, scaled by the Chern normalization, is compared with
+    ``chern_form`` of the family's ``base``, the class of L (TorusMismatch
+    for a form with no base).  The covector is affine in (x, xbar), so the
+    differences are exact to rounding.  A batch y (S, g) is one stencil call,
+    the S lifts being the covector's broadcast axis, giving (S,) deviations.
     """
-    y = _finite_lifts(y, family_conn.datum.torus.genus // 2, "point lifts", batch=True)
-    f = parameter_section(y if y.ndim == 1 else y[0], family_conn.datum.torus)
+    base = family_base(family_conn)
+    y = _finite_lifts(y, base.torus.genus, "point lifts", batch=True)
     theta = restricted_covector(family_conn, y, free=1, half=1)
-    cloud = dbar_at_points(f.source, theta, resolution, coords)
-    gap = np.abs(CHERN_NORMALIZATION * cloud - chern_form(pullback(f, family_conn.datum)))
+    cloud = dbar_at_points(base.torus, theta, resolution, coords)
+    gap = np.abs(CHERN_NORMALIZATION * cloud - chern_form(base))
     return float(np.max(gap)) if y.ndim == 1 else np.max(gap.reshape(len(y), -1), axis=1)

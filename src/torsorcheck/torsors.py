@@ -38,7 +38,6 @@ from .errors import (
     BaseMismatch,
     ResolutionTooCoarse,
     ShapeMismatch,
-    TorusMismatch,
 )
 from .grids import MIN_RESOLUTION, dbar_at_points
 from .torus import ComplexTorus, _finite_lifts
@@ -230,16 +229,6 @@ def sigma_presentation(datum: AHDatum, resolution: int) -> TorsorPresentation:
     return TorsorPresentation(datum.torus, resolution, chern_form(datum), datum=datum)
 
 
-def _slice_covector(family: ConnectionForm, z_base=None):
-    """x -> the family covector at (z_base, x), first half: the slice covectors over x.
-
-    ``z_base`` is one finite lift (g,), zero by default.
-    """
-    g = family.datum.torus.genus // 2
-    z_base = _finite_lifts(np.zeros(g) if z_base is None else z_base, g, "the base point")
-    return connections.restricted_covector(family, z_base, free=1, half=0)
-
-
 def tau_presentation(family: ConnectionForm, resolution: int, z_base=None) -> TorsorPresentation:
     """Presentation of the torsor of flat-slice families, obstruction from scratch.
 
@@ -247,20 +236,20 @@ def tau_presentation(family: ConnectionForm, resolution: int, z_base=None) -> To
     ``connections.family_connection(datum)`` returns; the presentation lives
     over ``family.base``'s torus and records ``family.base`` as its datum.
     Differentiates the family's slice covectors, restricted in the product
-    frame at the base point ``z_base`` (read along the section
-    x -> (z_base, x)), in the antiholomorphic parameter directions at the
-    default ``dbar_at_points`` points, by the central differences of step
-    1/``resolution``.  The mean of the scaled cloud is kept as one (g, g)
-    class.  Raises TorusMismatch when ``family`` records no base datum, and
+    frame at the base point ``z_base``, one lift (g,), zero by default (the
+    family covector at (z_base, x), first half), in the antiholomorphic
+    parameter directions at the default ``dbar_at_points`` points, by the
+    central differences of step 1/``resolution``.  The mean of the scaled
+    cloud is kept as one (g, g) class.  Raises TorusMismatch when ``family`` records no base datum, and
     ValueError when ``z_base`` is not finite or the cloud varies about the
     class by more than ``REFERENCE_VARIATION_TOL``.
     """
-    datum = family.base
-    if datum is None:
-        raise TorusMismatch("expected a family connection built by family_connection()")
+    datum = connections.family_base(family)
     base = datum.torus
-    cloud = connections.CHERN_NORMALIZATION * dbar_at_points(
-        base, _slice_covector(family, z_base), resolution)
+    z_base = _finite_lifts(np.zeros(base.genus) if z_base is None else z_base, base.genus,
+                           "the base point")
+    theta = connections.restricted_covector(family, z_base, free=1, half=0)
+    cloud = connections.CHERN_NORMALIZATION * dbar_at_points(base, theta, resolution)
     cls = cloud.mean(axis=0)
     # recomputed, so it can miss the constant class; sigma's is that class by construction
     spread = float(np.max(np.abs(cloud - cls)))

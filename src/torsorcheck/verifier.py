@@ -565,8 +565,8 @@ def _check_duality(ctx, rng):
     z = ctx.torus.lift_of_coords(rng.random((cfg.samples, 2 * ctx.torus.genus)))
     terms.append(np.max(np.abs(theta(z) + theta_dual(z))))
     x = ctx.torus.random_points(rng, 1)[0]
-    slice_l = slice_connection(ctx.family, x)
-    slice_dual = slice_connection(ctx.dual_family, x)
+    slice_l = restricted_covector(ctx.family, x, free=0, half=0)
+    slice_dual = restricted_covector(ctx.dual_family, x, free=0, half=0)
     terms.append(np.max(np.abs(slice_l(z) + slice_dual(z))))
     return float(np.max(terms)), cfg.tolerance_exact, cfg.samples
 

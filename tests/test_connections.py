@@ -10,6 +10,7 @@ from torsorcheck import (
     ConnectionForm,
     ShapeMismatch,
     TorusHomomorphism,
+    TorusMismatch,
     VerificationConfig,
     build_family,
     canonical_connection,
@@ -27,7 +28,6 @@ from torsorcheck import (
 )
 from torsorcheck.connections import product_lifts, restricted_covector
 from torsorcheck.grids import POINT_SAMPLES, SeededDraws, dbar_at_points
-from torsorcheck.torsors import _slice_covector
 
 from oracles import (
     automorphy_defect,
@@ -284,7 +284,7 @@ class TestRestrictionBySlicing:
         x = seeded_lifts(family.base.torus)
         for y in [np.zeros(g), *family.base.torus.random_points(rng, 3)]:
             by_section = family.theta(parameter_section(y, prod).apply(x))[..., :g]
-            assert np.array_equal(_slice_covector(family, y)(x), by_section)
+            assert np.array_equal(restricted_covector(family, y, free=1, half=0)(x), by_section)
 
     @pytest.mark.parametrize("resolution", [6, 16])
     def test_check_eq_i(self, family, resolution, rng):
@@ -342,33 +342,45 @@ class TestSectionReadsTheSecondHalf:
 
 
 class TestBatchedSections:
-    """``check_eq_i`` reads a batch of lifts with one datum and one stencil call."""
+    """``check_eq_i`` reads a batch of lifts with one stencil call and builds no datum."""
 
     @pytest.fixture
     def family(self):
         return family_connection(VerificationConfig.demo("principal-g2").datum)
 
-    def test_one_datum_and_one_stencil_call_on_untiled_coords(self, family, monkeypatch):
+    def count_builds_and_stencil_calls(self, monkeypatch):
+        """Spies on ``AHDatum`` and ``TorusHomomorphism`` constructions and on the stencil."""
+        seen = {"data": 0, "maps": 0, "stencil_coords": []}
+        for cls, key in [(AHDatum, "data"), (TorusHomomorphism, "maps")]:
+            def counted(self, *args, build=cls.__init__, key=key, **kwargs):
+                seen[key] += 1
+                build(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", counted)
+
+        def spy(torus, fn, resolution, coords=None):
+            seen["stencil_coords"].append(np.shape(coords))
+            return dbar_at_points(torus, fn, resolution, coords)
+
+        monkeypatch.setattr(connections, "dbar_at_points", spy)
+        return seen
+
+    def test_builds_no_datum_or_map_and_one_stencil_call(self, family, monkeypatch):
+        # the class compared with is the family's base, so nothing is pulled back
         g = family.base.torus.genus
         ys = family.base.torus.random_points(SeededDraws(4), 5)
         coords = SeededDraws(7).random((POINT_SAMPLES, 2 * g))
-        data, shapes = [], []
-        build = AHDatum.__init__
-
-        def counted_build(self, *args, **kwargs):
-            data.append(self)
-            build(self, *args, **kwargs)
-
-        def spy(torus, fn, resolution, coords=None):
-            shapes.append(np.shape(coords))
-            return dbar_at_points(torus, fn, resolution, coords)
-
-        monkeypatch.setattr(AHDatum, "__init__", counted_build)
-        monkeypatch.setattr(connections, "dbar_at_points", spy)
+        seen = self.count_builds_and_stencil_calls(monkeypatch)
         deviations = check_eq_i(family, ys, 16, coords)
-        assert len(data) == 1
-        assert shapes == [(POINT_SAMPLES, 2 * g)]
+        assert seen == {"data": 0, "maps": 0, "stencil_coords": [(POINT_SAMPLES, 2 * g)]}
         assert deviations.shape == (5,)
+
+    def test_form_without_base_refused_before_the_stencil(self, family, monkeypatch):
+        seen = self.count_builds_and_stencil_calls(monkeypatch)
+        no_base = ConnectionForm(family.datum, family.theta)
+        with pytest.raises(TorusMismatch, match="family_connection"):
+            check_eq_i(no_base, np.zeros(family.base.torus.genus), 16)
+        assert seen["stencil_coords"] == []
 
     @pytest.mark.parametrize("bad, error", [
         (np.zeros((0, 2)), ShapeMismatch), (np.zeros((2, 2, 2)), ShapeMismatch),

@@ -81,6 +81,17 @@ def family_without_dual_half(monkeypatch):
     patch_everywhere(monkeypatch, "family_connection", addition_half_only)
 
 
+def family_records_dual_base(monkeypatch):
+    """The family form records the dual datum as the base it was induced from."""
+    family_connection = connections.family_connection
+
+    def dual_base(datum, maps=None):
+        fam = family_connection(datum, maps)
+        return connections.ConnectionForm(fam.datum, fam.theta, base=datum.dual())
+
+    patch_everywhere(monkeypatch, "family_connection", dual_base)
+
+
 def dbar_on_dz_rows(monkeypatch):
     """The point stencil reads the dz half of the Wirtinger chart."""
     patch_everywhere(monkeypatch, "dbar_at_points",
@@ -172,6 +183,7 @@ MUTANTS = {
         "slice_flatness",
         "family_curvature_restriction",
     }),
+    "family_records_dual_base": (family_records_dual_base, {"family_curvature_restriction"}),
     "dbar_on_dz_rows": (dbar_on_dz_rows, {
         "sigma_obstruction",
         "family_curvature_restriction",

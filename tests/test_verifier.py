@@ -312,6 +312,27 @@ class TestSuite:
         assert report.overall == "pass"
         assert calls == {"build_family": 3, "family_connection": 3}
 
+    @pytest.mark.parametrize("source", ["principal-g1", "principal-g2", "g3_n6.json"])
+    def test_pullbacks_are_the_families_and_the_measured_slices(self, monkeypatch, source):
+        # two per family (the datum, its dual and the flat datum) and one slice
+        # datum per slice_flatness sample; sections and duality pull nothing back
+        calls = []
+        original = bundles.pullback
+
+        def counted(f, datum):
+            calls.append(f)
+            return original(f, datum)
+
+        for module in (bundles, connections):
+            monkeypatch.setattr(module, "pullback", counted)
+        if source.endswith(".json"):
+            cfg = VerificationConfig.from_file(Path(__file__).with_name(source))
+        else:
+            cfg = VerificationConfig.demo(source)
+        report = run_suite(cfg)
+        assert report.overall == "pass"
+        assert len(calls) == 6 + cfg.samples
+
     def test_convergence_probe_genuinely_second_order(self):
         report = run_suite(VerificationConfig.demo("principal-g1"))
         conv = {c.name: c for c in report.checks}["convergence_order"]
