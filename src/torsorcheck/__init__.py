@@ -33,7 +33,6 @@ from .errors import (
     BaseMismatch,
     ConfigInvalid,
     DegenerateLattice,
-    IndexOutOfRange,
     LatticeNotPreserved,
     NonIntegralE,
     NotHermitian,
@@ -82,10 +81,9 @@ __all__ = [
     "CHERN_NORMALIZATION", "ConnectionForm", "canonical_connection", "check_eq_i",
     "chern_form", "curvature", "family_connection", "slice_connection",
     # errors
-    "BaseMismatch", "ConfigInvalid", "DegenerateLattice", "IndexOutOfRange",
-    "LatticeNotPreserved", "NonIntegralE", "NotHermitian", "NotLatticeVector",
-    "ResolutionTooCoarse", "SemicharacterInconsistent", "ShapeMismatch", "TorsorcheckError",
-    "TorusMismatch",
+    "BaseMismatch", "ConfigInvalid", "DegenerateLattice", "LatticeNotPreserved",
+    "NonIntegralE", "NotHermitian", "NotLatticeVector", "ResolutionTooCoarse",
+    "SemicharacterInconsistent", "ShapeMismatch", "TorsorcheckError", "TorusMismatch",
     # grids
     "dbar_at_points",
     # torsors

@@ -29,18 +29,15 @@ CHERN_NORMALIZATION = 1j / (2.0 * np.pi)
 class ConnectionForm:
     """A (1,0)-form-valued map on the cover, attached to a bundle datum.
 
-    ``theta`` is vectorized: lifts of shape (..., g) map to covectors of the
-    same shape.  ``base`` is the datum on A that a family form on A x A was
-    induced from, and None for every other form.
+    The form is read through ``theta``, vectorized: complex lifts (..., g)
+    map to covectors of the same shape.  ``base`` is the datum on A that a
+    family form on A x A was induced from, and None for every other form.
     """
 
     def __init__(self, datum: AHDatum, theta, base: AHDatum | None = None):
         self.datum = datum
         self.theta = theta
         self.base = base
-
-    def __call__(self, z) -> np.ndarray:
-        return np.asarray(self.theta(np.asarray(z, dtype=complex)), dtype=complex)
 
 
 def canonical_connection(datum: AHDatum) -> ConnectionForm:
@@ -170,23 +167,23 @@ def family_base(family_conn: ConnectionForm) -> AHDatum:
     return family_conn.base
 
 
-def check_eq_i(family_conn: ConnectionForm, y, resolution: int, coords=None):
-    """Max deviation of the restricted family curvature from the class of L.
+def check_eq_i(family_conn: ConnectionForm, ys, resolution: int, coords=None) -> np.ndarray:
+    """Max deviation of each restricted family curvature from the class of L, (S,).
 
-    Restricts the family connection along x -> (y, x), for a lift y (g,) of
-    a point of A: the family covector at (y, x), second half, as the oracle
-    ``check_eq_i_by_pullback`` of ``tests/oracles.py`` reads it along
-    ``parameter_section``.  The restriction is t_y* L, so its curvature at
-    step 1/``resolution`` around the x-points with lattice coordinates
-    ``coords``, scaled by the Chern normalization, is compared with
-    ``chern_form`` of the family's ``base``, the class of L (TorusMismatch
-    for a form with no base).  The covector is affine in (x, xbar), so the
-    differences are exact to rounding.  A batch y (S, g) is one stencil call,
-    the S lifts being the covector's broadcast axis, giving (S,) deviations.
+    Restricts the family connection along x -> (y, x) for each lift y of the
+    non-empty batch ``ys`` (S, g): the family covector at (y, x), second
+    half, as the oracle ``check_eq_i_by_pullback`` of ``tests/oracles.py``
+    reads it along ``parameter_section`` for one y.  The restriction is
+    t_y* L, so its curvature at step 1/``resolution`` around the x-points
+    with lattice coordinates ``coords``, scaled by the Chern normalization,
+    is compared with ``chern_form`` of the family's ``base``, the class of L
+    (TorusMismatch for a form with no base).  The covector is affine in
+    (x, xbar), so the differences are exact to rounding.  The S lifts are
+    the covector's broadcast axis, so the batch is one stencil call.
     """
     base = family_base(family_conn)
-    y = _finite_lifts(y, base.torus.genus, "point lifts", batch=True)
-    theta = restricted_covector(family_conn, y, free=1, half=1)
+    ys = _finite_lifts(ys, base.torus.genus, "point lifts", batch=True)
+    theta = restricted_covector(family_conn, ys, free=1, half=1)
     cloud = dbar_at_points(base.torus, theta, resolution, coords)
     gap = np.abs(CHERN_NORMALIZATION * cloud - chern_form(base))
-    return float(np.max(gap)) if y.ndim == 1 else np.max(gap.reshape(len(y), -1), axis=1)
+    return np.max(gap.reshape(len(ys), -1), axis=1)

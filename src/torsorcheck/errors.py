@@ -17,10 +17,6 @@ class ResolutionTooCoarse(TorsorcheckError):
     """Grid resolution is below what the difference stencils need (N >= 4)."""
 
 
-class IndexOutOfRange(TorsorcheckError):
-    """Lattice generator index outside 0 .. 2g-1."""
-
-
 class NotLatticeVector(TorsorcheckError):
     """Vector is not a lattice element within tolerance."""
 

@@ -20,9 +20,11 @@ Two reference sections are built here:
   ``connections.family_connection`` built, so one family serves every tau
   presentation of its datum, at any base point and resolution.
 
-The canonical morphism matches references affinely (offset -> offset); its
-obstruction is the difference of the two (g, g) reference classes, so it is
-holomorphic precisely when those agree.  Duality flips the sign of offsets.
+The canonical morphism matches references affinely (offset -> offset)
+between two presentations of one datum; its obstruction is the difference
+of the two (g, g) reference classes, so it is holomorphic precisely when
+those agree.  Duality flips the sign of offsets, onto a presentation of
+the dual datum.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ REFERENCE_VARIATION_TOL = 1e-8
 
 @dataclass
 class TorsorPresentation:
-    """A torsor given by its reference section's constant obstruction class.
+    """The torsor of the bundle ``datum``, given by its reference's constant obstruction class.
 
     On a torus a constant-coefficient (0,1)-form with values in V is exact
     only when it vanishes, so ``theta_ref`` is the obstruction class itself:
@@ -56,10 +58,13 @@ class TorsorPresentation:
     Function offsets are differentiated at the step 1/``resolution``.
     """
 
-    torus: ComplexTorus
+    datum: AHDatum
     resolution: int
     theta_ref: np.ndarray  # (g, g); stored finite and read-only
-    datum: AHDatum | None = None
+
+    @property
+    def torus(self) -> ComplexTorus:
+        return self.datum.torus
 
     def __post_init__(self):
         if self.resolution < MIN_RESOLUTION:
@@ -177,20 +182,16 @@ class TorsorMorphism:
 
 
 def canonical_morphism(p1: TorsorPresentation, p2: TorsorPresentation) -> TorsorMorphism:
-    """The unique smooth torsor isomorphism matching the two references."""
-    _check_common_base(p1, p2)
+    """The unique smooth isomorphism matching the references of two presentations of one datum."""
+    _check_common_base(p1, p2, p1.datum.hermitian, p1.datum.chi,
+                       "presentations are built from different data")
     return TorsorMorphism(p1, p2, sign=1)
 
 
 def duality_map(p: TorsorPresentation, p_dual: TorsorPresentation) -> TorsorMorphism:
-    """The connection-negating isomorphism onto the dual bundle's torsor."""
-    _check_common_base(p, p_dual)
-    if p.datum is not None and p_dual.datum is not None:
-        # the dual datum is (-H, conj(chi)); both halves must match
-        gap = max(np.max(np.abs(p_dual.datum.hermitian + p.datum.hermitian)),
-                  np.max(np.abs(p_dual.datum.chi - np.conj(p.datum.chi))))
-        if gap > 1e-10:
-            raise BaseMismatch("target presentation is not built from the dual datum")
+    """The connection-negating isomorphism onto the torsor of the dual datum, (-H, conj(chi))."""
+    _check_common_base(p, p_dual, -p.datum.hermitian, np.conj(p.datum.chi),
+                       "target presentation is not built from the dual datum")
     return TorsorMorphism(p, p_dual, sign=-1)
 
 
@@ -199,11 +200,18 @@ def is_holomorphic_morphism(m: TorsorMorphism, tol: float) -> tuple[bool, float]
     return err <= tol, err
 
 
-def _check_common_base(p1: TorsorPresentation, p2: TorsorPresentation):
-    if not p1.torus.same_as(p2.torus):
+def _check_common_base(source: TorsorPresentation, target: TorsorPresentation,
+                       hermitian, chi, what: str):
+    """BaseMismatch unless ``target`` shares ``source``'s torus and resolution and its
+    datum has the pairing ``hermitian`` and the phases ``chi`` to 1e-10; else ``what``."""
+    if not source.torus.same_as(target.torus):
         raise BaseMismatch("presentations live over different tori")
-    if p1.resolution != p2.resolution:
+    if source.resolution != target.resolution:
         raise BaseMismatch("presentations are differentiated at different resolutions")
+    gap = max(np.max(np.abs(target.datum.hermitian - hermitian)),
+              np.max(np.abs(target.datum.chi - chi)))
+    if gap > 1e-10:
+        raise BaseMismatch(what)
 
 
 def local_holomorphic_section(p: TorsorPresentation) -> TorsorSection:
@@ -226,15 +234,15 @@ def sigma_presentation(datum: AHDatum, resolution: int) -> TorsorPresentation:
     invariant curvature class, stored here analytically as one (g, g) matrix
     (the verifier recomputes it independently by finite differences).
     """
-    return TorsorPresentation(datum.torus, resolution, chern_form(datum), datum=datum)
+    return TorsorPresentation(datum, resolution, chern_form(datum))
 
 
 def tau_presentation(family: ConnectionForm, resolution: int, z_base=None) -> TorsorPresentation:
     """Presentation of the torsor of flat-slice families, obstruction from scratch.
 
     ``family`` is the induced two-variable connection that
-    ``connections.family_connection(datum)`` returns; the presentation lives
-    over ``family.base``'s torus and records ``family.base`` as its datum.
+    ``connections.family_connection(datum)`` returns; the presentation is
+    of ``family.base``, the datum it records, over that datum's torus.
     Differentiates the family's slice covectors, restricted in the product
     frame at the base point ``z_base``, one lift (g,), zero by default (the
     family covector at (z_base, x), first half), in the antiholomorphic
@@ -255,4 +263,4 @@ def tau_presentation(family: ConnectionForm, resolution: int, z_base=None) -> To
     spread = float(np.max(np.abs(cloud - cls)))
     if not spread <= REFERENCE_VARIATION_TOL:  # a NaN spread raises too
         raise ValueError(f"tau reference obstruction varies by {spread:.3e} over the points")
-    return TorsorPresentation(base, resolution, cls, datum=datum)
+    return TorsorPresentation(datum, resolution, cls)

@@ -18,12 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import (
-    DegenerateLattice,
-    IndexOutOfRange,
-    ShapeMismatch,
-    TorsorcheckError,
-)
+from .errors import DegenerateLattice, ShapeMismatch, TorsorcheckError
 
 
 def _complex_of_shape(x, shape: tuple, what: str) -> np.ndarray:
@@ -35,14 +30,14 @@ def _complex_of_shape(x, shape: tuple, what: str) -> np.ndarray:
 
 
 def _finite_lifts(x, genus: int, what: str, batch: bool = False) -> np.ndarray:
-    """``x`` as a finite complex lift (g,), or with ``batch`` a non-empty batch (S, g) too.
+    """``x`` as a finite complex lift (g,), or with ``batch`` a non-empty batch (S, g).
 
     A wrong shape raises ShapeMismatch, a NaN or infinite entry ValueError.
     """
     x = np.asarray(x, dtype=complex)
-    if x.ndim not in ((1, 2) if batch else (1,)) or x.shape[-1] != genus or x.size == 0:
-        shapes = f"{(genus,)} or (S, {genus})" if batch else f"{(genus,)}"
-        raise ShapeMismatch(f"{what} must have shape {shapes}, got {x.shape}")
+    if x.ndim != (2 if batch else 1) or x.shape[-1] != genus or x.size == 0:
+        shape = f"(S, {genus})" if batch else f"{(genus,)}"
+        raise ShapeMismatch(f"{what} must have shape {shape}, got {x.shape}")
     if not np.isfinite(x).all():
         raise ValueError(f"{what} must be finite")
     return x
@@ -117,19 +112,13 @@ def product_torus(left: ComplexTorus, right: ComplexTorus) -> ComplexTorus:
     return ComplexTorus(periods, kappa_max=kappa, factors=(left, right))
 
 
-def cycle_integral(torus: ComplexTorus, coefficients, j, k):
-    """Integral of an invariant (1,1)-form over the 2-cycle of generators j, k (0-based).
+def cycle_integral(torus: ComplexTorus, coefficients) -> np.ndarray:
+    """Integrals of an invariant (1,1)-form over the 2-cycles of generator pairs, (2g, 2g).
 
-    With T the (g, g) coefficients and u, v the two generators, the value is
-    u T conj(v) - v T conj(u), read off the generators' Gram matrix
-    periods^T T conj(periods).  ``j`` and ``k`` are integers, giving a
-    complex, or integer arrays broadcast together, giving an array of values.
+    With T the (g, g) coefficients and u, v generators j and k (0-based),
+    entry [j, k] is u T conj(v) - v T conj(u): the generators' Gram matrix
+    G = periods^T T conj(periods) minus its transpose.
     """
-    n = 2 * torus.genus
-    j, k = np.asarray(j), np.asarray(k)
-    if not (((0 <= j) & (j < n)).all() and ((0 <= k) & (k < n)).all()):
-        raise IndexOutOfRange(f"indices ({j}, {k}) outside 0..{n - 1}")
     t = np.asarray(coefficients, dtype=complex)
     gram = torus.periods.T @ t @ np.conj(torus.periods)
-    value = gram[j, k] - gram[k, j]
-    return complex(value) if value.ndim == 0 else value
+    return gram - gram.T

@@ -208,7 +208,9 @@ class VerificationConfig:
         except TorsorcheckError as exc:
             raise ConfigInvalid(f"torus: {type(exc).__name__}: {exc}") from None
 
-        bundle_spec = data.get("bundle", "trivial")
+        if "bundle" not in data:  # as "trivial" it would verify a bundle no one chose
+            raise ConfigInvalid("bundle: section missing")
+        bundle_spec = data["bundle"]
         if bundle_spec == "trivial":
             datum = trivial_datum(torus)
         elif isinstance(bundle_spec, dict):
@@ -474,11 +476,9 @@ def _check_datum_valid(ctx, rng):
 
 
 def _check_chern_integrality(ctx, rng):
-    n = 2 * ctx.torus.genus
-    index = np.arange(n)
-    integrals = cycle_integral(ctx.torus, ctx.chern_matrix, index[:, None], index[None, :])
+    integrals = cycle_integral(ctx.torus, ctx.chern_matrix)
     err = np.max(np.abs(integrals - ctx.datum.pairing_imag_int))
-    return float(err), ctx.cfg.tolerance_analytic, n * n
+    return float(err), ctx.cfg.tolerance_analytic, integrals.size
 
 
 def _check_curvature_invariance(ctx, rng):
@@ -560,8 +560,8 @@ def _check_duality(ctx, rng):
         is_holomorphic_morphism(duality_map(ctx.sigma, sigma_dual), cfg.tolerance_exact)[1],
     ]
     # zero-offset references map to each other: the covectors are negatives
-    theta = canonical_connection(ctx.datum)
-    theta_dual = canonical_connection(ctx.dual)
+    theta = canonical_connection(ctx.datum).theta
+    theta_dual = canonical_connection(ctx.dual).theta
     z = ctx.torus.lift_of_coords(rng.random((cfg.samples, 2 * ctx.torus.genus)))
     terms.append(np.max(np.abs(theta(z) + theta_dual(z))))
     x = ctx.torus.random_points(rng, 1)[0]

@@ -90,7 +90,8 @@ def automorphy_defect(conn, lam, z) -> np.ndarray:
     """Deviation of theta(z+lam) - theta(z) from -pi H(dz, lam)."""
     lam = np.asarray(lam, dtype=complex)
     expected = -np.pi * (conn.datum.hermitian @ np.conj(lam))
-    return conn(np.asarray(z, dtype=complex) + lam) - conn(z) - expected
+    z = np.asarray(z, dtype=complex)
+    return conn.theta(z + lam) - conn.theta(z) - expected
 
 
 def is_topologically_trivial(datum) -> bool:

@@ -57,18 +57,18 @@ def fd_dlog_dz(datum, lam, z, h=1e-3):
 
 class TestCanonicalConnection:
     def test_trivial_gives_zero(self, flat_datum, rng):
-        theta = canonical_connection(flat_datum)
+        theta = canonical_connection(flat_datum).theta
         z = rng.standard_normal((10, 1)) + 1j * rng.standard_normal((10, 1))
         assert np.max(np.abs(theta(z))) == 0
 
     def test_principal_formula(self, principal_datum, rng):
         # oracle: d of the weight exponent -pi z zbar is -pi zbar dz
-        theta = canonical_connection(principal_datum)
+        theta = canonical_connection(principal_datum).theta
         z = rng.standard_normal((10, 1)) + 1j * rng.standard_normal((10, 1))
         assert np.max(np.abs(theta(z) + np.pi * np.conj(z))) <= 1e-12
 
     def test_automorphy_against_fd_of_log_factor(self, principal_datum, rng):
-        theta = canonical_connection(principal_datum)
+        theta = canonical_connection(principal_datum).theta
         torus = principal_datum.torus
         for _ in range(20):
             n = rng.integers(-2, 3, size=2).astype(float)
@@ -151,7 +151,7 @@ class TestFamilyCovector:
             datum = VerificationConfig.demo(case).datum
         conn = family_connection(datum)
         u = seeded_lifts(conn.datum.torus)
-        sliced = conn(u)
+        sliced = conn.theta(u)
         assert sliced.shape == u.shape
         assert np.array_equal(sliced, family_covector_by_maps(datum)(u))
 
@@ -190,10 +190,11 @@ class TestChernForm:
 
     def test_principal_cycle_integral(self, principal_datum):
         omega = chern_form(principal_datum)
-        assert abs(cycle_integral(principal_datum.torus, omega, 0, 1) - (-1)) <= 1e-8
+        assert abs(cycle_integral(principal_datum.torus, omega)[0, 1] - (-1)) <= 1e-8
 
     def test_g2_cycle_matrix_is_integer_pairing(self, g2_datum, g2_torus):
         omega = chern_form(g2_datum)
+        table = cycle_integral(g2_torus, omega)
         for j in range(4):
             for k in range(4):
                 # oracle: Im H on the lattice pair
@@ -204,13 +205,12 @@ class TestChernForm:
                         g2_torus.periods[:, k],
                     )
                 )
-                value = cycle_integral(g2_torus, omega, j, k)
-                assert abs(value - expected) <= 1e-8
+                assert abs(table[j, k] - expected) <= 1e-8
                 assert abs(expected - round(expected.real)) <= 1e-12
 
     def test_dual_negates_connection(self, g2_datum, rng):
-        theta = canonical_connection(g2_datum)
-        theta_dual = canonical_connection(g2_datum.dual())
+        theta = canonical_connection(g2_datum).theta
+        theta_dual = canonical_connection(g2_datum.dual()).theta
         z = rng.standard_normal((20, 2)) + 1j * rng.standard_normal((20, 2))
         assert np.max(np.abs(theta(z) + theta_dual(z))) == 0
 
@@ -219,13 +219,13 @@ class TestFamilyConnection:
     def test_trivial_family_vanishes(self, flat_datum, rng):
         fam = family_connection(flat_datum)
         z = rng.standard_normal((10, 2)) + 1j * rng.standard_normal((10, 2))
-        assert np.max(np.abs(fam(z))) == 0
+        assert np.max(np.abs(fam.theta(z))) == 0
 
     def test_agrees_with_canonical_of_family_datum(self, principal_datum, rng):
         fam = family_connection(principal_datum)
         direct = canonical_connection(build_family(principal_datum))
         z = rng.standard_normal((30, 2)) + 1j * rng.standard_normal((30, 2))
-        assert np.max(np.abs(fam(z) - direct(z))) <= 1e-12
+        assert np.max(np.abs(fam.theta(z) - direct.theta(z))) <= 1e-12
 
     def test_curvature_is_difference_of_pullbacks(self, principal_datum):
         fam = family_connection(principal_datum)
@@ -246,7 +246,7 @@ class TestSliceConnection:
         sliced = slice_connection(fam, x)
         z = rng.standard_normal((10, 1)) + 1j * rng.standard_normal((10, 1))
         expected = -np.pi * np.conj(0.3 + 0.2j)
-        assert np.max(np.abs(sliced(z) - expected)) <= 1e-12
+        assert np.max(np.abs(sliced.theta(z) - expected)) <= 1e-12
 
     @pytest.mark.parametrize("case", ["g1", "g2"])
     def test_flatness_random_slices(self, case, principal_datum, g2_datum, rng):
@@ -289,9 +289,9 @@ class TestRestrictionBySlicing:
     @pytest.mark.parametrize("resolution", [6, 16])
     def test_check_eq_i(self, family, resolution, rng):
         coords = SeededDraws(7).random((POINT_SAMPLES, 2 * family.base.torus.genus))
-        for y in family.base.torus.random_points(rng, 3):
-            assert check_eq_i(family, y, resolution, coords) == \
-                check_eq_i_by_pullback(family, y, resolution, coords)
+        ys = family.base.torus.random_points(rng, 3)
+        assert check_eq_i(family, ys, resolution, coords).tolist() == \
+            [check_eq_i_by_pullback(family, y, resolution, coords) for y in ys]
 
 
 class TestSectionReadsTheSecondHalf:
@@ -306,8 +306,8 @@ class TestSectionReadsTheSecondHalf:
     def family(self):
         return family_connection(VerificationConfig.demo("principal-g2").datum)
 
-    def differentiated(self, monkeypatch, family, y):
-        """The map that ``check_eq_i`` hands to the stencil."""
+    def differentiated(self, monkeypatch, family, ys):
+        """The map that ``check_eq_i`` hands to the stencil for the lifts ``ys`` (S, g)."""
         seen = []
 
         def spy(torus, fn, resolution, coords=None):
@@ -315,7 +315,7 @@ class TestSectionReadsTheSecondHalf:
             return dbar_at_points(torus, fn, resolution, coords)
 
         monkeypatch.setattr(connections, "dbar_at_points", spy)
-        check_eq_i(family, y, 16)
+        check_eq_i(family, ys, 16)
         (fn,) = seen
         return fn
 
@@ -323,7 +323,7 @@ class TestSectionReadsTheSecondHalf:
         g = family.base.torus.genus
         y = family.base.torus.random_points(SeededDraws(3), 1)[0]
         x = seeded_lifts(family.base.torus)
-        restricted = self.differentiated(monkeypatch, family, y)(x)
+        (restricted,) = self.differentiated(monkeypatch, family, y[None])(x)
         on_product = family.theta(product_lifts(y, x))
         assert np.array_equal(restricted, on_product[..., g:])
         gap = on_product[..., :g] - restricted
@@ -379,15 +379,16 @@ class TestBatchedSections:
         seen = self.count_builds_and_stencil_calls(monkeypatch)
         no_base = ConnectionForm(family.datum, family.theta)
         with pytest.raises(TorusMismatch, match="family_connection"):
-            check_eq_i(no_base, np.zeros(family.base.torus.genus), 16)
+            check_eq_i(no_base, np.zeros((1, family.base.torus.genus)), 16)
         assert seen["stencil_coords"] == []
 
     @pytest.mark.parametrize("bad, error", [
         (np.zeros((0, 2)), ShapeMismatch), (np.zeros((2, 2, 2)), ShapeMismatch),
-        (np.zeros(3), ShapeMismatch), ([[0, 0], [np.nan, 0]], ValueError),
-        ([0, np.inf], ValueError),
-    ], ids=["empty", "3-D", "wrong_genus", "nan_in_a_later_row", "inf"])
+        (np.zeros((1, 3)), ShapeMismatch), ([[0, 0], [np.nan, 0]], ValueError),
+        ([[0, np.inf]], ValueError), (np.zeros(2), ShapeMismatch),
+    ], ids=["empty", "3-D", "wrong_genus", "nan_in_a_later_row", "inf", "one_lift"])
     def test_lifts_are_validated_as_a_lift_or_a_batch(self, family, bad, error):
+        # only a batch (S, g) is read: one lift (g,) is refused like any other shape
         with pytest.raises(error, match="point lifts must"):
             check_eq_i(family, bad, 16)
 
@@ -410,12 +411,11 @@ class TestRestrictedCovector:
 class TestRestrictionIdentity:
     def test_trivial(self, flat_datum):
         fam = family_connection(flat_datum)
-        assert check_eq_i(fam, [0.2 + 0.9j], 16) <= 1e-12
+        assert np.max(check_eq_i(fam, [[0.2 + 0.9j]], 16)) <= 1e-12
 
     @pytest.mark.parametrize("case", ["g1", "g2"])
     def test_random_base_points(self, case, principal_datum, g2_datum, rng):
         datum = principal_datum if case == "g1" else g2_datum
         n = 64 if case == "g1" else 16
         fam = family_connection(datum)
-        for y in datum.torus.random_points(rng, 5):
-            assert check_eq_i(fam, y, n) <= 1e-8
+        assert np.max(check_eq_i(fam, datum.torus.random_points(rng, 5), n)) <= 1e-8

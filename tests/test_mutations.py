@@ -92,6 +92,14 @@ def family_records_dual_base(monkeypatch):
     patch_everywhere(monkeypatch, "family_connection", dual_base)
 
 
+def sigma_records_dual_datum(monkeypatch):
+    """The sigma presentation records the dual datum, keeping the class of the datum itself."""
+    def dual_datum(datum, resolution):
+        return torsors.TorsorPresentation(datum.dual(), resolution, connections.chern_form(datum))
+
+    patch_everywhere(monkeypatch, "sigma_presentation", dual_datum)
+
+
 def dbar_on_dz_rows(monkeypatch):
     """The point stencil reads the dz half of the Wirtinger chart."""
     patch_everywhere(monkeypatch, "dbar_at_points",
@@ -183,7 +191,11 @@ MUTANTS = {
         "slice_flatness",
         "family_curvature_restriction",
     }),
-    "family_records_dual_base": (family_records_dual_base, {"family_curvature_restriction"}),
+    "family_records_dual_base": (family_records_dual_base, {
+        "family_curvature_restriction",
+        "sigma_tau_match",
+    }),
+    "sigma_records_dual_datum": (sigma_records_dual_datum, {"sigma_tau_match"}),
     "dbar_on_dz_rows": (dbar_on_dz_rows, {
         "sigma_obstruction",
         "family_curvature_restriction",

@@ -87,3 +87,14 @@ def test_benchmark_layer_calls_resolve():
         if not found:
             missing.append(f"{module}.{path}")
     assert missing == []
+
+
+def test_readme_quickstart_runs():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library quickstart", 1)[1]
+    block = section.split("```python", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(block, namespace)
+    # what the block's comments promise
+    assert abs(namespace["cycles"][0, 1] - (-1)) <= 1e-12
+    assert namespace["ok"] is True

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from torsorcheck import (
     ConnectionForm,
     ResolutionTooCoarse,
     ShapeMismatch,
+    TorsorMorphism,
     TorsorPresentation,
     TorusHomomorphism,
     TorusMismatch,
@@ -175,12 +177,19 @@ class TestCanonicalMorphism:
 
     def test_distinct_classes_not_holomorphic(self, square_torus, principal_datum):
         doubled = AHDatum(square_torus, [[2.0]], [1.0, 1.0])
-        gamma = canonical_morphism(
-            sigma_presentation(principal_datum, 16), sigma_presentation(doubled, 16)
-        )
-        ok, err = is_holomorphic_morphism(gamma, 1e-6)
+        sigma, sigma_doubled = (sigma_presentation(d, 16) for d in (principal_datum, doubled))
+        # two bundles have no canonical morphism; matched directly, their classes differ
+        with pytest.raises(BaseMismatch, match="different data"):
+            canonical_morphism(sigma, sigma_doubled)
+        ok, err = is_holomorphic_morphism(TorsorMorphism(sigma, sigma_doubled), 1e-6)
         assert not ok
         assert abs(err - 0.5) <= 1e-9  # |omega' - omega| = |H' - H| / 2
+
+    def test_presentations_of_other_phases_rejected(self, square_torus, flat_datum):
+        # H = 0 on both, so the classes agree and only the phases tell the bundles apart
+        turned = AHDatum(square_torus, [[0]], [1j, 1])
+        with pytest.raises(BaseMismatch, match="different data"):
+            canonical_morphism(sigma_presentation(flat_datum, 16), sigma_presentation(turned, 16))
 
     def test_base_mismatch_rejected(self, principal_datum, g2_datum):
         with pytest.raises(BaseMismatch):
@@ -199,7 +208,7 @@ class TestCanonicalMorphism:
     def test_close_references_give_small_obstruction(self, tau_g1, rng):
         eps = 1e-7
         noise = rng.standard_normal(tau_g1.theta_ref.shape)
-        nearby = TorsorPresentation(tau_g1.torus, N_G1, tau_g1.theta_ref + eps * noise)
+        nearby = TorsorPresentation(tau_g1.datum, N_G1, tau_g1.theta_ref + eps * noise)
         gamma = canonical_morphism(tau_g1, nearby)
         _, err = is_holomorphic_morphism(gamma, eps)
         assert err <= eps * np.max(np.abs(noise)) + 1e-10
@@ -369,40 +378,46 @@ class TestTauPresentation:
 
 
 class TestPresentationLayout:
+    def test_presentation_is_its_datum_resolution_and_class(self, principal_datum):
+        # the torus is read from the datum, so the two cannot disagree
+        assert [f.name for f in fields(TorsorPresentation)] == ["datum", "resolution", "theta_ref"]
+        pres = TorsorPresentation(principal_datum, 16, np.zeros((1, 1), dtype=complex))
+        assert pres.torus is principal_datum.torus
+
     @pytest.mark.parametrize("shape", [(16, 1, 1, 1), (16, 8, 1, 1)], ids=str)
-    def test_one_resolution_on_every_axis(self, square_torus, shape):
+    def test_one_resolution_on_every_axis(self, flat_datum, shape):
         # no grid layout is read, not even one whose axes would broadcast
         # against a 16 x 16 offset grid
         with pytest.raises(ShapeMismatch):
-            TorsorPresentation(square_torus, 16, np.zeros(shape, dtype=complex))
+            TorsorPresentation(flat_datum, 16, np.zeros(shape, dtype=complex))
 
-    def test_non_finite_reference_rejected(self, square_torus):
+    def test_non_finite_reference_rejected(self, flat_datum):
         theta = np.zeros((1, 1), dtype=complex)
         theta[0, 0] = np.nan
         with pytest.raises(ValueError, match="finite"):
-            TorsorPresentation(square_torus, 16, theta)
+            TorsorPresentation(flat_datum, 16, theta)
 
-    def test_resolution_below_minimum_rejected(self, square_torus):
+    def test_resolution_below_minimum_rejected(self, flat_datum):
         with pytest.raises(ResolutionTooCoarse):
-            TorsorPresentation(square_torus, 3, np.zeros((1, 1), dtype=complex))
+            TorsorPresentation(flat_datum, 3, np.zeros((1, 1), dtype=complex))
 
-    def test_grid_reference_rejected(self, square_torus, g2_datum):
+    def test_grid_reference_rejected(self, flat_datum, g2_datum):
         # a presentation holds its (g, g) class, not the class repeated per node,
         # at the presentation resolution or any other
         for n in (8, 16):
             with pytest.raises(ShapeMismatch, match=r"\(1, 1\)"):
-                TorsorPresentation(square_torus, resolution=16,
+                TorsorPresentation(flat_datum, resolution=16,
                                    theta_ref=np.zeros((n, n, 1, 1), dtype=complex))
         sigma = sigma_presentation(g2_datum, 8)
         grid = np.broadcast_to(sigma.theta_ref, (8,) * 4 + (2, 2))
         with pytest.raises(ShapeMismatch, match=r"\(2, 2\)"):
-            TorsorPresentation(g2_datum.torus, 8, grid)
+            TorsorPresentation(g2_datum, 8, grid)
 
-    def test_non_finite_broadcast_reference_rejected(self, square_torus):
+    def test_non_finite_broadcast_reference_rejected(self, flat_datum):
         # a zero-stride (g, g) view of one non-finite number is refused like any matrix
         theta = np.broadcast_to(np.array(np.inf + 0j), (1, 1))
         with pytest.raises(ValueError, match="finite"):
-            TorsorPresentation(square_torus, 16, theta)
+            TorsorPresentation(flat_datum, 16, theta)
 
 
 class TestSigmaPresentation:

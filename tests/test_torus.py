@@ -4,7 +4,6 @@ import pytest
 from torsorcheck import (
     ComplexTorus,
     DegenerateLattice,
-    IndexOutOfRange,
     ShapeMismatch,
     TorsorcheckError,
     cycle_integral,
@@ -74,35 +73,23 @@ class TestPoints:
 
 class TestInvariantForms:
     def test_cycle_integral_zero_form(self, square_torus):
-        assert cycle_integral(square_torus, [[0.0]], 0, 1) == 0
+        assert np.array_equal(cycle_integral(square_torus, [[0.0]]), np.zeros((2, 2)))
 
     def test_cycle_integral_dz_wedge_dzbar(self, square_torus):
         # c dz^dzbar on (1, i):  c*(1*conj(i) - i*conj(1)) = -2ic
         c = 0.7 - 0.2j
-        assert abs(cycle_integral(square_torus, [[c]], 0, 1) - (-2j * c)) < 1e-14
+        assert abs(cycle_integral(square_torus, [[c]])[0, 1] - (-2j * c)) < 1e-14
 
     def test_cycle_integral_antisymmetric(self, g2_torus, rng):
         coeff = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        for j in range(4):
-            for k in range(4):
-                forward = cycle_integral(g2_torus, coeff, j, k)
-                assert abs(forward + cycle_integral(g2_torus, coeff, k, j)) < 1e-12
-
-    def test_index_out_of_range(self, square_torus):
-        with pytest.raises(IndexOutOfRange):
-            cycle_integral(square_torus, [[1.0]], 0, 2)
-
-    def test_index_arrays_match_scalar_calls_bitwise(self, g2_torus, rng):
-        coeff = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        index = np.arange(4)
-        table = cycle_integral(g2_torus, coeff, index[:, None], index[None, :])
+        table = cycle_integral(g2_torus, coeff)
         assert table.shape == (4, 4)
-        scalars = [[cycle_integral(g2_torus, coeff, j, k) for k in range(4)] for j in range(4)]
-        assert all(type(v) is complex for row in scalars for v in row)
-        assert table.tobytes() == np.array(scalars).tobytes()
+        assert np.array_equal(table, -table.T)
 
-    @pytest.mark.parametrize("j, k", [([0, 1, 4], 0), (1, [[0], [-1]]), (np.arange(5), 2)])
-    def test_index_arrays_out_of_range(self, g2_torus, j, k):
-        # one bad entry is enough
-        with pytest.raises(IndexOutOfRange):
-            cycle_integral(g2_torus, np.eye(2), j, k)
+    def test_entries_are_generator_pair_integrals(self, g2_torus, rng):
+        # entry [j, k] is u T conj(v) - v T conj(u) for generators u = j, v = k
+        coeff = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        table = cycle_integral(g2_torus, coeff)
+        for j, u in enumerate(g2_torus.periods.T):
+            for k, v in enumerate(g2_torus.periods.T):
+                assert abs(table[j, k] - (u @ coeff @ np.conj(v) - v @ coeff @ np.conj(u))) < 1e-12

@@ -117,6 +117,12 @@ class TestConfig:
         with pytest.raises(ConfigInvalid, match="NonIntegralE"):
             VerificationConfig.from_dict(data)
 
+    def test_missing_bundle_rejected(self):
+        # "trivial" must be asked for: a config naming no bundle would verify one no one chose
+        data = {"torus": {"genus": 1, "periods": [[[1, 0], [0, 1]]]}, "numeric": {"grid": 8}}
+        with pytest.raises(ConfigInvalid, match="bundle: section missing"):
+            VerificationConfig.from_dict(data)
+
     def test_degenerate_torus_aborts(self):
         data = {"torus": {"genus": 1, "periods": [[[1, 0], [2, 0]]]}}
         with pytest.raises(ConfigInvalid, match="DegenerateLattice"):
@@ -475,7 +481,7 @@ class TestSampleBlocks:
                            np.max(np.abs(sliced.datum.hermitian)),
                            np.max(np.abs(sliced.datum.chi - phases))])
         assert np.array_equal(_slice_terms(ctx, xs, coords), np.array(single))
-        sections = [check_eq_i(ctx.family, y, ctx.cfg.grid, coords) for y in xs]
+        sections = [check_eq_i(ctx.family, y[None], ctx.cfg.grid, coords)[0] for y in xs]
         assert np.array_equal(_section_terms(ctx, xs, coords), np.array(sections))
 
 
