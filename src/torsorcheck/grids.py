@@ -18,12 +18,13 @@ draws do not depend on ``PYTHONHASHSEED`` or on numpy's generator streams,
 and drawing them loads no extension module.
 
 The grid path has no caller in the package: ``lattice_grid``,
-``slab_coords``, ``GridFunction`` (whose ``sample`` measures the constant
-period increments as ``seam_jumps``), ``measure_seam_jumps``, ``SEAM_TOL``,
-``_central_difference``, ``_accumulate`` (each direction summed in order,
-row by row), ``_wirtinger_fd`` (slab by slab, holding slabs i-1, i, i+1) and
-``dbar_fd``.  It has two readers left: ``tests/test_grids.py``, and the
-benchmark tracer's ``LAYER_CALLS``, which names five of these as layers.
+``GridFunction`` (whose ``sample`` calls ``fn`` once on the lifts of the whole
+grid and measures the constant period increments as ``seam_jumps``),
+``measure_seam_jumps``, ``SEAM_TOL`` and ``dbar_fd`` (2g periodic central
+differences taken with ``np.roll``, the seam jump added to the wrapped
+neighbour, contracted by one ``einsum``).  It has two readers left:
+``tests/test_grids.py``, and the benchmark tracer's ``LAYER_CALLS``, which
+names five of these as layers.
 """
 from __future__ import annotations
 
@@ -52,22 +53,6 @@ def lattice_grid(resolution: int, dims: int) -> np.ndarray:
     """Nodes i/N of the periodic grid, shape (N,)*dims + (dims,)."""
     axes = [np.arange(resolution) / resolution] * dims
     return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-
-
-def slab_coords(resolution: int, dims: int):
-    """``at(i)``: the nodes of first-axis slab i, equal to ``lattice_grid(N, dims)[i]``.
-
-    The slabs share one buffer of shape (N,)*(dims-1) + (dims,), refilled in
-    place for each i, so each is used up before the next is asked for.
-    """
-    coords = np.empty((resolution,) * (dims - 1) + (dims,))
-    coords[..., 1:] = lattice_grid(resolution, dims - 1)
-
-    def at(i):
-        coords[..., 0] = i / resolution
-        return coords
-
-    return at
 
 
 @dataclass
@@ -112,19 +97,13 @@ class GridFunction:
     def sample(cls, torus: ComplexTorus, resolution: int, fn) -> "GridFunction":
         """Sample ``fn`` (vectorized over lifts, (..., g) -> (...,) + value_shape).
 
-        ``fn`` must shift by a constant across each period; the increments are
-        measured from two evaluations per direction and kept as ``seam_jumps``.
-        ``fn`` is called on one first-axis slab at a time, so its temporaries
-        are slab-sized and only the returned grid is held whole.
+        ``fn`` is called once, on the lifts of the whole grid.  It must shift
+        by a constant across each period; the increments are measured from two
+        evaluations per direction and kept as ``seam_jumps``.
         """
         if resolution < MIN_RESOLUTION:
             raise ResolutionTooCoarse(f"resolution {resolution} < {MIN_RESOLUTION}")
-        at = slab_coords(resolution, 2 * torus.genus)
-        first = np.asarray(fn(torus.lift_of_coords(at(0))))
-        values = np.empty((resolution,) + first.shape, dtype=first.dtype)
-        values[0] = first
-        for i in range(1, resolution):
-            values[i] = fn(torus.lift_of_coords(at(i)))
+        values = fn(torus.lift_of_coords(lattice_grid(resolution, 2 * torus.genus)))
         return cls(torus, values, seam_jumps=measure_seam_jumps(torus, fn))
 
 
@@ -154,94 +133,28 @@ def measure_seam_jumps(torus: ComplexTorus, fn) -> np.ndarray:
     return jumps
 
 
-def _central_difference(slab: np.ndarray, axis: int, jump, out: np.ndarray) -> None:
-    """Unscaled periodic central difference of ``slab`` along ``axis``, into ``out``.
-
-    Across the seam the jump is applied to the wrapped neighbour before
-    differencing, v[1] - (v[-1] - J) and (v[0] + J) - v[-2], which keeps the
-    rounding of value(c + e_d) = value(c) + J_d.
-    """
-    v, o = slab.swapaxes(0, axis), out.swapaxes(0, axis)  # views with ``axis`` first
-    first, second, before_last, last = v[:1], v[1:2], v[-2:-1], v[-1:]
-    np.subtract(v[2:], v[:-2], out=o[1:-1])
-    if jump is None:
-        np.subtract(second, last, out=o[:1])
-        np.subtract(first, before_last, out=o[-1:])
-    else:
-        np.subtract(second, last - jump, out=o[:1])
-        np.subtract(first + jump, before_last, out=o[-1:])
-
-
-def _accumulate(out: np.ndarray, rows: np.ndarray, d: int, diff: np.ndarray, scale: float,
-                term: np.ndarray) -> None:
-    """out[k] += rows[k, d] * (scale * diff) for every row k, through the buffer ``term``.
-
-    ``diff`` is scaled in place.  Each product is formed before it is added,
-    as in ``einsum("kd,d...->...k", rows, diffs)`` summed from zero in
-    direction order, which the slab path reproduces bit for bit.
-    """
-    diff *= scale
-    for k in range(rows.shape[0]):
-        np.multiply(rows[k, d], diff, out=term)
-        out[k] += term
-
-
-def _wirtinger_fd(torus: ComplexTorus, resolution: int, slab, rows: np.ndarray, jumps=None):
-    """Yield sum_d rows[k, d] * (central difference along grid direction d), as axis k,
-    one first-axis slab at a time, for i = 0 .. N-1.
-
-    ``slab(i)`` gives the values on first-axis slab i, shape (N,)*(2g-1) +
-    value_shape, and ``jumps`` are their seam jumps, if any.  Only the slabs
-    i-1, i and i+1 are held; at the wrap, slabs N-1 (for i = 0) and 0 (for
-    i = N-1) are read again instead of kept.  Each direction's difference goes
-    into one reused slab buffer and is accumulated straight into the output
-    slab, so no temporary exceeds a slab.  The output slab is stored with axis
-    k first, so each accumulation is contiguous, and handed back as a view
-    with k last.
-    """
-    n = resolution
-    if n < MIN_RESOLUTION:
-        raise ResolutionTooCoarse(f"resolution {n} < {MIN_RESOLUTION}")
-
-    def read(i):
-        return np.asarray(slab(i), dtype=complex)
-
-    behind, here, ahead = read(n - 1), read(0), read(1)
-    if jumps is not None:
-        behind = behind - jumps[0]
-    diff = np.empty_like(here)
-    term = np.empty_like(diff)
-    k_last = (*range(1, here.ndim + 1), 0)
-    scale = n / 2.0  # 1 / (2h) with h = 1/N
-    for i in range(n):
-        out = np.zeros((rows.shape[0],) + here.shape, dtype=complex)
-        for d in range(2 * torus.genus):
-            if d == 0:
-                np.subtract(ahead, behind, out=diff)
-            else:
-                _central_difference(here, d - 1, None if jumps is None else jumps[d], diff)
-            _accumulate(out, rows, d, diff, scale, term)
-        yield out.transpose(k_last)
-        if i + 1 < n:
-            behind, here = here, ahead
-            ahead = read((i + 2) % n)
-            if jumps is not None and i + 2 == n:
-                ahead = ahead + jumps[0]
-
-
 def dbar_fd(gf: GridFunction) -> GridFunction:
     """Per-node dzbar-derivative coefficients; appends one axis of length g.
 
-    Output value_shape is value_shape + (g,), entry [..., k] = d(value)/dzbar_k;
-    the kernel's slabs are gathered into one output grid.
+    Output value_shape is value_shape + (g,), entry [..., k] = d(value)/dzbar_k.
+    Each direction's periodic central difference is taken with ``np.roll``,
+    the seam jump added to the wrapped neighbour (keeping the rounding of
+    value(c + e_d) = value(c) + J_d) and scaled by N/2; all 2g are held at
+    once, and one ``einsum`` contracts them with the dzbar rows.
     """
-    vals = gf.values
-    rows = gf.torus.dzbar_rows
-    out = np.empty(vals.shape + (rows.shape[0],), dtype=complex)
-    slabs = _wirtinger_fd(gf.torus, gf.resolution, vals.__getitem__, rows, gf.seam_jumps)
-    for i, out_slab in enumerate(slabs):
-        out[i] = out_slab
-    return GridFunction(gf.torus, out)
+    n = gf.resolution
+    if n < MIN_RESOLUTION:
+        raise ResolutionTooCoarse(f"resolution {n} < {MIN_RESOLUTION}")
+    vals = np.asarray(gf.values, dtype=complex)
+    diffs = np.empty((2 * gf.torus.genus,) + vals.shape, dtype=complex)
+    for d in range(diffs.shape[0]):
+        fwd = np.roll(vals, -1, axis=d)
+        bwd = np.roll(vals, 1, axis=d)
+        if gf.seam_jumps is not None:
+            fwd[(slice(None),) * d + (n - 1,)] += gf.seam_jumps[d]
+            bwd[(slice(None),) * d + (0,)] -= gf.seam_jumps[d]
+        diffs[d] = (fwd - bwd) * (n / 2.0)
+    return GridFunction(gf.torus, np.einsum("kd,d...->...k", gf.torus.dzbar_rows, diffs))
 
 
 class SeededDraws:

@@ -117,8 +117,10 @@ def cycle_integral(torus: ComplexTorus, coefficients) -> np.ndarray:
 
     With T the (g, g) coefficients and u, v generators j and k (0-based),
     entry [j, k] is u T conj(v) - v T conj(u): the generators' Gram matrix
-    G = periods^T T conj(periods) minus its transpose.
+    G = periods^T T conj(periods) minus its transpose.  Coefficients of any
+    shape other than (g, g) raise ShapeMismatch.
     """
-    t = np.asarray(coefficients, dtype=complex)
+    g = torus.genus
+    t = _complex_of_shape(coefficients, (g, g), "form coefficients")
     gram = torus.periods.T @ t @ np.conj(torus.periods)
     return gram - gram.T

@@ -172,8 +172,7 @@ def _tolerance(numeric: dict, name: str) -> float:
 class VerificationConfig:
     """Validated run configuration; construction fails with the invariant name."""
 
-    torus: ComplexTorus
-    datum: AHDatum  # the config's "trivial" is resolved to trivial_datum(torus)
+    datum: AHDatum  # carries the torus; the config's "trivial" is resolved to trivial_datum(torus)
     grid: int
     tolerance_analytic: float
     tolerance_fd: float
@@ -183,6 +182,10 @@ class VerificationConfig:
     checks: list[str] | None
     output: str | None
     canonical: dict = field(repr=False)
+
+    @property
+    def torus(self) -> ComplexTorus:
+        return self.datum.torus
 
     @classmethod
     def from_dict(cls, data: dict) -> "VerificationConfig":
@@ -277,7 +280,7 @@ class VerificationConfig:
             "checks": checks,
             "output": data.get("output"),
         }
-        return cls(torus=torus, datum=datum, **parsed, checks=checks,
+        return cls(datum=datum, **parsed, checks=checks,
                    output=data.get("output"), canonical=canonical)
 
     @classmethod

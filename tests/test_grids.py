@@ -20,7 +20,7 @@ from oracles import stencil_by_directions, stencil_two_calls
 def roll_stencil(gf, rows):
     """Reference stencil: 2g np.roll central differences stacked, then one einsum.
 
-    The slice kernel behind dbar_fd must reproduce it bit for bit.
+    It pins dbar_fd's summation order: dbar_fd must reproduce it bit for bit.
     """
     n = gf.resolution
     vals = np.asarray(gf.values, dtype=complex)

@@ -93,3 +93,8 @@ class TestInvariantForms:
         for j, u in enumerate(g2_torus.periods.T):
             for k, v in enumerate(g2_torus.periods.T):
                 assert abs(table[j, k] - (u @ coeff @ np.conj(v) - v @ coeff @ np.conj(u))) < 1e-12
+
+    @pytest.mark.parametrize("shape", [(4, 2, 2), (3, 3)], ids=["stack", "wrong_genus"])
+    def test_coefficients_of_another_shape_rejected(self, g2_torus, shape):
+        with pytest.raises(ShapeMismatch, match=r"form coefficients must have shape \(2, 2\)"):
+            cycle_integral(g2_torus, np.ones(shape))

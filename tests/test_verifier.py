@@ -19,6 +19,7 @@ from torsorcheck import (
     check_eq_i,
     connections,
     curvature,
+    grids,
     hermitian_pairing,
     run_suite,
     slice_connection,
@@ -198,6 +199,12 @@ class TestConfig:
         cfg = VerificationConfig.from_dict(json.loads(example))
         assert cfg.grid == 64 and cfg.output == "report.json"
 
+    def test_torus_is_read_from_the_datum(self):
+        # a directly built config has no torus of its own to pair with another datum
+        fields = vars(VerificationConfig.demo("principal-g2"))
+        other = VerificationConfig.demo("principal-g1").datum
+        assert VerificationConfig(**{**fields, "datum": other}).torus is other.torus
+
     def test_digest_stable(self):
         a = VerificationConfig.demo("principal-g1").digest()
         b = VerificationConfig.demo("principal-g1").digest()
@@ -338,6 +345,24 @@ class TestSuite:
         report = run_suite(cfg)
         assert report.overall == "pass"
         assert len(calls) == 6 + cfg.samples
+
+    @pytest.mark.parametrize("source", ["principal-g1", "principal-g2", "trivial", "g4.json"])
+    def test_suite_never_enters_the_grid_path(self, monkeypatch, source):
+        # every check reads seeded points: no check builds or differences an N^{2g} grid
+        def refuse(*args, **kwargs):
+            raise AssertionError("the suite entered the grid path")
+
+        for name in ("lattice_grid", "measure_seam_jumps", "dbar_fd"):
+            monkeypatch.setattr(grids, name, refuse)
+        monkeypatch.setattr(grids.GridFunction, "sample", classmethod(refuse))
+        monkeypatch.setattr(grids.GridFunction, "__post_init__", refuse)
+        if source.endswith(".json"):
+            cfg = VerificationConfig.from_file(Path(__file__).with_name(source))
+        else:
+            cfg = VerificationConfig.demo(source)
+        report = run_suite(cfg)
+        assert report.crash_notes == {}
+        assert [(c.name, c.status) for c in report.checks] == [(n, "pass") for n in CHECK_ORDER]
 
     def test_convergence_probe_genuinely_second_order(self):
         report = run_suite(VerificationConfig.demo("principal-g1"))

@@ -3,12 +3,14 @@
     python3 tools/report_digests.py --src SRC [--seeds N] > digests.txt
 
 Runs the suite, in this process, from the ``torsorcheck`` package under
-``SRC`` (default: this checkout's ``src``) on the three demos and on seeds
-1..N (default 20) of each benchmark workload.  The workload configs come from
-``perfbench/run.py`` (``WORKLOADS`` and ``torus_config``), and each report is
-hashed with that module's ``report_digest``: the JSON as written, with its
-``wall_time_ms`` fields stripped and ``config_digest`` kept.  A RuntimeWarning
-stops the run.  Two trees give the same reports exactly when
+``SRC`` (default: this checkout's ``src``) on the three demos, on the
+committed configs ``tests/g3_n6.json`` and ``tests/g4.json``, and on seeds
+1..N (default 20) of each of the three benchmark workloads, 5 + 3N lines in
+all.  The workload configs come from ``perfbench/run.py`` (``WORKLOADS`` and
+``torus_config``), and each report is hashed with that module's
+``report_digest``: the JSON as written, with its ``wall_time_ms`` fields
+stripped and ``config_digest`` kept.  A RuntimeWarning stops the run.  Two
+trees give the same reports exactly when
 
     diff <(python3 tools/report_digests.py --src A/src) \\
          <(python3 tools/report_digests.py --src B/src)
@@ -45,13 +47,15 @@ def _import_torsorcheck(src: Path):
 
 
 def digest_lines(src: Path, seeds: int):
-    """Yield ``name sha256`` for the demos, then seeds 1..``seeds`` of each workload."""
+    """Yield ``name sha256`` for the demos, the committed configs, then seeds 1..``seeds``."""
     bench = _load_benchmark()
     tc = _import_torsorcheck(src.resolve())
     from torsorcheck.verifier import report_json
 
     configs = [(f"demo/{name}", tc.VerificationConfig.demo(name))
                for name in sorted(tc.DEMO_CONFIGS)]
+    configs += [(f"tests/{name}", tc.VerificationConfig.from_file(ROOT / "tests" / name))
+                for name in ("g3_n6.json", "g4.json")]
     for workload, (taus, grid) in bench.WORKLOADS.items():
         for seed in range(1, seeds + 1):
             data = json.loads(json.dumps(bench.torus_config(taus, grid, seed)))
@@ -66,7 +70,8 @@ def main(argv=None) -> int:
     parser.add_argument("--src", type=Path, default=ROOT / "src",
                         help="directory holding the torsorcheck package")
     parser.add_argument("--seeds", type=int, default=20,
-                        help="seeds 1..N of each workload (0 runs the demos only)")
+                        help="seeds 1..N of each workload (0 runs only the demos "
+                             "and the committed configs)")
     args = parser.parse_args(argv)
     if args.seeds < 0:
         parser.error("--seeds must be >= 0")
