@@ -182,45 +182,45 @@ class TorusHomomorphism:
 
 def addition_map(prod: ComplexTorus) -> TorusHomomorphism:
     """(z, w) -> z + w on a product torus A x A."""
-    left, right = _split_factors(prod)
-    g = left.genus
-    return TorusHomomorphism(prod, left, np.hstack([np.eye(g), np.eye(g)]))
+    base = _factor(prod)
+    g = base.genus
+    return TorusHomomorphism(prod, base, np.hstack([np.eye(g), np.eye(g)]))
 
 
 def first_projection(prod: ComplexTorus) -> TorusHomomorphism:
-    left, right = _split_factors(prod)
-    g = left.genus
-    return TorusHomomorphism(prod, left, np.hstack([np.eye(g), np.zeros((g, g))]))
+    base = _factor(prod)
+    g = base.genus
+    return TorusHomomorphism(prod, base, np.hstack([np.eye(g), np.zeros((g, g))]))
 
 
 def product_maps(base: ComplexTorus) -> tuple[TorusHomomorphism, TorusHomomorphism]:
     """The first projection and the addition map of one product torus A x A, for A = ``base``."""
-    prod = product_torus(base, base)
+    prod = product_torus(base)
     return first_projection(prod), addition_map(prod)
 
 
 def slice_embedding(x, prod: ComplexTorus) -> TorusHomomorphism:
     """z -> (z, x): the slice A x {x} of the product, for a lift x (g,) of a point of A."""
-    left, right = _split_factors(prod)
-    x = _finite_lifts(x, right.genus, "point lift")
-    matrix = np.vstack([np.eye(left.genus), np.zeros((right.genus, left.genus))])
-    translation = np.concatenate([np.zeros(left.genus), x])
-    return TorusHomomorphism(left, prod, matrix, translation)
+    base = _factor(prod)
+    g = base.genus
+    x = _finite_lifts(x, g, "point lift")
+    matrix = np.vstack([np.eye(g), np.zeros((g, g))])
+    return TorusHomomorphism(base, prod, matrix, np.concatenate([np.zeros(g), x]))
 
 
 def parameter_section(y, prod: ComplexTorus) -> TorusHomomorphism:
     """x -> (y, x): the section of the second projection through a lift y (g,) of a point of A."""
-    left, right = _split_factors(prod)
-    y = _finite_lifts(y, left.genus, "point lift")
-    matrix = np.vstack([np.zeros((left.genus, right.genus)), np.eye(right.genus)])
-    translation = np.concatenate([y, np.zeros(right.genus)])
-    return TorusHomomorphism(right, prod, matrix, translation)
+    base = _factor(prod)
+    g = base.genus
+    y = _finite_lifts(y, g, "point lift")
+    matrix = np.vstack([np.zeros((g, g)), np.eye(g)])
+    return TorusHomomorphism(base, prod, matrix, np.concatenate([y, np.zeros(g)]))
 
 
-def _split_factors(prod: ComplexTorus) -> tuple[ComplexTorus, ComplexTorus]:
-    if prod.factors is None:
+def _factor(prod: ComplexTorus) -> ComplexTorus:
+    if prod.factor is None:
         raise TorusMismatch("expected a product torus built by product_torus()")
-    return prod.factors
+    return prod.factor
 
 
 # -- pullback ------------------------------------------------------------------

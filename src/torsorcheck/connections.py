@@ -19,7 +19,7 @@ import numpy as np
 
 from .bundles import AHDatum, build_family, pullback, slice_embedding
 from .errors import TorusMismatch
-from .grids import dbar_at_points
+from .grids import dbar_at_points, sample_blocks, seeded_coords
 from .torus import _finite_lifts
 
 #: scale making cycle integrals of the curvature class integral
@@ -175,15 +175,20 @@ def check_eq_i(family_conn: ConnectionForm, ys, resolution: int, coords=None) ->
     half, as the oracle ``check_eq_i_by_pullback`` of ``tests/oracles.py``
     reads it along ``parameter_section`` for one y.  The restriction is
     t_y* L, so its curvature at step 1/``resolution`` around the x-points
-    with lattice coordinates ``coords``, scaled by the Chern normalization,
-    is compared with ``chern_form`` of the family's ``base``, the class of L
-    (TorusMismatch for a form with no base).  The covector is affine in
-    (x, xbar), so the differences are exact to rounding.  The S lifts are
-    the covector's broadcast axis, so the batch is one stencil call.
+    with lattice coordinates ``coords`` (None: ``seeded_coords``), scaled by
+    the Chern normalization, is compared with ``chern_form`` of the family's
+    ``base``, the class of L (TorusMismatch for a form with no base).  The
+    covector is affine in (x, xbar), so the differences are exact to
+    rounding.  Each block of ``grids.sample_blocks`` is one stencil call with
+    its lifts as the covector's broadcast axis, so its buffers do not grow with S.
     """
     base = family_base(family_conn)
     ys = _finite_lifts(ys, base.torus.genus, "point lifts", batch=True)
-    theta = restricted_covector(family_conn, ys, free=1, half=1)
-    cloud = dbar_at_points(base.torus, theta, resolution, coords)
-    gap = np.abs(CHERN_NORMALIZATION * cloud - chern_form(base))
-    return np.max(gap.reshape(len(ys), -1), axis=1)
+    coords = seeded_coords(base.torus) if coords is None else coords
+    gaps = []
+    for block in sample_blocks(base.torus, len(ys)):
+        theta = restricted_covector(family_conn, ys[block], free=1, half=1)
+        cloud = dbar_at_points(base.torus, theta, resolution, coords)
+        gap = np.abs(CHERN_NORMALIZATION * cloud - chern_form(base))
+        gaps.append(np.max(gap.reshape(len(gap), -1), axis=1))
+    return np.concatenate(gaps)

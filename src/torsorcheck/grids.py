@@ -41,9 +41,9 @@ MIN_RESOLUTION = 4
 #: how many seeded points the point-path checks evaluate at
 POINT_SAMPLES = 256
 #: the most bytes of stencil differences that one ``dbar_at_points`` call holds
-#: for a block of sampled restrictions: one sample's (2g, POINT_SAMPLES, g)
-#: complex differences take 8192 g**2 bytes, so genus 1 reads 16 samples per
-#: call, genus 2 four, and genus 3 and above one
+#: for a block of ``sample_blocks``, whoever reads it: one sample's (2g,
+#: POINT_SAMPLES, g) complex differences take 8192 g**2 bytes, so genus 1
+#: reads 16 samples per call, genus 2 four, and genus 3 and above one
 STENCIL_BLOCK_BYTES = 2**17
 #: relative agreement required of a period increment measured at two base points
 SEAM_TOL = 1e-9
@@ -187,6 +187,19 @@ class SeededDraws:
         return radius * np.cos(2.0 * np.pi * self.random(shape))
 
 
+def sample_blocks(torus: ComplexTorus, count: int) -> list[slice]:
+    """Consecutive slices of ``count`` samples, each one ``dbar_at_points`` call.
+
+    A block holds as many samples as fit in ``STENCIL_BLOCK_BYTES`` of stencil
+    differences, one sample's being (2g, POINT_SAMPLES, g) complex, and at
+    least one.
+    """
+    g = torus.genus
+    per_sample = 2 * g * POINT_SAMPLES * g * np.dtype(complex).itemsize
+    size = max(1, STENCIL_BLOCK_BYTES // per_sample)
+    return [slice(start, start + size) for start in range(0, count, size)]
+
+
 def seeded_coords(torus: ComplexTorus) -> np.ndarray:
     """The default point-path lattice coordinates: ``POINT_SAMPLES`` draws from seed 0, (P, 2g)."""
     return SeededDraws(0).random((POINT_SAMPLES, 2 * torus.genus))
@@ -212,6 +225,8 @@ def dbar_at_points(torus: ComplexTorus, fn, resolution: int, coords=None) -> np.
     coords = seeded_coords(torus) if coords is None else np.asarray(coords, dtype=float)
     if coords.ndim != 2 or coords.shape[1] != dims:
         raise ShapeMismatch(f"point coordinates must have shape (P, {dims})")
+    if not np.all(np.isfinite(coords)):  # else fn reads a NaN cloud, or matmul warns
+        raise ValueError("point coordinates must be finite")
     lifts = torus.lift_of_coords(coords)
     step = torus.periods.T / resolution  # row d is the lift of e_d / N
     signed = np.stack([step, -step], axis=1)[:, :, None, :]  # (2g, 2, 1, g)

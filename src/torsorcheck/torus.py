@@ -46,7 +46,7 @@ def _finite_lifts(x, genus: int, what: str, batch: bool = False) -> np.ndarray:
 class ComplexTorus:
     """C^g modulo the lattice spanned by the columns of a g x 2g period matrix."""
 
-    def __init__(self, periods, kappa_max: float = 1e8, factors=None):
+    def __init__(self, periods, kappa_max: float = 1e8, factor=None):
         kappa_max = float(kappa_max)
         if not (np.isfinite(kappa_max) and kappa_max >= 1):  # a NaN or inf cap guards nothing
             raise TorsorcheckError(f"kappa_max must be a finite number >= 1, got {kappa_max}")
@@ -64,7 +64,7 @@ class ComplexTorus:
         self.genus = g
         self.periods = periods
         self.kappa_max = kappa_max
-        self.factors = factors  # (left, right) for product tori, else None
+        self.factor = factor  # A for a product torus A x A, else None
         self._stack_inv = np.linalg.inv(stack)
         # Wirtinger chart matrix: directional derivatives along the lattice
         # basis are W @ [d/dz; d/dzbar], so the last g inverse rows convert
@@ -102,14 +102,13 @@ class ComplexTorus:
         return f"ComplexTorus(genus={self.genus})"
 
 
-def product_torus(left: ComplexTorus, right: ComplexTorus) -> ComplexTorus:
-    """Product torus with block-diagonal period matrix and lattice Lambda x Lambda'."""
-    gl, gr = left.genus, right.genus
-    periods = np.zeros((gl + gr, 2 * (gl + gr)), dtype=complex)
-    periods[:gl, : 2 * gl] = left.periods
-    periods[gl:, 2 * gl :] = right.periods
-    kappa = max(left.kappa_max, right.kappa_max)
-    return ComplexTorus(periods, kappa_max=kappa, factors=(left, right))
+def product_torus(base: ComplexTorus) -> ComplexTorus:
+    """The product torus A x A of A = ``base``: block-diagonal periods, lattice Lambda x Lambda."""
+    g = base.genus
+    periods = np.zeros((2 * g, 4 * g), dtype=complex)
+    periods[:g, : 2 * g] = base.periods
+    periods[g:, 2 * g :] = base.periods
+    return ComplexTorus(periods, kappa_max=base.kappa_max, factor=base)
 
 
 def cycle_integral(torus: ComplexTorus, coefficients) -> np.ndarray:

@@ -57,7 +57,7 @@ from .connections import (
     slice_connection,
 )
 from .errors import ConfigInvalid, TorsorcheckError
-from .grids import POINT_SAMPLES, STENCIL_BLOCK_BYTES, SeededDraws, dbar_at_points
+from .grids import MIN_RESOLUTION, POINT_SAMPLES, SeededDraws, dbar_at_points, sample_blocks
 from .torsors import (
     TorsorPresentation,
     act,
@@ -108,16 +108,16 @@ _NUMERIC_DEFAULTS = {
     "samples": 5,
 }
 #: the integer numeric fields and the least value each may take
-_INTEGER_LEAST = {"grid": 4, "seed": 0, "samples": 1}
+_INTEGER_LEAST = {"grid": MIN_RESOLUTION, "seed": 0, "samples": 1}
 #: the largest grid: the probe's truncation error falls as N**-2 while the
 #: rounding of its difference quotient grows as eps * N, so past this grid
 #: convergence_order fails a correct program (at 2**17 it fails tests/g3_n6.json)
 _GRID_BOUND = 2**16
 #: slice_flatness, family_curvature_restriction and duality_involution each
-#: draw ``samples`` points; the first two read them in blocks of at most
-#: STENCIL_BLOCK_BYTES of stencil differences, so their time grows linearly
-#: in ``samples`` and their memory does not, and duality_involution
-#: allocates linearly in them
+#: draw ``samples`` points; the first two read them in the blocks of
+#: ``grids.sample_blocks`` (through ``_slice_terms`` and ``check_eq_i``), so
+#: their time grows linearly in ``samples`` and their memory does not, and
+#: duality_involution allocates linearly in them
 _SAMPLES_BOUND = 10**4
 
 
@@ -420,31 +420,19 @@ def _point_probe_error(torus: ComplexTorus, resolution: int, coords, modes, coef
     return float(np.max(np.abs(fd - analytic)))
 
 
-def _sample_blocks(torus: ComplexTorus, count: int) -> list[slice]:
-    """Consecutive slices of ``count`` samples, each one ``dbar_at_points`` call.
-
-    A block holds as many samples as fit in ``STENCIL_BLOCK_BYTES`` of stencil
-    differences, one sample's being (2g, POINT_SAMPLES, g) complex, and at
-    least one.
-    """
-    g = torus.genus
-    per_sample = 2 * g * POINT_SAMPLES * g * np.dtype(complex).itemsize
-    size = max(1, STENCIL_BLOCK_BYTES // per_sample)
-    return [slice(start, start + size) for start in range(0, count, size)]
-
-
 def _slice_terms(ctx, xs, coords) -> np.ndarray:
     """The three flatness terms of each slice A x {x}, for lifts ``xs`` (S, g): (S, 3).
 
     Per slice: the max |curvature| of its covector at the lattice coordinates
     ``coords`` (P, 2g), the max |pairing| of its datum, and the max distance
     of its phases from exp(2 pi i Im H(x, lambda_j)).  Each block of
-    ``_sample_blocks`` is one stencil call on the covector with the block's
-    lifts as its broadcast axis; each slice datum is its ``slice_connection``'s.
+    ``grids.sample_blocks`` is one stencil call on the covector with the
+    block's lifts as its broadcast axis, as in ``check_eq_i``; each slice
+    datum is its ``slice_connection``'s.
     """
     lattice = ctx.torus.periods.T  # generator j in row j
     terms = []
-    for block in _sample_blocks(ctx.torus, len(xs)):
+    for block in sample_blocks(ctx.torus, len(xs)):
         x = xs[block]
         theta = restricted_covector(ctx.family, x, free=0, half=0)
         cloud = dbar_at_points(ctx.torus, theta, ctx.cfg.grid, coords)
@@ -457,12 +445,6 @@ def _slice_terms(ctx, xs, coords) -> np.ndarray:
                                np.max(np.abs(pairings).reshape(len(x), -1), axis=1),
                                np.max(np.abs(chis - phases), axis=1)], axis=1))
     return np.concatenate(terms)
-
-
-def _section_terms(ctx, ys, coords) -> np.ndarray:
-    """``check_eq_i`` of the family at each lift of ``ys`` (S, g), one call per block: (S,)."""
-    return np.concatenate([check_eq_i(ctx.family, ys[block], ctx.cfg.grid, coords)
-                           for block in _sample_blocks(ctx.torus, len(ys))])
 
 
 # -- individual checks ---------------------------------------------------------
@@ -509,14 +491,11 @@ def _check_slice_flatness(ctx, rng):
 
 
 def _check_family_restriction(ctx, rng):
-    """The family curvature on A x A, and its restriction to each parameter section, at points.
-
-    The sections are read in blocks.
-    """
+    """The family curvature on A x A, and its restriction to each parameter section, at points."""
     g = ctx.torus.genus
     ys = ctx.torus.random_points(rng, ctx.cfg.samples)
     coords = rng.random((POINT_SAMPLES, 2 * g))
-    sections = _section_terms(ctx, ys, coords)
+    sections = check_eq_i(ctx.family, ys, ctx.cfg.grid, coords)
     product_coords = rng.random((POINT_SAMPLES, 4 * g))
     recomputed = connections.CHERN_NORMALIZATION * curvature(
         ctx.family, ctx.cfg.grid, product_coords)

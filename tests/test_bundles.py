@@ -329,7 +329,7 @@ class TestHomomorphisms:
     @pytest.mark.parametrize("embed", [slice_embedding, parameter_section])
     @pytest.mark.parametrize("lift", [[np.nan, 0], [0, np.inf]])
     def test_non_finite_point_lift_rejected(self, g2_torus, embed, lift):
-        prod = product_torus(g2_torus, g2_torus)
+        prod = product_torus(g2_torus)
         with pytest.raises(ValueError, match="point lift must be finite"):
             embed(lift, prod)
 
@@ -370,7 +370,7 @@ class TestBatchedTranslations:
     @pytest.mark.parametrize("embed", [slice_embedding, parameter_section])
     def test_embeddings_refuse_a_batch_of_lifts(self, g2_torus, embed):
         with pytest.raises(ShapeMismatch, match=r"shape \(2,\), got \(3, 2\)"):
-            embed(np.zeros((3, 2)), product_torus(g2_torus, g2_torus))
+            embed(np.zeros((3, 2)), product_torus(g2_torus))
 
 
 class TestPullback:
@@ -428,7 +428,7 @@ class TestPullbackMatchesPerGeneratorLoop:
     @pytest.mark.parametrize("demo", ["principal-g1", "principal-g2", "g3"])
     def test_family_pullbacks_bitwise(self, demo, g3_datum):
         datum = g3_datum if demo == "g3" else VerificationConfig.demo(demo).datum
-        prod = product_torus(datum.torus, datum.torus)
+        prod = product_torus(datum.torus)
         for f, d in ((first_projection(prod), datum.dual()), (addition_map(prod), datum)):
             assert same_bits(pullback(f, d).chi, pullback_phases_per_generator(f, d))
         # a slice off zero translates, so each phase multiplies complex numbers with
@@ -505,7 +505,7 @@ class TestFamily:
                 assert abs(sliced.chi[j] - np.exp(2j * np.pi * e)) <= 1e-9
 
     def test_projection_and_addition_maps(self, square_torus, rng):
-        prod = product_torus(square_torus, square_torus)
+        prod = product_torus(square_torus)
         z = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         assert np.allclose(addition_map(prod).apply(z), z[:1] + z[1:])
         assert np.allclose(first_projection(prod).apply(z), z[:1])

@@ -342,7 +342,7 @@ class TestSectionReadsTheSecondHalf:
 
 
 class TestBatchedSections:
-    """``check_eq_i`` reads a batch of lifts with one stencil call and builds no datum."""
+    """``check_eq_i`` reads a batch of lifts with one stencil call per block and builds no datum."""
 
     @pytest.fixture
     def family(self):
@@ -365,15 +365,32 @@ class TestBatchedSections:
         monkeypatch.setattr(connections, "dbar_at_points", spy)
         return seen
 
-    def test_builds_no_datum_or_map_and_one_stencil_call(self, family, monkeypatch):
-        # the class compared with is the family's base, so nothing is pulled back
+    def test_builds_no_datum_or_map_and_a_stencil_call_per_block(self, family, monkeypatch):
+        # the class compared with is the family's base, so nothing is pulled back;
+        # 5 lifts at genus 2 are a block of 4 and a block of 1
         g = family.base.torus.genus
         ys = family.base.torus.random_points(SeededDraws(4), 5)
         coords = SeededDraws(7).random((POINT_SAMPLES, 2 * g))
         seen = self.count_builds_and_stencil_calls(monkeypatch)
         deviations = check_eq_i(family, ys, 16, coords)
-        assert seen == {"data": 0, "maps": 0, "stencil_coords": [(POINT_SAMPLES, 2 * g)]}
+        assert seen == {"data": 0, "maps": 0, "stencil_coords": [(POINT_SAMPLES, 2 * g)] * 2}
         assert deviations.shape == (5,)
+
+    def test_memory_does_not_grow_with_the_batch(self, g3_datum):
+        # 1000 lifts at genus 3 are 1000 blocks of one, so the peak is one block's
+        # (0.70 MB measured); one stencil call on the whole batch peaked at 270 MB
+        family = family_connection(g3_datum)
+        ys = g3_datum.torus.random_points(SeededDraws(3), 1000)
+        check_eq_i(family, ys[:1], 6)  # first-call imports and caches are not the measured call's
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            deviations = check_eq_i(family, ys, 6)
+            peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5e6, f"{peak / 1e6:.2f} MB at peak"
+        assert deviations.shape == (1000,) and np.max(deviations) <= 1e-8
 
     def test_form_without_base_refused_before_the_stencil(self, family, monkeypatch):
         seen = self.count_builds_and_stencil_calls(monkeypatch)

@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 
 from torsorcheck import ResolutionTooCoarse, ShapeMismatch, VerificationConfig, dbar_at_points
-from torsorcheck.connections import canonical_connection, curvature, family_connection
+from torsorcheck.connections import (
+    ConnectionForm,
+    canonical_connection,
+    check_eq_i,
+    curvature,
+    family_connection,
+)
 from torsorcheck.grids import (
     GridFunction,
     SeededDraws,
@@ -259,6 +265,33 @@ class TestPointPath:
             dbar_at_points(square_torus, np.conj, 3, np.zeros((1, 2)))
         with pytest.raises(ShapeMismatch):
             dbar_at_points(square_torus, np.conj, 8, np.zeros((1, 3)))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("reader", ["dbar_at_points", "curvature", "check_eq_i",
+                                        "obstruction"])
+    def test_non_finite_coordinates_rejected_before_any_call(self, principal_datum, reader, bad):
+        # a NaN coordinate read a NaN cloud, and an infinite one warned in matmul
+        calls = []
+
+        def counted(z):
+            calls.append(z)
+            return np.conj(z)
+
+        coords = np.array([[0.25, 0.5], [bad, 0.0]])
+        with pytest.raises(ValueError, match="point coordinates must be finite"):
+            if reader == "dbar_at_points":
+                dbar_at_points(principal_datum.torus, counted, 16, coords)
+            elif reader == "curvature":
+                curvature(ConnectionForm(principal_datum, counted), 16, coords)
+            elif reader == "check_eq_i":
+                fam = family_connection(principal_datum)
+                spied = ConnectionForm(fam.datum, lambda u: counted(fam.theta(u)), base=fam.base)
+                check_eq_i(spied, np.zeros((1, 1)), 16, coords)
+            else:
+                section = act(sigma_presentation(principal_datum, 16).zero_section(), counted)
+                obstruction(section, coords)
+        assert calls == []
 
 
 class TestGridFunction:

@@ -57,7 +57,7 @@ class TestPoints:
 
     def test_lift_shape_is_exact(self, g2_torus):
         # a (2, 1) lift is refused, not flattened into a point
-        prod = product_torus(g2_torus, g2_torus)
+        prod = product_torus(g2_torus)
         for take_point in (slice_embedding, parameter_section):
             with pytest.raises(ShapeMismatch):
                 take_point(np.zeros((2, 1)), prod)

@@ -28,7 +28,7 @@ from torsorcheck import (
 )
 from torsorcheck import cli
 from torsorcheck.cli import main
-from torsorcheck.grids import POINT_SAMPLES, STENCIL_BLOCK_BYTES, SeededDraws
+from torsorcheck.grids import POINT_SAMPLES, STENCIL_BLOCK_BYTES, SeededDraws, sample_blocks
 from torsorcheck.verifier import (
     CHECK_ORDER,
     DEMO_CONFIGS,
@@ -36,8 +36,6 @@ from torsorcheck.verifier import (
     _SuiteContext,
     _point_probe_error,
     _probe_terms,
-    _sample_blocks,
-    _section_terms,
     _slice_terms,
     emit_report,
     report_json,
@@ -483,7 +481,7 @@ class TestSampleBlocks:
     @pytest.mark.parametrize("genus, size", [(1, 16), (2, 4), (3, 1), (4, 1), (32, 1)])
     def test_block_size_is_the_byte_budget(self, genus, size):
         torus = ComplexTorus(np.hstack([np.eye(genus), 1j * np.eye(genus)]))
-        blocks = _sample_blocks(torus, 40)
+        blocks = sample_blocks(torus, 40)
         assert [b.stop - b.start for b in blocks[:-1]] == [size] * (len(blocks) - 1)
         assert sum(len(range(40)[b]) for b in blocks) == 40
         # one block's stencil differences, (2g, B * P, g) complex, fit the budget
@@ -507,7 +505,7 @@ class TestSampleBlocks:
                            np.max(np.abs(sliced.datum.chi - phases))])
         assert np.array_equal(_slice_terms(ctx, xs, coords), np.array(single))
         sections = [check_eq_i(ctx.family, y[None], ctx.cfg.grid, coords)[0] for y in xs]
-        assert np.array_equal(_section_terms(ctx, xs, coords), np.array(sections))
+        assert np.array_equal(check_eq_i(ctx.family, xs, ctx.cfg.grid, coords), np.array(sections))
 
 
 class TestGridBound:
