@@ -13,7 +13,6 @@ from .bundles import (
     build_family,
     first_projection,
     hermitian_pairing,
-    parameter_section,
     product_maps,
     pullback,
     slice_embedding,
@@ -75,8 +74,7 @@ from .version import __version__
 __all__ = [
     # bundles
     "AHDatum", "TorusHomomorphism", "addition_map", "build_family", "first_projection",
-    "hermitian_pairing", "parameter_section", "product_maps", "pullback", "slice_embedding",
-    "trivial_datum",
+    "hermitian_pairing", "product_maps", "pullback", "slice_embedding", "trivial_datum",
     # connections
     "CHERN_NORMALIZATION", "ConnectionForm", "canonical_connection", "check_eq_i",
     "chern_form", "curvature", "family_connection", "slice_connection",

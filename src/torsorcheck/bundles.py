@@ -208,15 +208,6 @@ def slice_embedding(x, prod: ComplexTorus) -> TorusHomomorphism:
     return TorusHomomorphism(base, prod, matrix, np.concatenate([np.zeros(g), x]))
 
 
-def parameter_section(y, prod: ComplexTorus) -> TorusHomomorphism:
-    """x -> (y, x): the section of the second projection through a lift y (g,) of a point of A."""
-    base = _factor(prod)
-    g = base.genus
-    y = _finite_lifts(y, g, "point lift")
-    matrix = np.vstack([np.zeros((g, g)), np.eye(g)])
-    return TorusHomomorphism(base, prod, matrix, np.concatenate([y, np.zeros(g)]))
-
-
 def _factor(prod: ComplexTorus) -> ComplexTorus:
     if prod.factor is None:
         raise TorusMismatch("expected a product torus built by product_torus()")
@@ -255,15 +246,11 @@ def pullback(f: TorusHomomorphism, datum: AHDatum) -> AHDatum:
 
 # -- the two-variable family --------------------------------------------------
 
-def build_family(datum: AHDatum, maps=None, dual: AHDatum | None = None) -> AHDatum:
+def build_family(datum: AHDatum, maps=None) -> AHDatum:
     """Datum of (p1* dual L) tensor (addition* L) on the product torus A x A.
 
     ``maps`` is the pair ``product_maps(datum.torus)``, built here when None,
-    so that several families of one torus can share one product torus; and
-    ``dual`` is ``datum.dual()``, formed here when None.
+    so that several families of one torus can share one product torus.
     """
     p1, add = product_maps(datum.torus) if maps is None else maps
-    along_p1 = pullback(p1, datum.dual() if dual is None else dual)
-    along_add = pullback(add, datum)
-    return along_p1.tensor(along_add)
-
+    return pullback(p1, datum.dual()).tensor(pullback(add, datum))

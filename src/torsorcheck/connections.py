@@ -19,7 +19,7 @@ import numpy as np
 
 from .bundles import AHDatum, build_family, pullback, slice_embedding
 from .errors import TorusMismatch
-from .grids import dbar_at_points, sample_blocks, seeded_coords
+from .grids import dbar_at_points, point_coords, sample_blocks
 from .torus import _finite_lifts
 
 #: scale making cycle integrals of the curvature class integral
@@ -50,36 +50,31 @@ def canonical_connection(datum: AHDatum) -> ConnectionForm:
     return ConnectionForm(datum, theta)
 
 
-def family_connection(datum: AHDatum, maps=None) -> ConnectionForm:
-    """Connection on (p1* dual L) tensor (addition* L) induced by the canonical one.
+def family_connection(conn: ConnectionForm, maps=None) -> ConnectionForm:
+    """Connection on (p1* dual L) tensor (addition* L) induced by a connection D on L.
 
     At a lift u = (z, w) of A x A the pullbacks along p1 and the addition map
-    give the covector (theta_dual(z) + theta(z + w), theta(z + w)): p1 carries
-    dz to the first factor alone, and z + w carries dz to both, so the
-    covector is read off slices of u.
+    give the covector (-D(z) + D(z + w), D(z + w)): the dual connection's
+    covector is -D, p1 carries dz to the first factor alone, and z + w
+    carries dz to both, so the covector is read off slices of u.
 
     The form's ``datum`` is the family datum of :func:`build_family` on A x A
-    and its ``base`` is ``datum``.  Building it takes a product torus, two
-    pullbacks and a tensor, so a caller that reads one family several times
-    (the slices, ``check_eq_i``, ``tau_presentation`` at several base points)
-    builds it once and passes the form.  ``maps`` is passed on to
-    ``build_family``, so the families of one torus can share its product
-    torus, and the dual datum is formed once for the family datum and the
-    dual covector.
+    and its ``base`` is ``conn.datum``.  Building it takes a product torus,
+    two pullbacks and a tensor, so a caller that reads one family several
+    times (the slices, ``check_eq_i``, ``tau_presentation`` at several base
+    points) builds it once and passes the form.  ``maps`` is passed on to
+    ``build_family``, so the families of one torus can share its product torus.
     """
-    dual = datum.dual()
-    fam_datum = build_family(datum, maps, dual)
+    datum = conn.datum
     g = datum.torus.genus
-    theta_dual = canonical_connection(dual)
-    theta_base = canonical_connection(datum)
 
     def theta(u):
         u = np.asarray(u, dtype=complex)
         z = u[..., :g]
-        on_sum = theta_base.theta(z + u[..., g:])
-        return np.concatenate([theta_dual.theta(z) + on_sum, on_sum], axis=-1)
+        on_sum = conn.theta(z + u[..., g:])
+        return np.concatenate([on_sum - conn.theta(z), on_sum], axis=-1)
 
-    return ConnectionForm(fam_datum, theta, base=datum)
+    return ConnectionForm(build_family(datum, maps), theta, base=datum)
 
 
 def product_lifts(first, second) -> np.ndarray:
@@ -127,10 +122,10 @@ def slice_connection(family_conn: ConnectionForm, x) -> ConnectionForm:
     """Restriction of the family connection to the slice A x {x}, for a lift x (g,).
 
     The covector is read in the restriction of the product automorphy frame;
-    it is constant in z, so the restriction is flat.  It is the family
-    covector at (z, x), first half: the pullback along ``slice_embedding``
-    (matrix I over 0) that the oracle of ``tests/oracles.py`` forms by
-    matmuls.  The datum is that pullback's.
+    for the family of the canonical connection it is constant in z, so the
+    restriction is flat.  It is the family covector at (z, x), first half:
+    the pullback along ``slice_embedding`` (matrix I over 0) that the oracle
+    of ``tests/oracles.py`` forms by matmuls.  The datum is that pullback's.
     """
     f = slice_embedding(x, family_conn.datum.torus)
     theta = restricted_covector(family_conn, f.translation[f.source.genus:], free=0, half=0)
@@ -173,20 +168,21 @@ def check_eq_i(family_conn: ConnectionForm, ys, resolution: int, coords=None) ->
     Restricts the family connection along x -> (y, x) for each lift y of the
     non-empty batch ``ys`` (S, g): the family covector at (y, x), second
     half, as the oracle ``check_eq_i_by_pullback`` of ``tests/oracles.py``
-    reads it along ``parameter_section`` for one y.  The restriction is
+    reads it along the section's map for one y.  The restriction is
     t_y* L, so its curvature at step 1/``resolution`` around the x-points
     with lattice coordinates ``coords`` (None: ``seeded_coords``), scaled by
     the Chern normalization, is compared with ``chern_form`` of the family's
-    ``base``, the class of L (TorusMismatch for a form with no base).  The
-    covector is affine in (x, xbar), so the differences are exact to
-    rounding.  Each block of ``grids.sample_blocks`` is one stencil call with
-    its lifts as the covector's broadcast axis, so its buffers do not grow with S.
+    ``base``, the class of L (TorusMismatch for a form with no base).  For
+    the canonical connection the covector is affine in (x, xbar), so the
+    differences are exact to rounding.  Each block of ``grids.sample_blocks``
+    is one stencil call with its lifts as the covector's broadcast axis, sized
+    for the number of points, so its buffers do not grow with S.
     """
     base = family_base(family_conn)
     ys = _finite_lifts(ys, base.torus.genus, "point lifts", batch=True)
-    coords = seeded_coords(base.torus) if coords is None else coords
+    coords = point_coords(base.torus, coords)
     gaps = []
-    for block in sample_blocks(base.torus, len(ys)):
+    for block in sample_blocks(base.torus, len(ys), len(coords)):
         theta = restricted_covector(family_conn, ys[block], free=1, half=1)
         cloud = dbar_at_points(base.torus, theta, resolution, coords)
         gap = np.abs(CHERN_NORMALIZATION * cloud - chern_form(base))

@@ -41,9 +41,10 @@ MIN_RESOLUTION = 4
 #: how many seeded points the point-path checks evaluate at
 POINT_SAMPLES = 256
 #: the most bytes of stencil differences that one ``dbar_at_points`` call holds
-#: for a block of ``sample_blocks``, whoever reads it: one sample's (2g,
-#: POINT_SAMPLES, g) complex differences take 8192 g**2 bytes, so genus 1
-#: reads 16 samples per call, genus 2 four, and genus 3 and above one
+#: for a block of ``sample_blocks``, whoever reads it: one sample's (2g, P, g)
+#: complex differences at P points take 32 g**2 P bytes, so at the suite's
+#: POINT_SAMPLES genus 1 reads 16 samples per call, genus 2 four, and genus 3
+#: and above one
 STENCIL_BLOCK_BYTES = 2**17
 #: relative agreement required of a period increment measured at two base points
 SEAM_TOL = 1e-9
@@ -187,15 +188,15 @@ class SeededDraws:
         return radius * np.cos(2.0 * np.pi * self.random(shape))
 
 
-def sample_blocks(torus: ComplexTorus, count: int) -> list[slice]:
+def sample_blocks(torus: ComplexTorus, count: int, points: int) -> list[slice]:
     """Consecutive slices of ``count`` samples, each one ``dbar_at_points`` call.
 
     A block holds as many samples as fit in ``STENCIL_BLOCK_BYTES`` of stencil
-    differences, one sample's being (2g, POINT_SAMPLES, g) complex, and at
-    least one.
+    differences, one sample's being (2g, ``points``, g) complex, and at least
+    one.
     """
     g = torus.genus
-    per_sample = 2 * g * POINT_SAMPLES * g * np.dtype(complex).itemsize
+    per_sample = 2 * g * points * g * np.dtype(complex).itemsize
     size = max(1, STENCIL_BLOCK_BYTES // per_sample)
     return [slice(start, start + size) for start in range(0, count, size)]
 
@@ -205,12 +206,28 @@ def seeded_coords(torus: ComplexTorus) -> np.ndarray:
     return SeededDraws(0).random((POINT_SAMPLES, 2 * torus.genus))
 
 
+def point_coords(torus: ComplexTorus, coords=None) -> np.ndarray:
+    """``coords`` as finite lattice coordinates (P, 2g), P >= 1; None reads ``seeded_coords``.
+
+    A wrong or empty shape raises ShapeMismatch, as an empty batch of lifts
+    does, and a NaN or infinite entry ValueError.
+    """
+    dims = 2 * torus.genus
+    coords = seeded_coords(torus) if coords is None else np.asarray(coords, dtype=float)
+    if coords.ndim != 2 or coords.shape[1] != dims or len(coords) == 0:
+        raise ShapeMismatch(f"point coordinates must have shape (P, {dims}) with P >= 1")
+    if not np.all(np.isfinite(coords)):  # else fn reads a NaN cloud, or matmul warns
+        raise ValueError("point coordinates must be finite")
+    return coords
+
+
 def dbar_at_points(torus: ComplexTorus, fn, resolution: int, coords=None) -> np.ndarray:
     """dzbar-derivative coefficients of ``fn`` at lattice coordinates ``coords`` (P, 2g).
 
     ``fn`` is vectorized over lifts, (..., g) -> (...,) + value_shape, and
-    ``coords`` defaults to ``seeded_coords(torus)``.  The points are lifted
-    once; the stencil points of direction d are the lifts z +- periods[:, d] / N,
+    ``coords`` is read through ``point_coords``, so it defaults to
+    ``seeded_coords(torus)`` and an empty set is refused.  The points are
+    lifted once; the stencil points of direction d are the lifts z +- periods[:, d] / N,
     the grid stencil's step at resolution N, read on the cover: no point wraps
     around the torus, so no seam jumps are needed.  ``fn`` is called once per
     direction, on the (2, P, g) stacked + and - lifts, and each difference
@@ -222,12 +239,7 @@ def dbar_at_points(torus: ComplexTorus, fn, resolution: int, coords=None) -> np.
     if resolution < MIN_RESOLUTION:
         raise ResolutionTooCoarse(f"resolution {resolution} < {MIN_RESOLUTION}")
     dims = 2 * torus.genus
-    coords = seeded_coords(torus) if coords is None else np.asarray(coords, dtype=float)
-    if coords.ndim != 2 or coords.shape[1] != dims:
-        raise ShapeMismatch(f"point coordinates must have shape (P, {dims})")
-    if not np.all(np.isfinite(coords)):  # else fn reads a NaN cloud, or matmul warns
-        raise ValueError("point coordinates must be finite")
-    lifts = torus.lift_of_coords(coords)
+    lifts = torus.lift_of_coords(point_coords(torus, coords))
     step = torus.periods.T / resolution  # row d is the lift of e_d / N
     signed = np.stack([step, -step], axis=1)[:, :, None, :]  # (2g, 2, 1, g)
     diffs = None

@@ -240,9 +240,10 @@ def sigma_presentation(datum: AHDatum, resolution: int) -> TorsorPresentation:
 def tau_presentation(family: ConnectionForm, resolution: int, z_base=None) -> TorsorPresentation:
     """Presentation of the torsor of flat-slice families, obstruction from scratch.
 
-    ``family`` is the induced two-variable connection that
-    ``connections.family_connection(datum)`` returns; the presentation is
-    of ``family.base``, the datum it records, over that datum's torus.
+    ``family`` is the two-variable connection that
+    ``connections.family_connection(conn)`` induces from a connection on a
+    datum; the presentation is of ``family.base``, the datum it records, over
+    that datum's torus.
     Differentiates the family's slice covectors, restricted in the product
     frame at the base point ``z_base``, one lift (g,), zero by default (the
     family covector at (z_base, x), first half), in the antiholomorphic

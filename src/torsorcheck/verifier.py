@@ -339,11 +339,12 @@ class _SuiteContext:
 
     It holds the Chern matrix, the canonical curvature cloud, the two
     presentations ``sigma`` and ``tau``, and the dual datum ``dual``.  Each
-    family connection is built once: ``family`` for the datum, which ``tau``,
-    the slice checks and ``tau_obstruction``'s moved base point read, and
-    ``dual_family`` for the dual, which ``duality_involution`` reads for both
-    its tau presentation and its slice.  Every family of the torus, the
-    trivial bundle's too, shares the one product torus of ``product_maps``.
+    family connection is induced from the canonical connection of its datum
+    and built once: ``family`` for the datum, which ``tau``, the slice checks
+    and ``tau_obstruction``'s moved base point read, and ``dual_family`` for
+    the dual, which ``duality_involution`` reads for both its tau
+    presentation and its slice.  Every family of the torus, the trivial
+    bundle's too, shares the one product torus of ``product_maps``.
     """
 
     def __init__(self, cfg: VerificationConfig):
@@ -367,7 +368,7 @@ class _SuiteContext:
 
     @cached_property
     def family(self) -> ConnectionForm:
-        return family_connection(self.datum, self.product_maps)
+        return family_connection(canonical_connection(self.datum), self.product_maps)
 
     @cached_property
     def dual(self) -> AHDatum:
@@ -375,7 +376,7 @@ class _SuiteContext:
 
     @cached_property
     def dual_family(self) -> ConnectionForm:
-        return family_connection(self.dual, self.product_maps)
+        return family_connection(canonical_connection(self.dual), self.product_maps)
 
     @cached_property
     def sigma(self) -> TorsorPresentation:
@@ -432,7 +433,7 @@ def _slice_terms(ctx, xs, coords) -> np.ndarray:
     """
     lattice = ctx.torus.periods.T  # generator j in row j
     terms = []
-    for block in sample_blocks(ctx.torus, len(xs)):
+    for block in sample_blocks(ctx.torus, len(xs), len(coords)):
         x = xs[block]
         theta = restricted_covector(ctx.family, x, free=0, half=0)
         cloud = dbar_at_points(ctx.torus, theta, ctx.cfg.grid, coords)
@@ -557,7 +558,8 @@ def _check_trivial_bundle(ctx, rng):
     cfg = ctx.cfg
     flat = trivial_datum(ctx.torus)
     sigma = sigma_presentation(flat, cfg.grid)
-    tau = tau_presentation(family_connection(flat, ctx.product_maps), cfg.grid)
+    tau = tau_presentation(family_connection(canonical_connection(flat), ctx.product_maps),
+                           cfg.grid)
     # a zero section's obstruction is the reference class itself, sigma's being chern_form(flat)
     terms = [is_holomorphic(sigma.zero_section(), cfg.tolerance_exact)[1],
              is_holomorphic(tau.zero_section(), cfg.tolerance_exact)[1],

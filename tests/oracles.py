@@ -8,9 +8,10 @@ where they compare them, and ``same_section`` compares two sections there.
 stands in for the grid stencil.  ``pullback_connection`` is the pullback of a
 connection by its map's matmuls, which the sliced ``slice_connection`` and
 ``check_eq_i`` are compared with; ``family_covector_by_maps`` is the family
-covector read through the projection and addition matrices, which the sliced
-``family_connection`` is compared with, and ``check_eq_i_by_pullback`` is
-``check_eq_i`` with its restriction read through ``pullback_connection``.
+covector of a connection read through the projection and addition matrices,
+which the sliced ``family_connection`` is compared with.  ``parameter_section``
+is the map x -> (y, x), and ``check_eq_i_by_pullback`` is ``check_eq_i`` with
+its restriction read through ``pullback_connection`` along it.
 ``pullback_phases_per_generator`` and ``stencil_two_calls`` are the
 one-at-a-time loops that the batched ``pullback`` and ``dbar_at_points`` are
 compared with, and ``stencil_by_directions`` is the point stencil in its
@@ -28,12 +29,10 @@ from torsorcheck import (
     TorusMismatch,
     addition_map,
     build_family,
-    canonical_connection,
     chern_form,
     curvature,
     first_projection,
     hermitian_pairing,
-    parameter_section,
     pullback,
 )
 from torsorcheck.grids import seeded_coords
@@ -149,20 +148,27 @@ def pullback_phases_per_generator(f: TorusHomomorphism, datum) -> np.ndarray:
     return chi
 
 
-def family_covector_by_maps(datum):
-    """The family covector as the two pullbacks' products by the 0/1 maps' matrices.
+def family_covector_by_maps(conn):
+    """The family covector of a connection D on L, by the 0/1 maps' matrices.
 
-    theta_dual(u p1^T) p1 + theta(u alpha^T) alpha, for lifts u (..., 2g) of
-    A x A, with p1 the first projection and alpha the addition map.
+    -D(u p1^T) p1 + D(u alpha^T) alpha, for lifts u (..., 2g) of A x A, with
+    p1 the first projection and alpha the addition map: the dual connection
+    pulled back along p1, and D along alpha.
     """
-    prod = build_family(datum).torus
+    prod = build_family(conn.datum).torus
     p1, alpha = first_projection(prod).matrix, addition_map(prod).matrix
-    dual, base = canonical_connection(datum.dual()), canonical_connection(datum)
 
     def theta(u):
-        return dual.theta(u @ p1.T) @ p1 + base.theta(u @ alpha.T) @ alpha
+        return -conn.theta(u @ p1.T) @ p1 + conn.theta(u @ alpha.T) @ alpha
 
     return theta
+
+
+def parameter_section(y, prod) -> TorusHomomorphism:
+    """x -> (y, x) into ``prod`` = A x A: the section of the second projection through a lift y."""
+    base, g = prod.factor, prod.factor.genus
+    return TorusHomomorphism(base, prod, np.vstack([np.zeros((g, g)), np.eye(g)]),
+                             np.concatenate([y, np.zeros(g)]))
 
 
 def check_eq_i_by_pullback(family, y, resolution, coords=None) -> float:

@@ -115,7 +115,7 @@ def test_criterion_3_slice_flatness():
         worst = 0.0
         for datum, n in _configs():
             rng = np.random.default_rng(SEED)
-            fam = family_connection(datum)
+            fam = family_connection(canonical_connection(datum))
             for x in datum.torus.random_points(rng, 5):
                 worst = max(worst, np.max(np.abs(curvature(slice_connection(fam, x), n))))
     ok = worst <= 1e-8 and t.elapsed < 10.0
@@ -128,7 +128,7 @@ def test_criterion_4_family_curvature_restriction():
         worst = 0.0
         for datum, n in _configs():
             rng = np.random.default_rng(SEED + 1)
-            fam = family_connection(datum)
+            fam = family_connection(canonical_connection(datum))
             ys = datum.torus.random_points(rng, 5)
             worst = max(worst, float(np.max(check_eq_i(fam, ys, n))))
     ok = worst <= 1e-8 and t.elapsed < 10.0
@@ -141,7 +141,7 @@ def test_criterion_5_tau_obstruction_and_isomorphism():
     for (datum, n), budget in zip(_configs(), (30.0, 300.0)):
         with Timer() as t:
             omega = chern_form(datum)
-            tau = tau_presentation(family_connection(datum), n)
+            tau = tau_presentation(family_connection(canonical_connection(datum)), n)
             dev = float(np.max(np.abs(tau.theta_ref - omega)))
             gamma = canonical_morphism(sigma_presentation(datum, n), tau)
             holo, err = is_holomorphic_morphism(gamma, 1e-6)
@@ -170,7 +170,7 @@ def test_criterion_6_perturbed_reference_identity():
             return (np.exp(2j * np.pi * (torus.lattice_coords(z) @ modes.T)) @ coeffs)[..., None]
 
         coords = seeded_coords(torus)
-        tau = tau_presentation(family_connection(datum), n)
+        tau = tau_presentation(family_connection(canonical_connection(datum)), n)
         moved = obstruction(act(tau.zero_section(), w), coords)
         dbar_w = dbar_at_points(torus, w, n, coords)
         dev = float(np.max(np.abs((moved - sigma_presentation(datum, n).theta_ref) - dbar_w)))
@@ -185,7 +185,7 @@ def test_criterion_7_trivial_bundle_degenerate_run():
         datum = trivial_datum(torus)
         omega_max = float(np.max(np.abs(chern_form(datum))))
         sigma = sigma_presentation(datum, 64)
-        tau = tau_presentation(family_connection(datum), 64)
+        tau = tau_presentation(family_connection(canonical_connection(datum)), 64)
         class_max = max(
             float(np.max(np.abs(sigma.theta_ref))),
             float(np.max(np.abs(tau.theta_ref))),
@@ -215,8 +215,8 @@ def test_criterion_8_duality_involution():
     (datum, n), _ = _configs()
     with Timer() as t:
         rng = np.random.default_rng(SEED + 3)
-        tau = tau_presentation(family_connection(datum), n)
-        tau_dual = tau_presentation(family_connection(datum.dual()), n)
+        tau = tau_presentation(family_connection(canonical_connection(datum)), n)
+        tau_dual = tau_presentation(family_connection(canonical_connection(datum.dual())), n)
         fwd = duality_map(tau, tau_dual)
         back = duality_map(tau_dual, tau)
         bit_exact = True

@@ -17,7 +17,6 @@ from torsorcheck import (
     build_family,
     first_projection,
     hermitian_pairing,
-    parameter_section,
     pullback,
     slice_embedding,
     trivial_datum,
@@ -326,7 +325,7 @@ class TestHomomorphisms:
         with pytest.raises(error, match=match):
             TorusHomomorphism(square_torus, square_torus, matrix, translation)
 
-    @pytest.mark.parametrize("embed", [slice_embedding, parameter_section])
+    @pytest.mark.parametrize("embed", [slice_embedding])
     @pytest.mark.parametrize("lift", [[np.nan, 0], [0, np.inf]])
     def test_non_finite_point_lift_rejected(self, g2_torus, embed, lift):
         prod = product_torus(g2_torus)
@@ -367,7 +366,7 @@ class TestBatchedTranslations:
         with pytest.raises(ShapeMismatch, match=r"shape \(2,\), got"):
             TorusHomomorphism(g2_torus, g2_torus, np.eye(2), np.zeros(shape))
 
-    @pytest.mark.parametrize("embed", [slice_embedding, parameter_section])
+    @pytest.mark.parametrize("embed", [slice_embedding])
     def test_embeddings_refuse_a_batch_of_lifts(self, g2_torus, embed):
         with pytest.raises(ShapeMismatch, match=r"shape \(2,\), got \(3, 2\)"):
             embed(np.zeros((3, 2)), product_torus(g2_torus))

@@ -1,4 +1,5 @@
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,19 +22,20 @@ from torsorcheck import (
     cycle_integral,
     family_connection,
     hermitian_pairing,
-    parameter_section,
     pullback,
     slice_connection,
     slice_embedding,
 )
 from torsorcheck.connections import product_lifts, restricted_covector
 from torsorcheck.grids import POINT_SAMPLES, SeededDraws, dbar_at_points
+from torsorcheck.verifier import _probe, _probe_terms
 
 from oracles import (
     automorphy_defect,
     check_eq_i_by_pullback,
     dz_rows,
     family_covector_by_maps,
+    parameter_section,
     pullback_connection,
     seeded_lifts,
 )
@@ -80,7 +82,7 @@ class TestCanonicalConnection:
     def test_automorphy_defect_small_everywhere(self, g2_datum, rng):
         conns = [
             canonical_connection(g2_datum),
-            family_connection(g2_datum),
+            family_connection(canonical_connection(g2_datum)),
         ]
         for conn in conns:
             torus = conn.datum.torus
@@ -140,20 +142,63 @@ def complex_pairing_datum(g2_datum):
     return pullback(TorusHomomorphism(source, target, m), g2_datum)
 
 
+def config_datum(source):
+    """The datum of a demo, or of a config file next to the tests."""
+    if source.endswith(".json"):
+        return VerificationConfig.from_file(Path(__file__).with_name(source)).datum
+    return VerificationConfig.demo(source).datum
+
+
+def offset_connection(datum) -> ConnectionForm:
+    """canonical + v, for a periodic, non-affine (1,0) offset v of the probe's shape.
+
+    The offset is the suite's probe sum_m coeff_m exp(2 pi i m . c(z)) at
+    amplitude 0.1, drawn from seed (7, 1).  It is periodic, so canonical + v
+    is a connection on the same bundle, but it is not linear: D(z + w) is not
+    D(z) + D(w), so the family must read D at z + w.
+    """
+    canonical = canonical_connection(datum)
+    v = _probe(datum.torus, *_probe_terms(datum.torus.genus, SeededDraws(7, 1), 0.1))
+    return ConnectionForm(datum, lambda z: canonical.theta(z) + v(z))
+
+
 class TestFamilyCovector:
-    @pytest.mark.parametrize("case", ["principal-g1", "principal-g2", "g3", "complex-h"])
+    @pytest.mark.parametrize("case", ["principal-g1", "principal-g2", "g3", "complex-h", "g4"])
     def test_sliced_equals_projection_matmuls_bitwise(self, case, g2_datum, g3_datum):
         if case == "g3":
             datum = g3_datum
         elif case == "complex-h":
             datum = complex_pairing_datum(g2_datum)
+        elif case == "g4":
+            datum = config_datum("g4.json")
         else:
             datum = VerificationConfig.demo(case).datum
-        conn = family_connection(datum)
+        base = canonical_connection(datum)
+        conn = family_connection(base)
         u = seeded_lifts(conn.datum.torus)
         sliced = conn.theta(u)
         assert sliced.shape == u.shape
-        assert np.array_equal(sliced, family_covector_by_maps(datum)(u))
+        assert np.array_equal(sliced, family_covector_by_maps(base)(u))
+
+    @pytest.mark.parametrize("source", ["principal-g1", "principal-g2", "g3_n6.json", "g4.json"])
+    def test_induced_from_a_non_affine_connection_bitwise(self, source):
+        # D = canonical + v reaches the family as it is: -D(z) + D(z + w), D(z + w)
+        datum = config_datum(source)
+        base = offset_connection(datum)
+        conn = family_connection(base)
+        u = seeded_lifts(conn.datum.torus)
+        assert conn.base is datum
+        assert np.array_equal(conn.theta(u), family_covector_by_maps(base)(u))
+        canonical = family_connection(canonical_connection(datum)).theta(u)
+        assert np.max(np.abs(conn.theta(u) - canonical)) > 0.01
+
+    @pytest.mark.parametrize("source", ["principal-g1", "principal-g2", "g3_n6.json", "g4.json"])
+    def test_dual_family_is_the_negated_family_bitwise(self, source):
+        datum = config_datum(source)
+        family = family_connection(canonical_connection(datum))
+        dual_family = family_connection(canonical_connection(datum.dual()))
+        u = seeded_lifts(family.datum.torus)
+        assert np.array_equal(dual_family.theta(u), -family.theta(u))
 
 
 class TestComplexPairing:
@@ -217,18 +262,18 @@ class TestChernForm:
 
 class TestFamilyConnection:
     def test_trivial_family_vanishes(self, flat_datum, rng):
-        fam = family_connection(flat_datum)
+        fam = family_connection(canonical_connection(flat_datum))
         z = rng.standard_normal((10, 2)) + 1j * rng.standard_normal((10, 2))
         assert np.max(np.abs(fam.theta(z))) == 0
 
     def test_agrees_with_canonical_of_family_datum(self, principal_datum, rng):
-        fam = family_connection(principal_datum)
+        fam = family_connection(canonical_connection(principal_datum))
         direct = canonical_connection(build_family(principal_datum))
         z = rng.standard_normal((30, 2)) + 1j * rng.standard_normal((30, 2))
         assert np.max(np.abs(fam.theta(z) - direct.theta(z))) <= 1e-12
 
     def test_curvature_is_difference_of_pullbacks(self, principal_datum):
-        fam = family_connection(principal_datum)
+        fam = family_connection(canonical_connection(principal_datum))
         k_fam = curvature(fam, 16)
         # oracle: pull the constant curvature matrix back along the addition
         # map and the first projection, then subtract
@@ -241,7 +286,7 @@ class TestFamilyConnection:
 
 class TestSliceConnection:
     def test_slice_formula_frozen(self, principal_datum, rng):
-        fam = family_connection(principal_datum)
+        fam = family_connection(canonical_connection(principal_datum))
         x = np.array([0.3 + 0.2j])
         sliced = slice_connection(fam, x)
         z = rng.standard_normal((10, 1)) + 1j * rng.standard_normal((10, 1))
@@ -252,7 +297,7 @@ class TestSliceConnection:
     def test_flatness_random_slices(self, case, principal_datum, g2_datum, rng):
         datum = principal_datum if case == "g1" else g2_datum
         n = 64 if case == "g1" else 16
-        fam = family_connection(datum)
+        fam = family_connection(canonical_connection(datum))
         for x in datum.torus.random_points(rng, 5):
             sliced = slice_connection(fam, x)
             assert np.max(np.abs(curvature(sliced, n))) <= 1e-8
@@ -264,10 +309,11 @@ class TestRestrictionBySlicing:
     @pytest.fixture(params=["principal-g1", "principal-g2", "g3", "complex-h"])
     def family(self, request, g2_datum, g3_datum):
         if request.param == "g3":
-            return family_connection(g3_datum)
+            return family_connection(canonical_connection(g3_datum))
         if request.param == "complex-h":
-            return family_connection(complex_pairing_datum(g2_datum))
-        return family_connection(VerificationConfig.demo(request.param).datum)
+            return family_connection(canonical_connection(complex_pairing_datum(g2_datum)))
+        datum = VerificationConfig.demo(request.param).datum
+        return family_connection(canonical_connection(datum))
 
     def test_slice_connection(self, family, rng):
         prod = family.datum.torus
@@ -304,7 +350,8 @@ class TestSectionReadsTheSecondHalf:
 
     @pytest.fixture
     def family(self):
-        return family_connection(VerificationConfig.demo("principal-g2").datum)
+        datum = VerificationConfig.demo("principal-g2").datum
+        return family_connection(canonical_connection(datum))
 
     def differentiated(self, monkeypatch, family, ys):
         """The map that ``check_eq_i`` hands to the stencil for the lifts ``ys`` (S, g)."""
@@ -346,7 +393,8 @@ class TestBatchedSections:
 
     @pytest.fixture
     def family(self):
-        return family_connection(VerificationConfig.demo("principal-g2").datum)
+        datum = VerificationConfig.demo("principal-g2").datum
+        return family_connection(canonical_connection(datum))
 
     def count_builds_and_stencil_calls(self, monkeypatch):
         """Spies on ``AHDatum`` and ``TorusHomomorphism`` constructions and on the stencil."""
@@ -379,7 +427,7 @@ class TestBatchedSections:
     def test_memory_does_not_grow_with_the_batch(self, g3_datum):
         # 1000 lifts at genus 3 are 1000 blocks of one, so the peak is one block's
         # (0.70 MB measured); one stencil call on the whole batch peaked at 270 MB
-        family = family_connection(g3_datum)
+        family = family_connection(canonical_connection(g3_datum))
         ys = g3_datum.torus.random_points(SeededDraws(3), 1000)
         check_eq_i(family, ys[:1], 6)  # first-call imports and caches are not the measured call's
         tracemalloc.start()
@@ -391,6 +439,24 @@ class TestBatchedSections:
             tracemalloc.stop()
         assert peak < 1.5e6, f"{peak / 1e6:.2f} MB at peak"
         assert deviations.shape == (1000,) and np.max(deviations) <= 1e-8
+
+    def test_memory_does_not_grow_with_the_point_count(self, family):
+        # blocks are sized for the points read: 4 lifts at 2560 points are 4
+        # blocks of one (2.13 MB measured), where sizing for 256 points made
+        # one block of 4 (6.8 MB)
+        g = family.base.torus.genus
+        ys = family.base.torus.random_points(SeededDraws(3), 4)
+        coords = SeededDraws(8).random((10 * POINT_SAMPLES, 2 * g))
+        check_eq_i(family, ys[:1], 6, coords[:1])  # first-call imports are not measured
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            deviations = check_eq_i(family, ys, 6, coords)
+            peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        assert peak < 3e6, f"{peak / 1e6:.2f} MB at peak"
+        assert deviations.shape == (4,) and np.max(deviations) <= 1e-8
 
     def test_form_without_base_refused_before_the_stencil(self, family, monkeypatch):
         seen = self.count_builds_and_stencil_calls(monkeypatch)
@@ -414,7 +480,7 @@ class TestRestrictedCovector:
     @pytest.mark.parametrize("free, half", [(0, 0), (1, 0), (1, 1)])
     def test_fixed_batch_is_a_broadcast_axis_ahead_of_the_points(self, g2_datum, free, half):
         # S = 3 fixed lifts and P = 7 points, which do not split into 3 blocks
-        fam = family_connection(g2_datum)
+        fam = family_connection(canonical_connection(g2_datum))
         draws = SeededDraws(5)
         fixed = g2_datum.torus.random_points(draws, 3)
         x = g2_datum.torus.random_points(draws, 14).reshape(2, 7, 2)
@@ -427,12 +493,12 @@ class TestRestrictedCovector:
 
 class TestRestrictionIdentity:
     def test_trivial(self, flat_datum):
-        fam = family_connection(flat_datum)
+        fam = family_connection(canonical_connection(flat_datum))
         assert np.max(check_eq_i(fam, [[0.2 + 0.9j]], 16)) <= 1e-12
 
     @pytest.mark.parametrize("case", ["g1", "g2"])
     def test_random_base_points(self, case, principal_datum, g2_datum, rng):
         datum = principal_datum if case == "g1" else g2_datum
         n = 64 if case == "g1" else 16
-        fam = family_connection(datum)
+        fam = family_connection(canonical_connection(datum))
         assert np.max(check_eq_i(fam, datum.torus.random_points(rng, 5), n)) <= 1e-8

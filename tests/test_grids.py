@@ -163,6 +163,10 @@ class TestStencilMatchesRollReference:
             assert np.array_equal(dbar_fd(gf).values, roll_stencil(gf, torus.dzbar_rows))
 
 
+#: the public readers that pass their point coordinates to ``dbar_at_points``
+READERS = ["dbar_at_points", "curvature", "check_eq_i", "obstruction"]
+
+
 class TestPointPath:
     @pytest.mark.parametrize("case", sorted(STENCIL_CASES))
     @pytest.mark.parametrize("resolution", [4, 16, 1024])
@@ -221,7 +225,7 @@ class TestPointPath:
     @pytest.mark.parametrize("resolution", [6, 16])
     def test_matches_two_call_reference_bitwise(self, demo, resolution, g3_datum):
         datum = g3_datum if demo == "g3" else VerificationConfig.demo(demo).datum
-        family = family_connection(datum)
+        family = family_connection(canonical_connection(datum))
         for torus, fn in ((datum.torus, canonical_connection(datum).theta),
                           (datum.torus, curved(datum.hermitian)),
                           (family.datum.torus, family.theta)):
@@ -266,31 +270,42 @@ class TestPointPath:
         with pytest.raises(ShapeMismatch):
             dbar_at_points(square_torus, np.conj, 8, np.zeros((1, 3)))
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
-    @pytest.mark.parametrize("reader", ["dbar_at_points", "curvature", "check_eq_i",
-                                        "obstruction"])
-    def test_non_finite_coordinates_rejected_before_any_call(self, principal_datum, reader, bad):
-        # a NaN coordinate read a NaN cloud, and an infinite one warned in matmul
-        calls = []
-
+    @staticmethod
+    def read_at(reader, datum, coords, calls) -> None:
+        """Read a spied function through ``reader`` at ``coords``; ``calls`` gets its inputs."""
         def counted(z):
             calls.append(z)
             return np.conj(z)
 
+        if reader == "dbar_at_points":
+            dbar_at_points(datum.torus, counted, 16, coords)
+        elif reader == "curvature":
+            curvature(ConnectionForm(datum, counted), 16, coords)
+        elif reader == "check_eq_i":
+            fam = family_connection(canonical_connection(datum))
+            spied = ConnectionForm(fam.datum, lambda u: counted(fam.theta(u)), base=fam.base)
+            check_eq_i(spied, np.zeros((1, 1)), 16, coords)
+        else:
+            obstruction(act(sigma_presentation(datum, 16).zero_section(), counted), coords)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("reader", READERS)
+    def test_non_finite_coordinates_rejected_before_any_call(self, principal_datum, reader, bad):
+        # a NaN coordinate read a NaN cloud, and an infinite one warned in matmul
+        calls = []
         coords = np.array([[0.25, 0.5], [bad, 0.0]])
         with pytest.raises(ValueError, match="point coordinates must be finite"):
-            if reader == "dbar_at_points":
-                dbar_at_points(principal_datum.torus, counted, 16, coords)
-            elif reader == "curvature":
-                curvature(ConnectionForm(principal_datum, counted), 16, coords)
-            elif reader == "check_eq_i":
-                fam = family_connection(principal_datum)
-                spied = ConnectionForm(fam.datum, lambda u: counted(fam.theta(u)), base=fam.base)
-                check_eq_i(spied, np.zeros((1, 1)), 16, coords)
-            else:
-                section = act(sigma_presentation(principal_datum, 16).zero_section(), counted)
-                obstruction(section, coords)
+            self.read_at(reader, principal_datum, coords, calls)
+        assert calls == []
+
+    @pytest.mark.parametrize("reader", READERS)
+    def test_empty_coordinates_rejected_before_any_call(self, principal_datum, reader):
+        # an empty point set read a (0, g, g) cloud, whose maximum numpy refused;
+        # check_eq_i refuses it before sizing its blocks, which would divide by zero
+        calls = []
+        with pytest.raises(ShapeMismatch, match=r"\(P, 2\) with P >= 1"):
+            self.read_at(reader, principal_datum, np.zeros((0, 2)), calls)
         assert calls == []
 
 

@@ -42,7 +42,9 @@ def non_invariant_metric(monkeypatch):
 
     As for the unitary connection of a metric that is not translation
     invariant, its curvature varies over the torus.  The bump is periodic, so
-    no seam is involved, and the dual's bump is its exact negative.
+    no seam is involved, and the dual's bump is its exact negative.  The
+    suite's families are induced from this connection too, so both torsors
+    see the defect: the tau reference obstruction varies over the points.
     """
     canonical_connection = connections.canonical_connection
 
@@ -71,11 +73,10 @@ def family_without_dual_half(monkeypatch):
     """The family covector keeps alpha* theta and drops its p1* L^* half."""
     family_connection = connections.family_connection
 
-    def addition_half_only(datum, maps=None):
-        fam = family_connection(datum, maps)
+    def addition_half_only(conn, maps=None):
+        fam = family_connection(conn, maps)
         alpha = bundles.addition_map(fam.datum.torus).matrix
-        base = connections.canonical_connection(datum)
-        return connections.ConnectionForm(fam.datum, lambda u: base.theta(u @ alpha.T) @ alpha,
+        return connections.ConnectionForm(fam.datum, lambda u: conn.theta(u @ alpha.T) @ alpha,
                                           base=fam.base)
 
     patch_everywhere(monkeypatch, "family_connection", addition_half_only)
@@ -85,9 +86,9 @@ def family_records_dual_base(monkeypatch):
     """The family form records the dual datum as the base it was induced from."""
     family_connection = connections.family_connection
 
-    def dual_base(datum, maps=None):
-        fam = family_connection(datum, maps)
-        return connections.ConnectionForm(fam.datum, fam.theta, base=datum.dual())
+    def dual_base(conn, maps=None):
+        fam = family_connection(conn, maps)
+        return connections.ConnectionForm(fam.datum, fam.theta, base=conn.datum.dual())
 
     patch_everywhere(monkeypatch, "family_connection", dual_base)
 
@@ -132,8 +133,8 @@ def nan_family_covector(monkeypatch):
     """The family covector is NaN everywhere, built without a RuntimeWarning."""
     family_connection = connections.family_connection
 
-    def nan_family(datum, maps=None):
-        fam = family_connection(datum, maps)
+    def nan_family(conn, maps=None):
+        fam = family_connection(conn, maps)
         return connections.ConnectionForm(
             fam.datum, lambda u: np.full_like(fam.theta(u), np.nan), base=fam.base)
 
@@ -184,7 +185,16 @@ def unchecked_non_integral_datum(monkeypatch):
 
 
 MUTANTS = {
-    "non_invariant_metric": (non_invariant_metric, {"curvature_invariance", "sigma_obstruction"}),
+    "non_invariant_metric": (non_invariant_metric, {
+        "curvature_invariance",
+        "sigma_obstruction",
+        "slice_flatness",
+        "family_curvature_restriction",
+        "tau_obstruction",
+        "sigma_tau_match",
+        "perturbed_reference",
+        "duality_involution",
+    }),
     "duality_sign_plus_one": (equivariant_duality, {"duality_involution"}),
     "chern_normalization_negated": (negated_chern_normalization, {"chern_integrality"}),
     "family_without_dual_half": (family_without_dual_half, {

@@ -98,3 +98,45 @@ def test_readme_quickstart_runs():
     # what the block's comments promise
     assert abs(namespace["cycles"][0, 1] - (-1)) <= 1e-12
     assert namespace["ok"] is True
+
+
+def _unreferenced_definitions() -> list:
+    """Top-level functions and classes, and methods, of ``src`` that no module of it names.
+
+    A definition counts as referenced when some module other than
+    ``__init__.py`` reads its name as a ``Name``, an ``Attribute`` or an
+    ``ImportFrom``; dunder methods are called implicitly and are skipped.
+    """
+    defined, referenced = {}, set()
+    for path in sorted(Path(torsorcheck.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined[f"{path.stem}.{node.name}"] = node.name
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("__"):
+                        defined[f"{path.stem}.{node.name}.{item.name}"] = item.name
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                referenced.update(a.name for a in node.names)
+    return sorted(qualified for qualified, name in defined.items() if name not in referenced)
+
+
+def test_no_definition_lacks_a_reader_unless_pinned():
+    # dead code cannot land silently: every definition that nothing in src reads is named here
+    assert _unreferenced_definitions() == [
+        # traced by the benchmark's LAYER_CALLS; deleted with the grid path once
+        # the tracer drops them
+        "bundles.TorusHomomorphism.apply",
+        "grids.GridFunction.sample",
+        "grids.dbar_fd",
+        # the canonical isomorphism on non-constant sections is to give it a caller
+        "torsors.TorsorMorphism.apply",
+    ]

@@ -23,6 +23,7 @@ from torsorcheck import (  # noqa: E402
     VerificationConfig,
     act,
     build_family,
+    canonical_connection,
     canonical_morphism,
     duality_map,
     family_connection,
@@ -93,7 +94,8 @@ def test_action_and_duality_compose_bitwise(data, seed, exponents):
     assert np.array_equal(act(s, w).offset(z), act(zero, lambda u: v(u) + w(u)).offset(z))
     assert same_section(delta.apply(act(s, w)), act(delta.apply(s), lambda u: -w(u)))
     assert same_section(back.apply(delta.apply(s)), s)
-    gamma = canonical_morphism(sigma, tau_presentation(family_connection(cfg.datum), cfg.grid))
+    family = family_connection(canonical_connection(cfg.datum))
+    gamma = canonical_morphism(sigma, tau_presentation(family, cfg.grid))
     assert same_section(gamma.apply(act(zero, v)), act(gamma.apply(zero), v))
 
 

@@ -69,7 +69,7 @@ def sigma_g1(principal_datum):
 
 @pytest.fixture
 def tau_g1(principal_datum):
-    return tau_presentation(family_connection(principal_datum), N_G1)
+    return tau_presentation(family_connection(canonical_connection(principal_datum)), N_G1)
 
 
 class TestAction:
@@ -170,7 +170,8 @@ class TestCanonicalMorphism:
 
     def test_g2_sigma_tau_morphism_holomorphic(self, g2_datum):
         gamma = canonical_morphism(
-            sigma_presentation(g2_datum, 16), tau_presentation(family_connection(g2_datum), 16)
+            sigma_presentation(g2_datum, 16),
+            tau_presentation(family_connection(canonical_connection(g2_datum)), 16),
         )
         ok, err = is_holomorphic_morphism(gamma, 1e-6)
         assert ok, f"max obstruction {err:.3e}"
@@ -236,7 +237,8 @@ class TestTrivializationClass:
 
 class TestDuality:
     def test_involution_bitwise(self, principal_datum, tau_g1, rng):
-        tau_dual = tau_presentation(family_connection(principal_datum.dual()), N_G1)
+        dual_family = family_connection(canonical_connection(principal_datum.dual()))
+        tau_dual = tau_presentation(dual_family, N_G1)
         fwd = duality_map(tau_g1, tau_dual)
         back = duality_map(tau_dual, tau_g1)
         z = seeded_lifts(tau_g1.torus)
@@ -245,7 +247,8 @@ class TestDuality:
             assert np.array_equal(back.apply(fwd.apply(s)).offset(z), s.offset(z))
 
     def test_anti_equivariance_bitwise(self, principal_datum, tau_g1, rng):
-        tau_dual = tau_presentation(family_connection(principal_datum.dual()), N_G1)
+        dual_family = family_connection(canonical_connection(principal_datum.dual()))
+        tau_dual = tau_presentation(dual_family, N_G1)
         delta = duality_map(tau_g1, tau_dual)
         s = act(tau_g1.zero_section(), random_offset(tau_g1.torus, rng))
         v = random_offset(tau_g1.torus, rng)
@@ -255,7 +258,8 @@ class TestDuality:
         )
 
     def test_zero_section_maps_to_zero_section(self, principal_datum, tau_g1):
-        tau_dual = tau_presentation(family_connection(principal_datum.dual()), N_G1)
+        dual_family = family_connection(canonical_connection(principal_datum.dual()))
+        tau_dual = tau_presentation(dual_family, N_G1)
         delta = duality_map(tau_g1, tau_dual)
         image = delta.apply(tau_g1.zero_section())
         assert np.max(np.abs(image.offset)) == 0.0
@@ -288,25 +292,27 @@ class TestTauPresentation:
 
     def test_base_point_independent(self, principal_datum, tau_g1, rng):
         z = rng.standard_normal(1) + 1j * rng.standard_normal(1)
-        moved = tau_presentation(family_connection(principal_datum), N_G1, z_base=z)
+        family = family_connection(canonical_connection(principal_datum))
+        moved = tau_presentation(family, N_G1, z_base=z)
         assert np.max(np.abs(moved.theta_ref - tau_g1.theta_ref)) <= 1e-8
 
     def test_recomputed_reference_must_be_constant(self, principal_datum):
         # a term quadratic in (zbar, xbar) on every component gives the slice
         # covector a dbar that moves from point to point, so no constant class fits
-        fam = patch_family_covector(family_connection(principal_datum), lambda theta, u: theta
+        fam = patch_family_covector(family_connection(canonical_connection(principal_datum)),
+                                    lambda theta, u: theta
                                     + 0.1 * np.sum(np.conj(u) ** 2, axis=-1, keepdims=True))
         with pytest.raises(ValueError, match="varies by"):
             tau_presentation(fam, 16)
 
     def test_non_finite_cloud_raises_varies_by(self, principal_datum):
-        fam = patch_family_covector(family_connection(principal_datum),
+        fam = patch_family_covector(family_connection(canonical_connection(principal_datum)),
                                     lambda theta, u: theta * np.nan)
         with pytest.raises(ValueError, match="varies by nan"):
             tau_presentation(fam, 16)
 
     def test_reads_the_family_it_is_given(self, principal_datum):
-        fam = family_connection(principal_datum)
+        fam = family_connection(canonical_connection(principal_datum))
         tau = tau_presentation(fam, N_G1)
         assert tau.datum is fam.base is principal_datum
         assert tau.torus is principal_datum.torus
@@ -317,12 +323,13 @@ class TestTauPresentation:
 
     def test_base_point_shape_is_exact(self, g2_datum):
         with pytest.raises(ShapeMismatch):
-            tau_presentation(family_connection(g2_datum), 8, z_base=[0, 0, 0])
+            tau_presentation(family_connection(canonical_connection(g2_datum)), 8,
+                             z_base=[0, 0, 0])
 
     def test_builds_no_map_and_checks_the_base_point_first(self, g2_datum, monkeypatch):
-        # the base point is checked as one finite lift, with no parameter_section
-        # map, and a bad one is refused before the stencil runs
-        fam = family_connection(g2_datum)
+        # the base point is checked as one finite lift, with no section map
+        # x -> (z_base, x), and a bad one is refused before the stencil runs
+        fam = family_connection(canonical_connection(g2_datum))
         calls = {"maps": 0, "stencil": 0}
         build, stencil = TorusHomomorphism.__init__, torsors.dbar_at_points
 
@@ -349,7 +356,7 @@ class TestTauPresentation:
         # the class is read at seeded points, so the peak stays far below one
         # (g, g) grid: 21.2 MB for g2 at N=24, 2.4 GB for g3 at N=16
         for datum, n in [(g2_datum, 24), (g3_datum, 16)]:
-            fam = family_connection(datum)
+            fam = family_connection(canonical_connection(datum))
             tau_presentation(fam, 4)  # first-call imports and caches are not the measured call's
             tracemalloc.start()
             try:
@@ -365,14 +372,14 @@ class TestTauPresentation:
     def test_dual_class_is_the_exact_negative(self, principal_datum, g2_datum, g3_datum):
         # the dual's covectors are exact negatives, read at the same points
         for datum, n in [(principal_datum, N_G1), (g2_datum, 16), (g3_datum, 6)]:
-            tau = tau_presentation(family_connection(datum), n)
-            tau_dual = tau_presentation(family_connection(datum.dual()), n)
+            tau = tau_presentation(family_connection(canonical_connection(datum)), n)
+            tau_dual = tau_presentation(family_connection(canonical_connection(datum.dual())), n)
             g = datum.torus.genus
             assert tau.theta_ref.shape == tau_dual.theta_ref.shape == (g, g)
             assert np.array_equal(tau_dual.theta_ref, -tau.theta_ref)
 
     def test_g3_class_matches_chern_form_at_grid_16(self, g3_datum):
-        tau = tau_presentation(family_connection(g3_datum), 16)
+        tau = tau_presentation(family_connection(canonical_connection(g3_datum)), 16)
         assert tau.theta_ref.shape == (3, 3)
         assert np.max(np.abs(tau.theta_ref - chern_form(g3_datum))) <= 1e-12
 

@@ -7,7 +7,6 @@ from torsorcheck import (
     ShapeMismatch,
     TorsorcheckError,
     cycle_integral,
-    parameter_section,
     product_torus,
     slice_embedding,
 )
@@ -58,11 +57,10 @@ class TestPoints:
     def test_lift_shape_is_exact(self, g2_torus):
         # a (2, 1) lift is refused, not flattened into a point
         prod = product_torus(g2_torus)
-        for take_point in (slice_embedding, parameter_section):
-            with pytest.raises(ShapeMismatch):
-                take_point(np.zeros((2, 1)), prod)
-            with pytest.raises(ShapeMismatch):
-                take_point(np.zeros(3), prod)
+        with pytest.raises(ShapeMismatch):
+            slice_embedding(np.zeros((2, 1)), prod)
+        with pytest.raises(ShapeMismatch):
+            slice_embedding(np.zeros(3), prod)
 
     def test_random_points_are_lifts_of_uniform_coords(self, g2_torus):
         points = g2_torus.random_points(np.random.default_rng(5), 7)

@@ -481,11 +481,20 @@ class TestSampleBlocks:
     @pytest.mark.parametrize("genus, size", [(1, 16), (2, 4), (3, 1), (4, 1), (32, 1)])
     def test_block_size_is_the_byte_budget(self, genus, size):
         torus = ComplexTorus(np.hstack([np.eye(genus), 1j * np.eye(genus)]))
-        blocks = sample_blocks(torus, 40)
+        blocks = sample_blocks(torus, 40, POINT_SAMPLES)
         assert [b.stop - b.start for b in blocks[:-1]] == [size] * (len(blocks) - 1)
         assert sum(len(range(40)[b]) for b in blocks) == 40
         # one block's stencil differences, (2g, B * P, g) complex, fit the budget
         assert size == 1 or 2 * genus * size * POINT_SAMPLES * genus * 16 <= STENCIL_BLOCK_BYTES
+
+    @pytest.mark.parametrize("genus, points, size", [(1, 2560, 1), (1, 32, 128), (2, 64, 16),
+                                                     (2, 2560, 1)])
+    def test_block_size_reads_the_point_count(self, genus, points, size):
+        # sized for the points the call reads, not for POINT_SAMPLES
+        torus = ComplexTorus(np.hstack([np.eye(genus), 1j * np.eye(genus)]))
+        blocks = sample_blocks(torus, 5000, points)
+        assert blocks[0] == slice(0, size)
+        assert size == 1 or 2 * genus * size * points * genus * 16 <= STENCIL_BLOCK_BYTES
 
     @pytest.mark.parametrize("genus", [1, 2, 3, 4])
     @pytest.mark.parametrize("count", [1, 4, 5, 17])
